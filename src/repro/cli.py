@@ -301,6 +301,10 @@ def _cmd_profile_hot(args) -> int:
     compiles = sum(r.bp.compiles for r in runners)
     entries = sum(r.bp.entries for r in runners)
     hit_rate = (1.0 - compiles / entries) if entries else 0.0
+    periodic = {"periodic_cycles": sum(r.pe_cycles for r in runners),
+                "periodic_wakes": sum(r.pe_wakes for r in runners),
+                "periodic_attempts": sum(r.pe_attempts for r in runners),
+                "periodic_failures": sum(r.pe_failures for r in runners)}
     rows = []
     for core in machine.cores:
         insts = programs.get(core.index, [])
@@ -328,7 +332,8 @@ def _cmd_profile_hot(args) -> int:
                          "deopts": deopts, "block_compiles": compiles,
                          "block_entries": entries, "hit_rate": hit_rate,
                          "multi_windows": machine._bg_multi.windows,
-                         "multi_fused_cycles": machine._bg_multi.fused_cycles},
+                         "multi_fused_cycles": machine._bg_multi.fused_cycles,
+                         **periodic},
             "hot_pcs": top,
         }, indent=2))
         return EXIT_OK
@@ -337,6 +342,10 @@ def _cmd_profile_hot(args) -> int:
           f"({fused / cycles:.1%} of total), {deopts} deopts")
     print(f"multi-core: {machine._bg_multi.windows} fused windows, "
           f"{machine._bg_multi.fused_cycles} core-cycles stepped")
+    print(f"periodic elision: {periodic['periodic_cycles']} core-cycles "
+          f"elided, {periodic['periodic_wakes']} wakes, "
+          f"{periodic['periodic_attempts']} attempts "
+          f"({periodic['periodic_failures']} failed)")
     print(f"block cache: {compiles} compiles, {entries} entries, "
           f"hit rate {hit_rate:.1%}")
     print(f"hot PCs (top {len(top)} by retire count):")

@@ -46,6 +46,12 @@ decisions out of the loop:
   one compiled core remains live delegates to the single-core
   ``run_window`` with a poke escape so snoop wakes of elided siblings
   still land on their exact cycle.
+* **Periodic elision** (:mod:`repro.cpu.periodic`): a compiled core
+  spinning in a store-free loop (a software barrier's sense loop) is
+  elided too, once its whole shift-normalized state repeats with a
+  fixed period: the walk keeps one period's per-phase records and a
+  snoop of a line the loop reads wakes the core into the exact state of
+  the wake cycle's phase.
 
 Compiled blocks are memoized on the ``Program`` object, keyed by
 ``BLOCKGEN_VERSION``, the core config, and a content fingerprint of the
@@ -225,14 +231,30 @@ class BlockProgram:
         lines.append("")
         return "\n".join(lines)
 
-    def compile_block(self, block: Block) -> None:
+    def compile_block(self, block: Block,
+                      code_memo: Optional[Dict[str, object]] = None) -> None:
+        """Generate and install ``block``'s closures (idempotent).
+
+        ``code_memo`` maps generated source to its code object.  A
+        machine running several threads passes one memo to all its
+        runners: the threads of a spec run programs that differ only in
+        a few immediates, so most of their blocks generate identical
+        source.  Code objects are
+        immutable and each block still ``exec``s into a fresh namespace,
+        so sharing them changes nothing but the ``compile()`` calls;
+        ``compiles`` keeps counting this program's block installs.
+        """
         if block.fns is not None:
             return
         source = self.generate_source(block)
         block.source = source
+        code = None if code_memo is None else code_memo.get(source)
+        if code is None:
+            code = compile(source, f"<blockgen:block{block.bid}"
+                                   f"@{block.entry}>", "exec")
+            if code_memo is not None:
+                code_memo[source] = code
         namespace = dict(_NAMESPACE)
-        code = compile(source, f"<blockgen:block{block.bid}"
-                               f"@{block.entry}>", "exec")
         exec(code, namespace)
         block.fns = {pc: namespace[f"_pc{pc}"] for pc in block.pcs
                      if f"_pc{pc}" in namespace}
@@ -289,11 +311,13 @@ class BlockRunner:
     context changes.
     """
 
-    def __init__(self, core: OutOfOrderCore) -> None:
+    def __init__(self, core: OutOfOrderCore,
+                 code_memo: Optional[Dict[str, object]] = None) -> None:
         self.core = core
         self.ctx = core.ctx
         program = core.ctx.program
         self.bp = compiled_blocks(program, core.config)
+        self.code_memo = code_memo
         memory = core.memory
 
         def _read_lb(addr, _rb=memory.read_byte):
@@ -393,11 +417,20 @@ class BlockRunner:
         self.windows = 0
         self.fused_cycles = 0
         self.deopts = 0
+        # Periodic elision (repro.cpu.periodic): its per-runner tables,
+        # built when the runner first joins a walk that may elide, and
+        # its telemetry — core-cycles elided, resumes, detection
+        # attempts and failed attempts.
+        self.spin = None
+        self.pe_cycles = 0
+        self.pe_wakes = 0
+        self.pe_attempts = 0
+        self.pe_failures = 0
 
     def _install(self, block: Block) -> None:
         """Compile ``block`` if needed and patch its closures into this
         runner's exec table (idempotent)."""
-        self.bp.compile_block(block)
+        self.bp.compile_block(block, self.code_memo)
         fns = block.fns
         exec_meta = self.exec_meta
         for pc in block.pcs:
@@ -995,7 +1028,7 @@ class BlockRunner:
                     break
         return False
 
-    def drive(self, pend: list):
+    def drive(self, pend: list, tap: Optional[list] = None):
         """Generator: compiled cycles for one core of a fused multi-core
         window, hoisting once per *residency* instead of once per cycle.
 
@@ -1016,7 +1049,15 @@ class BlockRunner:
           scalar is written back and the generator returns, surfacing
           as StopIteration from the send — the caller interprets that
           cycle instead;
-        * ``send(-1)`` is the sync sentinel: write back and return.
+        * ``send(-1)`` is the sync sentinel: write back and return;
+        * ``send(-2)`` *publishes*: writes the hoisted scalars and the
+          deferred counters back and yields None, staying resident, so
+          the walk can read the core's exact state at the top of the
+          next cycle (the periodic-elision probe).
+
+        ``tap``, when a list, logs every cache access the core makes —
+        ``(False, addr)`` per data access, ``(True, pc)`` per
+        instruction-line fetch — for the periodic-elision record.
 
         While resident, the core's deque/dict structures stay shared in
         place (flush paths rebind them, and the body re-fetches before
@@ -1078,6 +1119,8 @@ class BlockRunner:
         ras_pop = predictor.ras_pop
         data_access = core.mem_system.data_access
         inst_fetch = core.mem_system.inst_fetch
+        if tap is not None:
+            data_access, inst_fetch = _tapped(data_access, inst_fetch, tap)
         index = core.index
         stats_bump = core.stats.bump
         ctx_read = ctx.read
@@ -1119,6 +1162,8 @@ class BlockRunner:
         deopt = False
         try:
             cycle = yield
+            while cycle == -2:
+                cycle = yield None  # nothing hoisted has moved yet
             while cycle >= 0:
                 parked = 0
                 ser_ran = False
@@ -1585,6 +1630,38 @@ class BlockRunner:
                     cycle = yield 2
                 else:
                     cycle = yield True
+                while cycle == -2:
+                    # Publish: the ``finally`` write-back below, minus
+                    # ending the residency.
+                    core.seq = seq
+                    core.fetch_pc = fetch_pc
+                    core.fetch_resume = fetch_resume
+                    core.last_fetch_line = last_fetch_line
+                    core.sb_next_free = sb_next_free
+                    core.int_iq_used = int_iq_used
+                    core.fp_iq_used = fp_iq_used
+                    core.lq_used = lq_used
+                    core.sq_used = sq_used
+                    core.rename_int_used = rename_int_used
+                    core.rename_fp_used = rename_fp_used
+                    if n_spl_stalls:
+                        stats_bump("spl_recv_stalls", n_spl_stalls)
+                        n_spl_stalls = 0
+                    if n_cycles:
+                        pend[0] += n_cycles
+                        pend[1] += n_fetched
+                        pend[2] += n_dispatched
+                        pend[3] += n_issued
+                        pend[4] += n_retired
+                        pend[5] += n_int
+                        pend[6] += n_fp
+                        pend[7] += n_loads
+                        pend[8] += n_stores
+                        pend[9] += n_br
+                        n_cycles = n_fetched = n_dispatched = n_issued = 0
+                        n_retired = n_int = n_fp = n_loads = n_stores = 0
+                        n_br = 0
+                    cycle = yield None
         finally:
             core._bg_resident = False
             if n_spl_stalls:
@@ -1613,6 +1690,19 @@ class BlockRunner:
             core.rename_fp_used = rename_fp_used
 
 
+def _tapped(data_access, inst_fetch, tap: list):
+    """``data_access``/``inst_fetch`` wrappers that log into ``tap``."""
+    def tapped_data(index, addr, is_write, cycle):
+        tap.append((False, addr))
+        return data_access(index, addr, is_write, cycle)
+
+    def tapped_fetch(index, pc, cycle):
+        tap.append((True, pc))
+        return inst_fetch(index, pc, cycle)
+
+    return tapped_data, tapped_fetch
+
+
 #: Deferred counter layout shared by :meth:`BlockRunner.drive` (``pend``
 #: slots) and the per-window flush in :class:`MultiBlockRunner`.
 _CNT_KEYS = ("cycles", "fetched", "dispatched", "issued", "retired",
@@ -1626,6 +1716,11 @@ _BG_NEVER = 1 << 62
 #: ``_FF_BACKOFF_CAP`` rationale: probing a busy core's quiescence every
 #: cycle costs more than the elision saves.
 _BG_PROBE_CAP = 256
+
+#: Cycles between periodic-elision candidacy checks of a live compiled
+#: core (:mod:`repro.cpu.periodic`): a core entering a barrier's sense
+#: loop is seen within a few iterations.
+_PE_RECHECK = 8
 
 
 class MultiBlockRunner:
@@ -1661,7 +1756,9 @@ class MultiBlockRunner:
       loop (poke consumed, skipped span bulk-credited); a delivery or
       invalidation poke lands before the affected cycle because pokes
       are only raised by controller ticks and sibling steps, both of
-      which run inside the same per-cycle walk.
+      which run inside the same per-cycle walk.  Compiled cores that
+      spin are elided under periodic plans (:mod:`repro.cpu.periodic`)
+      through the same contract.
 
     Per-core deopt: a core whose ROB head nears a serialized op falls
     back to ``core.tick`` for that cycle only; the window continues for
@@ -1701,6 +1798,12 @@ class MultiBlockRunner:
         """
         controllers = self.machine._controllers
         n = len(cores)
+        periodic = None
+        spin_tabs = [None] * n
+        if allow_elide:
+            from repro.cpu import periodic
+            spin_tabs = [periodic.spin_table(runner) if runner is not None
+                         else None for runner in runners]
         pends = [[0] * 10 for _ in range(n)]
         stepped = [0] * n
         delegated = [0] * n
@@ -1710,6 +1813,12 @@ class MultiBlockRunner:
         probe_at = [start] * n
         probe_backoff = [1] * n
         park_on = [False] * n
+        # Periodic elision: the running detection attempt per core, the
+        # next cycle to probe (never, when the run may not elide), and
+        # the failed-attempt backoff.
+        attempts = [None] * n
+        pe_at = [start if periodic is not None else _BG_NEVER] * n
+        pe_backoff = [1] * n
         # states[i]: 0 = live, 1 = elided, 2 = halted.  Mirrors
         # ``core.halted`` and the in-window elide plan so the per-cycle
         # scan reads one list slot instead of three core attributes;
@@ -1778,8 +1887,18 @@ class MultiBlockRunner:
                             sub_end = wake
                     else:
                         target = i
-                if not poked and target >= 0 \
-                        and runners[target] is not None \
+                runner = runners[target] if target >= 0 else None
+                if runner is not None:
+                    # Periodic elision probes only on the per-core path:
+                    # a core under a detection attempt, or a spin
+                    # candidate whose probe is due, stays there.
+                    if attempts[target] is not None:
+                        runner = None
+                    elif cycle >= pe_at[target]:
+                        rob = cores[target].rob
+                        if rob and spin_tabs[target][rob[0].pc]:
+                            runner = None
+                if not poked and runner is not None \
                         and not cores[target]._bg_pending_inval \
                         and cycle < sub_end:
                     gen = gens[target]
@@ -1848,6 +1967,8 @@ class MultiBlockRunner:
                     live += 1
                     probe_at[i] = cycle
                     probe_backoff[i] = 1
+                    if periodic is not None:
+                        pe_at[i] = cycle
                 if core._bg_pending_inval:
                     # A sibling's store (or a controller write) snooped
                     # this core while its generator held the hoisted
@@ -1886,6 +2007,39 @@ class MultiBlockRunner:
                             gen = runner.drive(pends[i])
                             gen.send(None)
                             gens[i] = gen
+                        stalled = False
+                        if gen is not None and cycle >= pe_at[i]:
+                            att = attempts[i]
+                            rob = core.rob
+                            if (att is None or att.gen is None) and (
+                                    not rob or core.pending_stores
+                                    or not spin_tabs[i][rob[0].pc]):
+                                # Not a spin candidate: look again a few
+                                # cycles on (the failure backoff stays).
+                                attempts[i] = None
+                                pe_at[i] = cycle + _PE_RECHECK
+                            else:
+                                verdict = periodic.probe(
+                                    i, core, runner, cycle, gens, pends,
+                                    attempts, pe_at, pe_backoff)
+                                if verdict == periodic.ELIDED:
+                                    states[i] = 1
+                                    wake_at[i] = _BG_NEVER
+                                    live -= 1
+                                    continue
+                                if verdict == periodic.STALLED:
+                                    # Probe it for quiescence after this
+                                    # cycle's step, like a parked core.
+                                    stalled = True
+                                    probe_at[i] = cycle
+                                gen = gens[i]
+                                if gen is None:
+                                    # The probe retired an attempt's
+                                    # tapped residency: step on a plain
+                                    # one.
+                                    gen = runner.drive(pends[i])
+                                    gen.send(None)
+                                    gens[i] = gen
                         if gen is not None:
                             res = None
                             try:
@@ -1897,8 +2051,12 @@ class MultiBlockRunner:
                                 was_compiled[i] = True
                                 if res is True:
                                     park_on[i] = False
-                                    continue
-                                if res == 3:
+                                    # A stalled spin candidate with work
+                                    # left to issue is not quiescent.
+                                    if not stalled or core.ready \
+                                            or core.blocked_loads:
+                                        continue
+                                elif res == 3:
                                     # A serialized SPL op executed
                                     # compiled: controllers must tick
                                     # this cycle (fabric job started /
@@ -1907,20 +2065,22 @@ class MultiBlockRunner:
                                     park_on[i] = False
                                     ser_exec_ran = True
                                     continue
-                                # Park hint: the head is an spl_recv /
-                                # spl_store waiting on the fabric, and
-                                # the cycle ran compiled as a no-op
-                                # retry.  On the first parked cycle of
-                                # an episode probe eagerly (the episode
-                                # usually ends in a long idle wait);
-                                # afterwards on the normal backoff.
-                                if not park_on[i]:
-                                    park_on[i] = True
-                                    probe_at[i] = cycle
-                                    probe_backoff[i] = 1
-                                if not allow_elide \
-                                        or cycle < probe_at[i]:
-                                    continue
+                                else:
+                                    # Park hint: the head is an spl_recv
+                                    # / spl_store waiting on the fabric,
+                                    # and the cycle ran compiled as a
+                                    # no-op retry.  On the first parked
+                                    # cycle of an episode probe eagerly
+                                    # (the episode usually ends in a
+                                    # long idle wait); afterwards on the
+                                    # normal backoff.
+                                    if not park_on[i]:
+                                        park_on[i] = True
+                                        probe_at[i] = cycle
+                                        probe_backoff[i] = 1
+                                    if not allow_elide \
+                                            or cycle < probe_at[i]:
+                                        continue
                                 # Sync the residency so the elide probe
                                 # below reads authoritative scalars; a
                                 # failed probe re-hoists next cycle

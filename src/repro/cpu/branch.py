@@ -15,13 +15,20 @@ from repro.common.stats import Stats
 
 
 class _CounterTable:
-    """Table of two-bit saturating counters, initialized weakly taken."""
+    """Table of two-bit saturating counters, initialized weakly taken.
 
-    __slots__ = ("mask", "counters")
+    ``version`` counts the updates that changed a counter (a saturated
+    counter staying put is not a change), so an unchanged version proves
+    the table unchanged without comparing it.  It is a hint for the
+    periodic-elision probe, not simulated state.
+    """
+
+    __slots__ = ("mask", "counters", "version")
 
     def __init__(self, index_bits: int) -> None:
         self.mask = (1 << index_bits) - 1
         self.counters: List[int] = [2] * (1 << index_bits)
+        self.version = 0
 
     def predict(self, index: int) -> bool:
         return self.counters[index & self.mask] >= 2
@@ -32,8 +39,10 @@ class _CounterTable:
         if taken:
             if value < 3:
                 self.counters[slot] = value + 1
+                self.version += 1
         elif value > 0:
             self.counters[slot] = value - 1
+            self.version += 1
 
 
 class HybridPredictor:
@@ -114,7 +123,14 @@ class HybridPredictor:
             "ras": list(self.ras),
         }
 
+    def table_versions(self) -> tuple:
+        """Versions of the three counter tables (see ``_CounterTable``)."""
+        return (self.bimodal.version, self.gshare.version,
+                self.chooser.version)
+
     def restore_state(self, state: dict) -> None:
+        for table in (self.bimodal, self.gshare, self.chooser):
+            table.version += 1
         self.bimodal.counters = list(state["bimodal"])
         self.gshare.counters = list(state["gshare"])
         self.chooser.counters = list(state["chooser"])

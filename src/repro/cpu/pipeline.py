@@ -155,6 +155,11 @@ class OutOfOrderCore:
         # the snoop to the replay, so the deferred apply is bit-exact.
         self._bg_resident = False
         self._bg_pending_inval: List[int] = []
+        # Periodic elision (MultiBlockRunner): while a periodic plan holds
+        # this core, the pipeline structures are a stale record and only
+        # snoops of the data lines in this set can change its future; they
+        # are deferred like a resident core's and replayed on resume.
+        self._bg_watch: Optional[frozenset] = None
         self._rename_limit_int = config.int_regs - 32
         self._rename_limit_fp = config.fp_regs - 32
         # Structure limits copied off the config object: the dispatch /
@@ -249,6 +254,8 @@ class OutOfOrderCore:
         self.ff_skip_from = -1
         self.ff_poke = False
         self._ff_plan = None
+        self._bg_watch = None
+        self._bg_pending_inval.clear()
         self.fetch_pc = ctx.pc
         self._instructions = ctx.program.instructions
         self._program_end = len(self._instructions)
@@ -384,6 +391,8 @@ class OutOfOrderCore:
             "ff_wake": self.ff_wake,
             "ff_skip_from": self.ff_skip_from,
             "ff_poke": self.ff_poke,
+            # A periodic plan never survives a run() exit (pause and the
+            # end-of-run flush resume it), so only quiescent plans appear.
             "ff_plan": list(self._ff_plan)
             if self._ff_plan is not None else None,
             "span_class": self._span_class,
@@ -455,6 +464,7 @@ class OutOfOrderCore:
         self.ff_poke = state["ff_poke"]
         self._ff_plan = tuple(state["ff_plan"]) \
             if state["ff_plan"] is not None else None
+        self._bg_watch = None
         self._span_class = state["span_class"]
         self._span_start = state["span_start"]
         self._last_tick = state["last_tick"]
@@ -616,6 +626,35 @@ class OutOfOrderCore:
         self.ff_skip_from = start
         self.ff_wake = wake
 
+    def ff_elide_periodic(self, start: int, wake: int, plan) -> None:
+        """Elide a core whose state repeats with a fixed period.
+
+        ``plan`` (a :class:`repro.cpu.periodic.PeriodicPlan`) holds one
+        period's per-phase records; ``credit_fast_forward`` hands the
+        window to its ``resume``, which rebuilds the state of the resume
+        cycle's phase instead of crediting stall counters.  Snoops of the
+        data lines the loop reads are deferred (``_bg_watch``) and
+        replayed after that rebuild.
+        """
+        self._ff_plan = plan
+        self._bg_watch = plan.watch
+        self.ff_skip_from = start
+        self.ff_wake = wake
+
+    @property
+    def ff_periodic(self) -> bool:
+        """True while elided under a periodic plan."""
+        return self.ff_skip_from >= 0 and self._ff_plan is not None \
+            and self._ff_plan.__class__ is not tuple
+
+    def retire_floor(self, now: int) -> int:
+        """``last_retire_cycle`` as the naive loop would have it at the
+        top of cycle ``now``: a periodically elided core keeps retiring
+        every period, so the watchdog must see that progress."""
+        if self.ff_periodic:
+            return self._ff_plan.last_retire(now)
+        return self.last_retire_cycle
+
     def credit_fast_forward(self, start: int, end: int) -> None:
         """Replay the counter effects of ticking every cycle in
         ``[start, end]`` while quiescent, per the ``ff_elide`` snapshot.
@@ -623,9 +662,16 @@ class OutOfOrderCore:
         With an empty ROB the accounting class flips from mem (icache
         refill) to compute the cycle ``fetch_resume`` lands; every other
         classification input is covered by one class for the window (see
-        ``ff_elide`` for why the snapshot stays valid to ``end``).
+        ``ff_elide`` for why the snapshot stays valid to ``end``).  A
+        periodic plan (``ff_elide_periodic``) instead rebuilds the state
+        at the top of ``end + 1`` and replays deferred snoops.
         """
-        recv_key, t0, dkey, cls_head, fetch_resume = self._ff_plan
+        plan = self._ff_plan
+        if plan.__class__ is not tuple:
+            self._ff_plan = None
+            plan.resume(self, start, end)
+            return
+        recv_key, t0, dkey, cls_head, fetch_resume = plan
         if start < self.stall_until:
             start = self.stall_until  # stalled ticks return before counting
         if start > end:
@@ -809,7 +855,19 @@ class OutOfOrderCore:
 
     def _on_invalidation(self, target_core: int, line: int) -> None:
         """Snoop-invalidation hook: replay in-flight loads of that line."""
-        if target_core != self.index or not self.rob:
+        if target_core != self.index:
+            return
+        watch = self._bg_watch
+        if watch is not None:
+            # Periodically elided: ``rob`` is a stale record, so defer
+            # every snoop that can matter — one of the loop's data lines —
+            # and let the resume replay it against the rebuilt state.
+            # Any other line is in no in-flight load at any phase.
+            if line in watch:
+                self.ff_poke = True
+                self._bg_pending_inval.append(line)
+            return
+        if not self.rob:
             return
         if self._bg_resident:
             # A compiled generator holds this core's scalar state in

@@ -133,6 +133,12 @@ def run_case(name: str) -> Dict:
                     "fused_cycles": sum(r.fused_cycles for r in runners),
                     "multi_windows": machine._bg_multi.windows,
                     "multi_fused_cycles": machine._bg_multi.fused_cycles,
+                    "periodic_cycles": sum(r.pe_cycles for r in runners),
+                    "periodic_wakes": sum(r.pe_wakes for r in runners),
+                    "periodic_attempts": sum(r.pe_attempts
+                                             for r in runners),
+                    "periodic_failures": sum(r.pe_failures
+                                             for r in runners),
                 }
             if leg not in results:
                 results[leg] = (cycles, retired)
@@ -158,7 +164,8 @@ def run_case(name: str) -> Dict:
         row[leg] = _leg_stats(cycles, walls[leg])
     if engagement:
         # Informational (never gated): how much of the blockgen leg ran
-        # inside fused windows, split single-core vs multi-core.
+        # inside fused windows, split single-core vs multi-core, and how
+        # many core-cycles the walk elided as periodic spins.
         row["blockgen"]["engagement"] = engagement
     row["speedup"] = row["naive"]["wall_s"] / row["fast_forward"]["wall_s"]
     row["blockgen_speedup"] = row["naive"]["wall_s"] / row["blockgen"]["wall_s"]
@@ -325,6 +332,10 @@ def format_report(report: Dict) -> str:
             line += (f"  blockgen {bg / 1e3:8.1f} kcyc/s  "
                      f"speedup {row['speedup']:.2f}x/"
                      f"{row['blockgen_speedup']:.2f}x")
+            periodic = row["blockgen"].get("engagement", {}).get(
+                "periodic_cycles")
+            if periodic:
+                line += f"  periodic {periodic} core-cyc"
         else:
             line += f"  speedup {row['speedup']:.2f}x"
         lines.append(line)

@@ -132,6 +132,11 @@ class Machine:
         #: are performance hints only; a restored machine re-derives them
         #: and produces identical cycles and stats either way.
         self._bg_runners: Dict[int, BlockRunner] = {}
+        #: Generated block source -> code object, shared by this
+        #: machine's runners when it runs more than one thread (see
+        #: ``_runner_for`` and ``BlockProgram.compile_block``).  Per
+        #: machine, not per process, so the sources die with the run.
+        self._bg_code: Dict[str, object] = {}
         self._bg_backoff = 1
         self._bg_resume_probe = 0
         #: Multi-core fused windows (DESIGN.md §10) plus per-core
@@ -326,7 +331,15 @@ class Machine:
                 and self.cycle < limit:
             # Paused, not finished: leave elision windows un-credited so a
             # snapshot captures (and a resumed run replays) the exact
-            # mid-run state.
+            # mid-run state.  A periodic plan is a performance record the
+            # snapshot does not carry, so those cores resume here, in the
+            # state the naive loop has at the top of this cycle.
+            for core in cores:
+                if core.ff_periodic:
+                    core.ff_poke = False
+                    core.credit_fast_forward(core.ff_skip_from,
+                                             self.cycle - 1)
+                    core.ff_skip_from = -1
             return self.cycle
         self._ff_flush()
         if until is not None and until():
@@ -423,7 +436,12 @@ class Machine:
         the core's bound context has changed since the last window."""
         runner = self._bg_runners.get(core.index)
         if runner is None or runner.ctx is not core.ctx:
-            runner = BlockRunner(core)
+            # Threads of one spec repeat most of their block source; a
+            # lone thread's blocks rarely repeat, so a memo would only
+            # hold its code objects (about 2% more peak memory on the
+            # perf/ seq_compute workload, no time saved).
+            memo = self._bg_code if len(self.contexts) > 1 else None
+            runner = BlockRunner(core, memo)
             self._bg_runners[core.index] = runner
         return runner
 
@@ -553,7 +571,7 @@ class Machine:
         for core in self.cores:
             if core.ctx is None or core.halted:
                 continue
-            progress = max(core.last_retire_cycle, self._ff_progress)
+            progress = max(core.retire_floor(self.cycle), self._ff_progress)
             if self.cycle - progress > self.config.deadlock_cycles:
                 stuck.append(core)
         if stuck and self.obs.active:

@@ -356,7 +356,17 @@ def barrier_spec(n: int = 60, p: int = 8) -> RunSpec:
 
 
 def barrier_comp_spec(n: int = 60, p: int = 8) -> RunSpec:
-    """Barrier + integrated global-minimum computation (Figure 7(c))."""
+    """Barrier + integrated global-minimum computation (Figure 7(c)).
+
+    Needs at least one node per thread: the local-minimum and update
+    loops are do-while loops, so a thread with an empty chunk still scans
+    index ``n``, where ``dist[n]`` aliases ``visited[0]`` and its small
+    value would win the fabric's min-reduction.
+    """
+    if n < p:
+        raise WorkloadError(
+            f"dijkstra/barrier_comp needs n >= p (got n={n}, p={p}): a "
+            f"thread with an empty chunk corrupts the global minimum")
     image = MemoryImage()
     lay = DijkstraLayout(image, make_graph(n), p)
     programs = [build_barrier_comp_program(lay, t, p, f"dijkstra_bc_t{t}")

@@ -354,3 +354,254 @@ def test_hot_report_identical_across_legs():
                         for core in machine.cores})
     assert reports[0] == reports[1] == reports[2]
     assert any(reports[0].values()), "hot report came back empty"
+
+
+# ------------------------------------------------------- periodic elision
+
+
+def _flag_workload(delay, spinner_first=True, decoy=False, writer=True):
+    """A spinner polls a flag line with the software barrier's
+    ``li; lw; bne`` sense loop; a writer counts down ``delay`` and sets
+    the flag (after first storing to a *decoy* line the spinner read
+    once, when ``decoy``).  Without a writer, a second spinner takes its
+    place and nobody ever sets the flag."""
+    from repro.isa import Asm
+    from repro.isa.program import MemoryImage, ThreadSpec
+    from repro.system.workload import Workload
+
+    image = MemoryImage()
+    flag = image.alloc(4, align=32)
+    image.alloc(28)
+    other = image.alloc(4, align=32)
+    image.alloc(28)
+    image.write_word(flag, 0)
+    image.write_word(other, 0)
+
+    def spinner(name):
+        a = Asm(name)
+        a.li("r6", 1)
+        a.li("r3", other)
+        a.lw("r7", "r3", 0)
+        a.label("spin")
+        a.li("r3", flag)
+        a.lw("r4", "r3", 0)
+        a.bne("r4", "r6", "spin")
+        a.halt()
+        return a.assemble()
+
+    def countdown(a, label):
+        a.li("r5", delay)
+        a.label(label)
+        a.addi("r5", "r5", -1)
+        a.bne("r5", "r0", label)
+
+    if writer:
+        w = Asm("writer")
+        countdown(w, "wait")
+        if decoy:
+            w.li("r3", other)
+            w.li("r4", 7)
+            w.sw("r4", "r3", 0)
+            countdown(w, "wait2")
+        w.li("r3", flag)
+        w.li("r4", 1)
+        w.sw("r4", "r3", 0)
+        w.halt()
+        programs = [spinner("spinner"), w.assemble()]
+    else:
+        programs = [spinner("spinner0"), spinner("spinner1")]
+    if not spinner_first:
+        programs.reverse()
+    return Workload("flag_spin", image,
+                    [ThreadSpec(program, i)
+                     for i, program in enumerate(programs)])
+
+
+def _spin_legs(workload_fn, system=None, max_cycles=200_000):
+    """Naive / fast-forward / fast-forward+blockgen runs of a fresh
+    workload each: [(cycles, stats, machine)]."""
+    system = system or SystemConfig(clusters=[ooo1_cluster(2)])
+    legs = []
+    for ff, bg in ((False, False), (True, False), (True, True)):
+        machine = Machine(system)
+        machine.load(workload_fn())
+        cycles = machine.run(options=RunOptions(
+            max_cycles=max_cycles, fast_forward=ff, blockgen=bg))
+        legs.append((cycles, machine.stats.as_dict(), machine))
+    return legs
+
+
+def _periodic(machine, name):
+    return sum(getattr(runner, name)
+               for runner in machine._bg_runners.values())
+
+
+@pytest.fixture
+def wake_phases(monkeypatch):
+    """Spy on periodic resumes: (phase, period) of every wake."""
+    from repro.cpu import periodic
+    seen = []
+    resume = periodic.PeriodicPlan.resume
+
+    def spy(plan, core, start, end):
+        seen.append(((end + 1 - plan.anchor) % plan.period, plan.period))
+        return resume(plan, core, start, end)
+
+    monkeypatch.setattr(periodic.PeriodicPlan, "resume", spy)
+    return seen
+
+
+@pytest.mark.parametrize("spinner_first", [True, False],
+                         ids=["victim-before-writer", "victim-after-writer"])
+def test_periodic_wake_at_every_phase(spinner_first, wake_phases):
+    """The flag store wakes the elided spinner at each phase offset of
+    its period — the writer's countdown moves the store two cycles per
+    step — and every wake rebuilds exactly the naive run's state, with
+    the victim both before and after the writer in core order."""
+    for delay in (600, 601, 602):
+        naive, ff, fused = _spin_legs(
+            lambda: _flag_workload(delay, spinner_first))
+        assert fused[0] == ff[0] == naive[0]
+        assert fused[1] == ff[1] == naive[1]
+        assert _periodic(fused[2], "pe_cycles") > 0
+    periods = {period for _phase, period in wake_phases}
+    assert len(periods) == 1, wake_phases
+    assert {phase for phase, _period in wake_phases} == \
+        set(range(periods.pop()))
+
+
+def test_periodic_elision_ignores_lines_the_loop_does_not_read():
+    """A store to a line the spinner cached once but does not poll
+    invalidates it while the spinner is elided; nothing in the loop
+    depends on that line, so the spinner stays elided — only the flag
+    store wakes it — and the run stays exact."""
+    naive, ff, fused = _spin_legs(
+        lambda: _flag_workload(600, decoy=True))
+    assert fused[0] == ff[0] == naive[0]
+    assert fused[1] == naive[1]
+    assert naive[1]["machine.mem.core0.snoop_invalidations"] == 2
+    machine = fused[2]
+    assert _periodic(machine, "pe_wakes") == 1
+    assert _periodic(machine, "pe_cycles") > 2 * 600
+
+
+def test_snapshot_inside_periodic_elision(monkeypatch):
+    """Pausing inside a periodic elision resumes the spinner in the
+    naive state of the pause cycle; snapshot + restore + continue then
+    equals the never-paused run (and the naive one)."""
+    import json
+    from repro.cpu.pipeline import OutOfOrderCore
+
+    anchors = []
+    elide = OutOfOrderCore.ff_elide_periodic
+
+    def spy(core, start, wake, plan):
+        anchors.append((start, plan.period))
+        return elide(core, start, wake, plan)
+
+    system = SystemConfig(clusters=[ooo1_cluster(2)])
+    with monkeypatch.context() as patch:
+        patch.setattr(OutOfOrderCore, "ff_elide_periodic", spy)
+        naive, _ff, full = _spin_legs(lambda: _flag_workload(600),
+                                      system=system)
+    assert anchors, "periodic elision never engaged"
+    anchor, period = anchors[0]
+    pause_at = anchor + 20 * period + 1
+
+    paused = Machine(system)
+    paused.load(_flag_workload(600))
+    paused.run(options=RunOptions(max_cycles=200_000, pause_at=pause_at))
+    assert paused.cycle == pause_at
+    assert all(core._ff_plan is None or isinstance(core._ff_plan, tuple)
+               for core in paused.cores)
+    state = json.loads(json.dumps(paused.snapshot()))
+    restored = Machine(system)
+    restored.load(_flag_workload(600))
+    restored.restore(state)
+    cycles = restored.run(options=RunOptions(max_cycles=200_000))
+    assert cycles == full[0] == naive[0]
+    assert restored.stats.as_dict() == full[1] == naive[1]
+
+
+def test_livelocked_spinners_end_like_the_naive_loop():
+    """Every thread spins on a flag nobody writes: the naive loop runs
+    to ``max_cycles`` and raises SimulationError, never DeadlockError
+    (spinners retire every iteration).  Elided spinners retire every
+    period, so the watchdog counts them as progress, and the end-of-run
+    flush leaves the same stats."""
+    from repro.common.errors import DeadlockError, SimulationError
+    system = SystemConfig(clusters=[ooo1_cluster(2)], deadlock_cycles=3000)
+    results = []
+    for ff, bg in ((False, False), (True, False), (True, True)):
+        machine = Machine(system)
+        machine.load(_flag_workload(0, writer=False))
+        with pytest.raises(SimulationError) as info:
+            machine.run(options=RunOptions(max_cycles=12_000,
+                                           fast_forward=ff, blockgen=bg))
+        assert not isinstance(info.value, DeadlockError)
+        assert "exceeded" in str(info.value)
+        results.append((machine.cycle, machine.stats.as_dict(), machine))
+    naive, ff, fused = results
+    assert fused[0] == ff[0] == naive[0]
+    assert fused[1] == ff[1] == naive[1]
+    assert _periodic(fused[2], "pe_cycles") > 12_000
+
+
+def _ll2_sw():
+    return registry.REGISTRY["ll2"].variants["sw"](n=16, p=8, passes=1)
+
+
+def test_hot_report_identical_across_legs_with_periodic_elision():
+    """Per-PC retire tallies (``repro profile --hot``) include the
+    retirements an elided spinner is credited with, so they match the
+    interpreter's on the software-barrier run."""
+    reports = []
+    for ff, bg in ((False, False), (True, False), (True, True)):
+        spec = _ll2_sw()
+        machine = Machine(spec.system)
+        machine.load(spec.workload)
+        for core in machine.cores:
+            core._retire_pcs = {}
+        machine.run(options=RunOptions(max_cycles=spec.max_cycles,
+                                       fast_forward=ff, blockgen=bg))
+        reports.append({core.index: dict(core._retire_pcs)
+                        for core in machine.cores})
+    assert reports[0] == reports[1] == reports[2]
+    assert _periodic(machine, "pe_cycles") > 0
+
+
+def test_periodic_elision_engages_on_software_barriers():
+    """Engagement guard: on ll2/sw p=8 the sense-loop spinners must be
+    elided for a large share of the run (about half of all core-cycles
+    when this test was written), cycle- and stats-exact."""
+    naive, ff, fused = _three_legs(_ll2_sw())
+    assert fused[0] == ff[0] == naive[0]
+    assert fused[1] == naive[1]
+    machine = fused[2]
+    core_cycles = fused[0] * len(machine.cores)
+    assert _periodic(machine, "pe_cycles") >= core_cycles // 4
+    assert _periodic(machine, "pe_wakes") > 0
+    assert _periodic(machine, "pe_attempts") > 0
+
+
+def test_block_code_shared_within_a_machine():
+    """Threads of one spec generate mostly identical block source: a
+    machine compiles each distinct source once, while every program's
+    ``compiles`` still counts its own block installs.  A single-thread
+    machine keeps no memo."""
+    spec = _ll2_sw()
+    machine = Machine(spec.system)
+    machine.load(spec.workload)
+    machine.run(options=RunOptions(max_cycles=spec.max_cycles))
+    programs = {id(runner.bp): runner.bp
+                for runner in machine._bg_runners.values()}
+    installs = sum(bp.compiles for bp in programs.values())
+    assert installs == sum(block.fns is not None
+                           for bp in programs.values() for block in bp.blocks)
+    assert 0 < len(machine._bg_code) < installs
+
+    spec = registry.REGISTRY["g721dec"].variants["seq"](items=4)
+    machine = Machine(spec.system)
+    machine.load(spec.workload)
+    machine.run(options=RunOptions(max_cycles=spec.max_cycles))
+    assert machine._bg_runners and not machine._bg_code

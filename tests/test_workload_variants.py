@@ -111,3 +111,18 @@ def test_registry_table3_complete():
         assert expected in names
     assert registry.REGISTRY["hmmer"].exec_fraction == 0.85
     assert registry.REGISTRY["wc"].exec_fraction == 1.0
+
+
+@pytest.mark.parametrize("n,p", [(3, 4), (7, 8), (15, 16)])
+def test_dijkstra_barrier_comp_rejects_fewer_nodes_than_threads(n, p):
+    """An empty per-thread chunk would scan past the distance array and
+    win the fabric min-reduction with a bogus value, so the spec refuses
+    such sizes instead of computing wrong distances."""
+    from repro.common.errors import WorkloadError
+    with pytest.raises(WorkloadError, match="n >= p"):
+        registry.REGISTRY["dijkstra"].variants["barrier_comp"](n=n, p=p)
+
+
+def test_dijkstra_barrier_comp_smallest_valid_size_verifies():
+    spec = registry.REGISTRY["dijkstra"].variants["barrier_comp"](n=4, p=4)
+    assert execute(spec).cycles > 0
