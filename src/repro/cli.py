@@ -295,9 +295,12 @@ def _cmd_profile_hot(args) -> int:
             programs[core.index] = core.ctx.program.instructions
     cycles = machine.run(options=RunOptions(max_cycles=spec.max_cycles))
     runners = list(machine._bg_runners.values())
-    windows = sum(r.windows for r in runners)
-    fused = sum(r.fused_cycles for r in runners)
-    deopts = sum(r.deopts for r in runners)
+    walk = machine._bg_multi
+    windows, fused, deopts = walk.windows, walk.fused_cycles, walk.deopts
+    # Fused cycles are core-cycles, so their share is of the core-cycles
+    # the run simulated, not of the machine's cycle count.
+    core_cycles = sum(core.stats.get("cycles") for core in machine.cores)
+    share = fused / core_cycles if core_cycles else 0.0
     compiles = sum(r.bp.compiles for r in runners)
     entries = sum(r.bp.entries for r in runners)
     hit_rate = (1.0 - compiles / entries) if entries else 0.0
@@ -329,19 +332,16 @@ def _cmd_profile_hot(args) -> int:
             "name": spec.name,
             "total_cycles": cycles,
             "blockgen": {"windows": windows, "fused_cycles": fused,
+                         "core_cycles": core_cycles, "fused_share": share,
                          "deopts": deopts, "block_compiles": compiles,
                          "block_entries": entries, "hit_rate": hit_rate,
-                         "multi_windows": machine._bg_multi.windows,
-                         "multi_fused_cycles": machine._bg_multi.fused_cycles,
                          **periodic},
             "hot_pcs": top,
         }, indent=2))
         return EXIT_OK
     print(f"{spec.name}: {cycles} cycles")
-    print(f"blockgen: {windows} windows, {fused} fused cycles "
-          f"({fused / cycles:.1%} of total), {deopts} deopts")
-    print(f"multi-core: {machine._bg_multi.windows} fused windows, "
-          f"{machine._bg_multi.fused_cycles} core-cycles stepped")
+    print(f"blockgen: {windows} windows, {fused} fused core-cycles "
+          f"({share:.1%} of {core_cycles} core-cycles), {deopts} deopts")
     print(f"periodic elision: {periodic['periodic_cycles']} core-cycles "
           f"elided, {periodic['periodic_wakes']} wakes, "
           f"{periodic['periodic_attempts']} attempts "

@@ -13,39 +13,43 @@ decisions out of the loop:
   value-producing instruction is code-generated from the source templates
   in :mod:`repro.cpu.exec` (``ALU_EXPR``/``FP_EXPR``/``BRANCH_EXPR``)
   with immediates and branch targets folded in as literals.
-* :class:`BlockRunner.run_window` is a specialized re-implementation of
-  ``OutOfOrderCore.tick`` for the single-active-core, no-observer case:
-  all mutable scalars live in locals, per-PC metadata lives in dense
-  tables, and hot counters accumulate locally and flush once per window.
-  It executes cycles ``[start, limit)`` and returns the first un-ticked
-  cycle.  **Every architectural effect is cycle- and stats-exact against
-  the interpreter** — tests/test_fastforward.py sweeps the two against
-  each other, and ``repro bench --check`` gates on identical cycles.
-* **Deoptimization**: whenever a serialized op (SPL/comm port, atomic,
-  FENCE, HALT) comes within retire reach of the ROB head, the window
-  ends *before* ticking that cycle and the interpreter takes over.
-  Branch mispredicts, icache misses, and structural stalls are handled
-  inline through the interpreter's own machinery (``_flush_from_seq``,
-  stall counters), not by deopt — they are exactly replicable.
-* **Multi-core windows**: :class:`MultiBlockRunner` generalizes the
-  fused loop to N active cores.  Each cycle it walks the cores in index
-  order — the naive loop's order, which fixes the shared-memory /
-  snoop-invalidation interleaving — and advances each one either by a
-  resident :meth:`BlockRunner.drive` generator (hoisted once per
-  residency, one compiled tick-equivalent cycle per send; a sibling's
-  snoop invalidation is *deferred* while the generator holds the
-  core's scalars and replayed, bit-exact, at the victim's next cycle
-  slot after a writeback sync) or, when a serialized op is within
-  retire reach, by an interpreted ``core.tick`` — per-core deopt, the
-  window continues for the rest.  Controllers stay un-ticked (the §6 event-horizon bound
-  taken at window start) until the first interpreted tick, which may
-  touch an SPL/comm port; from then on they tick every cycle.
-  Quiescent interpreted cores are handed to the fast-forward elision
-  machinery *inside* the window (``ff_elide``/``credit_fast_forward``
-  — the same plans the machine loop resumes), and a stretch where only
-  one compiled core remains live delegates to the single-core
-  ``run_window`` with a poke escape so snoop wakes of elided siblings
+* :meth:`BlockRunner.drive` is the one compiled core cycle: a
+  specialized re-implementation of ``OutOfOrderCore.tick`` for the
+  no-observer case, written as a generator so one core's hoisted
+  scalars live in locals for a whole *residency*; per-PC metadata lives
+  in dense tables, and hot counters accumulate locally and flush once
+  per walk.  **Every architectural effect is cycle- and stats-exact
+  against the interpreter** — tests/test_fastforward.py sweeps the two
+  against each other, and ``repro bench --check`` gates on identical
+  cycles.
+* **The walk**: :class:`MultiBlockRunner` advances every running core
+  — one or many — cycle by cycle in index order (the naive loop's
+  order, which fixes the shared-memory / snoop-invalidation
+  interleaving): each by one send to its resident generator (a
+  sibling's snoop invalidation is *deferred* while the generator holds
+  the core's scalars and replayed, bit-exact, at the victim's next
+  cycle slot after a writeback sync) or by an interpreted
+  ``core.tick``.  While exactly one core is live and the controllers
+  are provably quiet, that core gets a *multi-cycle send* instead: the
+  generator runs cycles up to a bound the walk sets and reports where
+  it stopped, with a poke escape so snoop wakes of elided siblings
   still land on their exact cycle.
+* **Deoptimization**: a *hard* serialized op (atomic, FENCE, HALT)
+  within retire reach of the ROB head hands that one cycle of that
+  one core to the interpreter; the walk continues.  SPL ops compile:
+  a head ``spl_recv``/``spl_store`` that cannot proceed *parks* (the
+  interpreter's failed retry, replayed compiled) and one that can runs
+  the interpreter's own ``_exec_serialize`` in place.  Branch
+  mispredicts, icache misses, and structural stalls are handled inline
+  through the interpreter's own machinery (``_flush_from_seq``, stall
+  counters), not by deopt — they are exactly replicable.
+* **Controllers and elision**: controllers stay un-ticked (the §6
+  event-horizon bound taken at window start) until an interpreted tick
+  or a compiled SPL op may have touched a port; from then on they tick
+  every cycle until a quiet cycle re-proves a bound.  Quiescent cores
+  are handed to the fast-forward elision machinery *inside* the walk
+  (``ff_elide``/``credit_fast_forward`` — the same plans the machine
+  loop resumes).
 * **Periodic elision** (:mod:`repro.cpu.periodic`): a compiled core
   spinning in a store-free loop (a software barrier's sense loop) is
   elided too, once its whole shift-normalized state repeats with a
@@ -105,7 +109,7 @@ _NAMESPACE = {
 
 _POOL_IDS = {"int": 0, "fp": 1, "branch": 2, "mem": 3}
 
-#: Serialized ops the multi-core drive loop executes *compiled*, by
+#: Serialized ops the drive loop executes *compiled*, by
 #: calling the interpreter's own ``_exec_serialize`` at the retire
 #: stage's exact point in the cycle.  They only touch shared structures
 #: (port/controller, memory, pending_stores, the ready heap via
@@ -414,9 +418,6 @@ class BlockRunner:
             pool_name, limit = core._fu_pool[info.fu]
             self.pool_tab.append((_POOL_IDS[pool_name], limit))
         self.installed = bytearray(len(self.bp.blocks))
-        self.windows = 0
-        self.fused_cycles = 0
-        self.deopts = 0
         # Periodic elision (repro.cpu.periodic): its per-runner tables,
         # built when the runner first joins a walk that may elide, and
         # its telemetry — core-cycles elided, resumes, detection
@@ -444,575 +445,12 @@ class BlockRunner:
                 meta[1] = fn
         self.installed[block.bid] = 1
 
-    # ------------------------------------------------------------------ run
-
-    def run_window(self, start: int, limit: int, poke_watch=()) -> int:
-        """Tick the core for cycles ``[start, limit)``; return the first
-        cycle not ticked (== ``limit`` unless a serialized op deopts).
-
-        A faithful transliteration of ``OutOfOrderCore.tick`` and the
-        stage methods it calls, specialized for: exactly this core
-        active, no observability sinks, no fast-forward elision in
-        progress.  Any edit to the pipeline stages must be mirrored
-        here — the differential sweep in tests/test_fastforward.py and
-        the fuzzer's agreement contract exist to catch drift.
-
-        ``poke_watch`` is the multi-core delegation escape: sibling
-        cores whose elision plans this window must not run past.  This
-        core's stores can snoop-invalidate a watched sibling's line,
-        which sets its ``ff_poke`` ("must tick next cycle"); the window
-        exits *before* ticking any cycle at which a watched poke is
-        pending, so the caller can resume the sibling on its exact
-        cycle.  The default () keeps the single-core path unchanged.
-        """
-        core = self.core
-        ctx = core.ctx
-        if ctx is None or core.halted or start < core.stall_until:
-            return start
-        core._obs_pipe = False
-
-        fetch_tab = self.fetch_tab
-        disp_tab = self.disp_tab
-        exec_meta = self.exec_meta
-        ser_tab = self.ser_tab
-        st_tab = self.st_tab
-        dest_tab = self.dest_tab
-        br_tab = self.br_tab
-        pool_tab = self.pool_tab
-        installed = self.installed
-        block_of = self.bp.block_of
-
-        rob = core.rob
-        ready = core.ready
-        fetch_queue = core.fetch_queue
-        completing = core.completing
-        store_entries = core.store_entries
-        blocked_loads = core.blocked_loads
-        rat = core.rat
-        pending_stores = core.pending_stores
-        predictor = core.predictor
-        predict_direction = predictor.predict_direction
-        update_direction = predictor.update_direction
-        btb_update = predictor.btb_update
-        btb_lookup = predictor.btb_lookup
-        ras_push = predictor.ras_push
-        ras_pop = predictor.ras_pop
-        data_access = core.mem_system.data_access
-        inst_fetch = core.mem_system.inst_fetch
-        index = core.index
-        stats_bump = core.stats.bump
-        ctx_read = ctx.read
-        ctx_write = ctx.write
-        rp = core._retire_pcs
-
-        # Mutable scalars: locals for the window, written back at exit.
-        seq = core.seq
-        fetch_pc = core.fetch_pc
-        fetch_resume = core.fetch_resume
-        last_fetch_line = core.last_fetch_line
-        sb_next_free = core.sb_next_free
-        last_retire_cycle = core.last_retire_cycle
-        int_iq_used = core.int_iq_used
-        fp_iq_used = core.fp_iq_used
-        lq_used = core.lq_used
-        sq_used = core.sq_used
-        rename_int_used = core.rename_int_used
-        rename_fp_used = core.rename_fp_used
-
-        rob_entries = core._rob_entries
-        fp_queue = core._fp_queue
-        int_queue = core._int_queue
-        load_queue = core._load_queue
-        store_queue = core._store_queue
-        decode_width = core._decode_width
-        retire_width = core._retire_width
-        issue_width = core._issue_width
-        fetch_width = core._fetch_width
-        queue_cap = core._fetch_queue_cap
-        l1i_hit = core._l1i_hit
-        l1d_hit = core.config.l1d.hit_latency
-        rename_limit_int = core._rename_limit_int
-        rename_limit_fp = core._rename_limit_fp
-        program_end = core._program_end
-        frontend_delay = FRONTEND_DELAY
-        h_int, h_fp = HOLD_INT_IQ, HOLD_FP_IQ
-        h_lq, h_sq = HOLD_LQ, HOLD_SQ
-        h_ri, h_rf = HOLD_REN_INT, HOLD_REN_FP
-
-        # Deferred hot counters (flushed once at window exit; every key
-        # is pre-declared so the adds are equivalent to stats.bump).
-        n_cycles = n_fetched = n_dispatched = n_issued = n_retired = 0
-        n_int = n_fp = n_loads = n_stores = n_branches = 0
-
-        cycle = start
-        deopt = False
-        # Sibling pokes can only originate from this core's own stores
-        # (the one poke source live inside compiled code is the snoop
-        # invalidation a retired store sends through the hierarchy), so
-        # the escape check only needs to run on cycles following a store.
-        poke_stores = 0
-        while cycle < limit:
-            if poke_watch and n_stores != poke_stores:
-                poke_stores = n_stores
-                poked = False
-                for other in poke_watch:
-                    if other.ff_poke:
-                        poked = True
-                        break
-                if poked:
-                    break
-            # Deopt guard: a serialized op within retire reach of the
-            # ROB head would execute via _exec_serialize this cycle (at
-            # most retire_width entries pop per cycle, so deeper ones
-            # cannot become head).  Hand the cycle to the interpreter.
-            if rob:
-                k = retire_width
-                for entry in rob:
-                    if ser_tab[entry.pc]:
-                        deopt = True
-                        break
-                    k -= 1
-                    if not k:
-                        break
-                if deopt:
-                    break
-            n_cycles += 1
-
-            # ------------------------------------------------ writeback
-            if completing:
-                entries = completing.pop(cycle, None)
-                if entries:
-                    entries.sort(key=_BY_SEQ)
-                    for entry in entries:
-                        if entry.flushed or entry.state == 2:
-                            continue
-                        entry.state = 2
-                        value = entry.value
-                        for consumer, slot in entry.consumers:
-                            if consumer.flushed:
-                                continue
-                            consumer.srcs[slot] = value
-                            consumer.remaining -= 1
-                            if consumer.remaining == 0 and \
-                                    consumer.state == 0 and \
-                                    not ser_tab[consumer.pc]:
-                                heappush(ready,
-                                         (consumer.seq, consumer))
-                        entry.consumers = []
-                        branch = br_tab[entry.pc]
-                        if branch is not None:
-                            mode, target = branch
-                            actual = entry.actual_next
-                            if mode == 1:
-                                update_direction(entry.pc,
-                                                 actual == target)
-                            elif mode == 2:
-                                btb_update(entry.pc, actual)
-                            n_branches += 1
-                            if actual != entry.pred_next:
-                                # Mispredict: flush through the
-                                # interpreter's machinery.  _release
-                                # reads the occupancy counters, so sync
-                                # them first, then re-hoist everything
-                                # the flush rebinds.
-                                core.int_iq_used = int_iq_used
-                                core.fp_iq_used = fp_iq_used
-                                core.lq_used = lq_used
-                                core.sq_used = sq_used
-                                core.rename_int_used = rename_int_used
-                                core.rename_fp_used = rename_fp_used
-                                stats_bump("mispredicts")
-                                core._flush_from_seq(entry.seq + 1,
-                                                     cycle, actual)
-                                rob = core.rob
-                                rat = core.rat
-                                store_entries = core.store_entries
-                                blocked_loads = core.blocked_loads
-                                int_iq_used = core.int_iq_used
-                                fp_iq_used = core.fp_iq_used
-                                lq_used = core.lq_used
-                                sq_used = core.sq_used
-                                rename_int_used = core.rename_int_used
-                                rename_fp_used = core.rename_fp_used
-                                fetch_pc = core.fetch_pc
-                                fetch_resume = core.fetch_resume
-                                last_fetch_line = core.last_fetch_line
-
-            # --------------------------------------------------- retire
-            if rob or pending_stores:
-                while pending_stores and pending_stores[0] <= cycle:
-                    pending_stores.popleft()
-                retired = 0
-                last_next = 0
-                while rob and retired < retire_width:
-                    head = rob[0]
-                    if head.state != 2:
-                        break
-                    pc = head.pc
-                    write_fn = st_tab[pc]
-                    if write_fn is not None:
-                        if len(pending_stores) >= store_queue:
-                            stats_bump("store_buffer_stalls")
-                            break
-                        addr = head.addr
-                        write_fn(addr, head.store_value)
-                        begin = sb_next_free
-                        if begin < cycle:
-                            begin = cycle
-                        done = data_access(index, addr, True, begin)
-                        sb_next_free = done
-                        pending_stores.append(done)
-                        n_stores += 1
-                    dest = dest_tab[pc]
-                    if dest is not None:
-                        ctx_write(dest, head.value)
-                        if rat.get(dest) is head:
-                            del rat[dest]
-                    rob.popleft()
-                    if write_fn is not None:
-                        if head in store_entries:
-                            store_entries.remove(head)
-                        if blocked_loads:
-                            for load in blocked_loads:
-                                if not load.flushed:
-                                    heappush(ready, (load.seq, load))
-                            blocked_loads.clear()
-                    held = head.held
-                    if held:
-                        if held & h_int:
-                            int_iq_used -= 1
-                        elif held & h_fp:
-                            fp_iq_used -= 1
-                        if held & h_lq:
-                            lq_used -= 1
-                        if held & h_sq:
-                            sq_used -= 1
-                        if held & h_ri:
-                            rename_int_used -= 1
-                        elif held & h_rf:
-                            rename_fp_used -= 1
-                        head.held = 0
-                    if rp is not None:
-                        rp[pc] = rp.get(pc, 0) + 1
-                    last_next = head.actual_next
-                    retired += 1
-                if retired:
-                    ctx.pc = last_next
-                    ctx.retired_instructions += retired
-                    last_retire_cycle = cycle
-                    n_retired += retired
-
-            # ---------------------------------------------------- issue
-            if ready:
-                budget = issue_width
-                fu_used = [0, 0, 0, 0]
-                put_back = None
-                issued = 0
-                int_iq_freed = 0
-                fp_iq_freed = 0
-                while budget > 0 and ready:
-                    entry = heappop(ready)[1]
-                    if entry.flushed or entry.state != 0:
-                        continue
-                    pc = entry.pc
-                    pool, pool_limit = pool_tab[pc]
-                    if fu_used[pool] >= pool_limit:
-                        if put_back is None:
-                            put_back = [entry]
-                        else:
-                            put_back.append(entry)
-                        continue
-                    meta = exec_meta[pc]
-                    kind = meta[0]
-                    srcs = entry.srcs
-                    if kind == 0:
-                        fn = meta[1]
-                        if fn is None:
-                            self._install(block_of[pc])
-                            fn = meta[1]
-                        entry.value = fn(srcs[0], srcs[1])
-                        entry.state = 1
-                        done = cycle + meta[2]
-                        n_int += 1
-                    elif kind == 4:
-                        addr = srcs[0] + meta[3]
-                        size = meta[2]
-                        forward = None
-                        blocked = False
-                        for store in reversed(store_entries):
-                            if store.seq > entry.seq or store.flushed:
-                                continue
-                            store_addr = store.addr
-                            if store_addr is None:
-                                blocked = True
-                                break
-                            if store_addr == addr and \
-                                    store.size == size:
-                                forward = store
-                                break
-                            if store_addr < addr + size and \
-                                    addr < store_addr + store.size:
-                                blocked = True
-                                break
-                        if blocked:
-                            blocked_loads.append(entry)
-                            continue
-                        entry.addr = addr
-                        entry.size = size
-                        entry.state = 1
-                        if forward is not None:
-                            conv = meta[4]
-                            raw = forward.store_value
-                            entry.value = raw if conv is None \
-                                else conv(raw)
-                            done = cycle + l1d_hit
-                            stats_bump("load_forwards")
-                        else:
-                            entry.value = meta[1](addr)
-                            done = data_access(index, addr, False,
-                                               cycle)
-                        n_loads += 1
-                    elif kind == 2:
-                        fn = meta[1]
-                        if fn is None:
-                            self._install(block_of[pc])
-                            fn = meta[1]
-                        entry.actual_next = fn(srcs[0], srcs[1])
-                        link = meta[2]
-                        if link is not None:
-                            entry.value = link
-                        entry.state = 1
-                        done = cycle + 1
-                    elif kind == 3:
-                        entry.addr = srcs[0] + meta[3]
-                        entry.size = meta[2]
-                        entry.store_value = srcs[1]
-                        entry.state = 1
-                        done = cycle + 1
-                        if blocked_loads:
-                            for load in blocked_loads:
-                                if not load.flushed:
-                                    heappush(ready, (load.seq, load))
-                            blocked_loads.clear()
-                    else:  # kind == 1: FP
-                        fn = meta[1]
-                        if fn is None:
-                            self._install(block_of[pc])
-                            fn = meta[1]
-                        entry.value = fn(srcs[0], srcs[1])
-                        entry.state = 1
-                        done = cycle + meta[2]
-                        n_fp += 1
-                    entry.completion = done
-                    bucket = completing.get(done)
-                    if bucket is None:
-                        completing[done] = [entry]
-                    else:
-                        bucket.append(entry)
-                    fu_used[pool] += 1
-                    budget -= 1
-                    held = entry.held
-                    if held & h_int:
-                        int_iq_freed += 1
-                        entry.held = held & ~h_int
-                    elif held & h_fp:
-                        fp_iq_freed += 1
-                        entry.held = held & ~h_fp
-                    issued += 1
-                if issued:
-                    n_issued += issued
-                    int_iq_used -= int_iq_freed
-                    fp_iq_used -= fp_iq_freed
-                if put_back is not None:
-                    for entry in put_back:
-                        heappush(ready, (entry.seq, entry))
-
-            # ------------------------------------------------- dispatch
-            if fetch_queue:
-                dispatched = 0
-                while fetch_queue and dispatched < decode_width:
-                    inst, pc, pred_next, fetched_at = fetch_queue[0]
-                    if cycle < fetched_at + frontend_delay:
-                        break
-                    if len(rob) >= rob_entries:
-                        stats_bump("rob_full_stalls")
-                        break
-                    (needs_fp_iq, needs_int_iq, uses_lq, uses_sq, dest,
-                     dest_fp, held, rs1, rs2) = disp_tab[pc]
-                    if needs_fp_iq and fp_iq_used >= fp_queue:
-                        stats_bump("iq_full_stalls")
-                        break
-                    if needs_int_iq and int_iq_used >= int_queue:
-                        stats_bump("iq_full_stalls")
-                        break
-                    if uses_lq and lq_used >= load_queue:
-                        stats_bump("lsq_full_stalls")
-                        break
-                    if uses_sq and sq_used >= store_queue:
-                        stats_bump("lsq_full_stalls")
-                        break
-                    if dest is not None:
-                        if dest_fp:
-                            if rename_fp_used >= rename_limit_fp:
-                                stats_bump("rename_stalls")
-                                break
-                        elif rename_int_used >= rename_limit_int:
-                            stats_bump("rename_stalls")
-                            break
-                    fetch_queue.popleft()
-                    entry = RobEntry(seq, inst, pc, pred_next)
-                    seq += 1
-                    srcs = entry.srcs
-                    if rs1 is not None:
-                        producer = rat.get(rs1)
-                        if producer is None:
-                            srcs[0] = ctx_read(rs1)
-                        elif producer.state == 2:
-                            srcs[0] = producer.value
-                        else:
-                            producer.consumers.append((entry, 0))
-                            entry.remaining += 1
-                            srcs[0] = None
-                    if rs2 is not None:
-                        producer = rat.get(rs2)
-                        if producer is None:
-                            srcs[1] = ctx_read(rs2)
-                        elif producer.state == 2:
-                            srcs[1] = producer.value
-                        else:
-                            producer.consumers.append((entry, 1))
-                            entry.remaining += 1
-                            srcs[1] = None
-                    entry.held = held
-                    if needs_fp_iq:
-                        fp_iq_used += 1
-                    if needs_int_iq:
-                        int_iq_used += 1
-                    if uses_lq:
-                        lq_used += 1
-                    if uses_sq:
-                        sq_used += 1
-                        store_entries.append(entry)
-                    if dest is not None:
-                        if dest_fp:
-                            rename_fp_used += 1
-                        else:
-                            rename_int_used += 1
-                        rat[dest] = entry
-                    rob.append(entry)
-                    if entry.remaining == 0 and \
-                            (needs_fp_iq or needs_int_iq):
-                        heappush(ready, (entry.seq, entry))
-                    dispatched += 1
-                if dispatched:
-                    n_dispatched += dispatched
-
-            # ---------------------------------------------------- fetch
-            # stop_fetch is provably constant within a window (the
-            # machine only engages un-drained cores and HALT deopts
-            # before retiring), so the guard reduces to the two locals.
-            if cycle >= fetch_resume and fetch_pc >= 0:
-                fetched = 0
-                while fetched < fetch_width and \
-                        len(fetch_queue) < queue_cap:
-                    pc = fetch_pc
-                    if pc < 0 or pc >= program_end:
-                        break
-                    line = pc >> 3
-                    if line != last_fetch_line:
-                        done = inst_fetch(index, pc, cycle)
-                        last_fetch_line = line
-                        if done > cycle + l1i_hit:
-                            fetch_resume = done
-                            stats_bump("icache_stall_cycles",
-                                       done - cycle)
-                            break
-                    fetch_meta = fetch_tab[pc]
-                    kind = fetch_meta[1]
-                    if kind == 0:
-                        pred_next = pc + 1
-                    elif kind == 1:
-                        pred_next = fetch_meta[2] \
-                            if predict_direction(pc) else pc + 1
-                    elif kind == 5:  # HALT: fetch stops dead
-                        fetch_queue.append(
-                            (fetch_meta[0], pc, pc + 1, cycle))
-                        fetched += 1
-                        fetch_pc = -1
-                        break
-                    elif kind == 2:
-                        pred_next = fetch_meta[2]
-                    elif kind == 3:
-                        ras_push(pc + 1)
-                        pred_next = fetch_meta[2]
-                    else:  # kind == 4: JR
-                        target = ras_pop()
-                        if target is None:
-                            target = btb_lookup(pc)
-                        pred_next = -1 if target is None else target
-                    block = fetch_meta[3]
-                    if block is not None:
-                        block.hits += 1
-                        if not installed[block.bid]:
-                            self._install(block)
-                    fetch_queue.append(
-                        (fetch_meta[0], pc, pred_next, cycle))
-                    fetched += 1
-                    fetch_pc = pred_next
-                    if pred_next != pc + 1:
-                        break
-                if fetched:
-                    n_fetched += fetched
-
-            cycle += 1
-
-        # Window exit: write the hoisted scalars and deferred counters
-        # back to the core.
-        core.seq = seq
-        core.fetch_pc = fetch_pc
-        core.fetch_resume = fetch_resume
-        core.last_fetch_line = last_fetch_line
-        core.sb_next_free = sb_next_free
-        core.last_retire_cycle = last_retire_cycle
-        core.int_iq_used = int_iq_used
-        core.fp_iq_used = fp_iq_used
-        core.lq_used = lq_used
-        core.sq_used = sq_used
-        core.rename_int_used = rename_int_used
-        core.rename_fp_used = rename_fp_used
-        cnt = core._cnt
-        if n_cycles:
-            cnt["cycles"] += n_cycles
-        if n_fetched:
-            cnt["fetched"] += n_fetched
-        if n_dispatched:
-            cnt["dispatched"] += n_dispatched
-        if n_issued:
-            cnt["issued"] += n_issued
-        if n_retired:
-            cnt["retired"] += n_retired
-        if n_int:
-            cnt["int_ops"] += n_int
-        if n_fp:
-            cnt["fp_ops"] += n_fp
-        if n_loads:
-            cnt["loads"] += n_loads
-        if n_stores:
-            cnt["stores"] += n_stores
-        if n_branches:
-            cnt["branches_resolved"] += n_branches
-        self.windows += 1
-        self.fused_cycles += n_cycles
-        if deopt:
-            self.deopts += 1
-        return cycle
-
     # ---------------------------------------------------------------- drive
 
     def declines(self) -> bool:
         """True when :meth:`drive` would deopt on its first cycle: a
         *hard* serialized op (HALT / FENCE / atomic) within retire
-        reach of the ROB head.  The multi-core walk checks this before
+        reach of the ROB head.  The walk checks this before
         building a generator, so sustained interpreted stretches never
         pay the hoist just to decline.  SPL ops do not decline — the
         drive loop parks or executes them compiled."""
@@ -1029,10 +467,15 @@ class BlockRunner:
         return False
 
     def drive(self, pend: list, tap: Optional[list] = None):
-        """Generator: compiled cycles for one core of a fused multi-core
-        window, hoisting once per *residency* instead of once per cycle.
+        """Generator: the compiled core cycle — a faithful
+        transliteration of ``OutOfOrderCore.tick`` and the stage
+        methods it calls — for one core of a :class:`MultiBlockRunner`
+        walk, hoisting once per *residency* instead of once per cycle.
+        Any edit to the pipeline stages must be mirrored here: the
+        differential sweep in tests/test_fastforward.py and the fuzzer's
+        agreement contract exist to catch drift.
 
-        Protocol (driven by :class:`MultiBlockRunner`):
+        Protocol (driven by the walk):
 
         * prime with ``send(None)`` — runs the hoist up to the first
           yield and marks the core *resident* (``core._bg_resident``),
@@ -1043,12 +486,23 @@ class BlockRunner:
           True — or 2 when the cycle ran as a parked ``spl_recv`` /
           ``spl_store`` retry (head waiting on the output queue), a
           hint that the core may be quiescent and worth an elide
-          probe.  Cycles need not be consecutive (the walk skips a
-          core's stall window), only monotone;
-        * a serialized op entering retire reach *deopts*: every hoisted
-          scalar is written back and the generator returns, surfacing
-          as StopIteration from the send — the caller interprets that
+          probe, or 3 when an SPL op executed.  Cycles need not be
+          consecutive (the walk skips a core's stall window), only
+          monotone;
+        * a *hard* serialized op (HALT / FENCE / atomic) entering
+          retire reach *deopts* a one-cycle send: every hoisted scalar
+          is written back and the generator returns, surfacing as
+          StopIteration from the send — the caller interprets that
           cycle instead;
+        * ``send((start, limit, watch))`` is a *multi-cycle send*: it
+          runs cycles ``start, start + 1, ...`` and yields the first
+          cycle it did not run, staying resident.  It stops before
+          ``limit``, before any cycle with a serialized op of any kind
+          within retire reach (so it never deopts, parks or executes
+          an SPL op), and before the cycle after one of its stores
+          poked a core in ``watch`` (``ff_poke``).  The walk sends one
+          when this is its only live core, so controller ticks, elide
+          probes and SPL cycles all stay on the one-cycle path;
         * ``send(-1)`` is the sync sentinel: write back and return;
         * ``send(-2)`` *publishes*: writes the hoisted scalars and the
           deferred counters back and yields None, staying resident, so
@@ -1061,15 +515,17 @@ class BlockRunner:
 
         While resident, the core's deque/dict structures stay shared in
         place (flush paths rebind them, and the body re-fetches before
-        the next yield), but the eleven hoisted scalars are stale on
-        the core object — the walk must sync this generator before
-        probing ``next_event_cycle``, eliding, delegating to the
-        single-core window, or replaying a deferred invalidation.
-        Deferred hot counters accumulate into ``pend`` (one slot per
-        ``_CNT_KEYS`` entry), flushed once per multi-core window.
+        the next yield), and ``last_retire_cycle`` is written through
+        (the periodic probe reads it), but the eleven hoisted scalars
+        are stale on the core object — the walk must sync this
+        generator before probing ``next_event_cycle``, eliding, or
+        replaying a deferred invalidation.  Deferred hot counters
+        accumulate into ``pend`` (one slot per ``_CNT_KEYS`` entry),
+        flushed once per walk.
 
         The caller guarantees: ctx is bound, core not halted, not
-        elided, and not stalled on the cycles it sends, observers off.
+        elided, and not stalled (``stall_until``) on any cycle it sends,
+        observers off.
         """
         core = self.core
         n_cycles = 0
@@ -1159,478 +615,18 @@ class BlockRunner:
         h_ri, h_rf = HOLD_REN_INT, HOLD_REN_FP
 
         core._bg_resident = True
-        deopt = False
+        limit = 0  # 0: a one-cycle send; else the multi-cycle send's bound
         try:
             cycle = yield
-            while cycle == -2:
-                cycle = yield None  # nothing hoisted has moved yet
-            while cycle >= 0:
-                parked = 0
-                ser_ran = False
-                if rob:
-                    head0 = rob[0]
-                    pc0 = head0.pc
-                    if ser_tab[pc0] and not hard_tab[pc0]:
-                        # SPL op already at the head.  The *park* —
-                        # operands ready, output queue empty (or store
-                        # queue full) — replays exactly as the
-                        # interpreter's failed retry: nothing retires
-                        # and at most the spl_recv_stalls counter
-                        # bumps, so the cycle runs compiled and yields
-                        # a park hint the walk can turn into an elide
-                        # probe.  The queue is only filled by
-                        # controller ticks (end of the walk cycle), so
-                        # this pre-writeback check sees the state the
-                        # retire stage would.  When not parked — queue
-                        # pending, or an operand still in flight that
-                        # this cycle's writeback could complete — the
-                        # retire stage below executes the op via the
-                        # interpreter's own ``_exec_serialize``.
-                        kind = park_tab[pc0]
-                        if kind and head0.remaining == 0 \
-                                and head0.state == 0 \
-                                and output_pending is not None:
-                            if kind == 2:
-                                while pending_stores and \
-                                        pending_stores[0] <= cycle:
-                                    pending_stores.popleft()
-                                if len(pending_stores) >= store_queue:
-                                    parked = 1
-                                elif not output_pending():
-                                    parked = 2
-                            elif not output_pending():
-                                parked = 2
-                        if parked == 2:
-                            n_spl_stalls += 1
-                        if parked:
-                            # Hint the walk only when this parked cycle
-                            # is also *quiet* (no frontend/issue
-                            # progress): during the post-arrival
-                            # frontend fill the probe would fail anyway
-                            # and its backoff would delay the real
-                            # elide by as much as it grew.
-                            q0 = n_fetched + n_dispatched + n_issued
-                    if not parked:
-                        # A hard serialized op (HALT / FENCE / atomic)
-                        # within retire reach deopts: the interpreter
-                        # runs the whole cycle.  (A parked head retires
-                        # nothing, so nothing deeper can reach it.)
-                        k = retire_width
-                        for entry in rob:
-                            if hard_tab[entry.pc]:
-                                deopt = True
-                                break
-                            k -= 1
-                            if not k:
-                                break
-                        if deopt:
-                            break
-                n_cycles += 1
-
-                # ---------------------------------------------------- writeback
-                if completing:
-                    entries = completing.pop(cycle, None)
-                    if entries:
-                        entries.sort(key=_BY_SEQ)
-                        for entry in entries:
-                            if entry.flushed or entry.state == 2:
-                                continue
-                            entry.state = 2
-                            value = entry.value
-                            for consumer, slot in entry.consumers:
-                                if consumer.flushed:
-                                    continue
-                                consumer.srcs[slot] = value
-                                consumer.remaining -= 1
-                                if consumer.remaining == 0 and \
-                                        consumer.state == 0 and \
-                                        not ser_tab[consumer.pc]:
-                                    heappush(ready, (consumer.seq, consumer))
-                            entry.consumers = []
-                            branch = br_tab[entry.pc]
-                            if branch is not None:
-                                mode, target = branch
-                                actual = entry.actual_next
-                                if mode == 1:
-                                    update_direction(entry.pc, actual == target)
-                                elif mode == 2:
-                                    btb_update(entry.pc, actual)
-                                n_br += 1
-                                if actual != entry.pred_next:
-                                    core.int_iq_used = int_iq_used
-                                    core.fp_iq_used = fp_iq_used
-                                    core.lq_used = lq_used
-                                    core.sq_used = sq_used
-                                    core.rename_int_used = rename_int_used
-                                    core.rename_fp_used = rename_fp_used
-                                    stats_bump("mispredicts")
-                                    core._flush_from_seq(entry.seq + 1,
-                                                         cycle, actual)
-                                    rob = core.rob
-                                    rat = core.rat
-                                    store_entries = core.store_entries
-                                    blocked_loads = core.blocked_loads
-                                    int_iq_used = core.int_iq_used
-                                    fp_iq_used = core.fp_iq_used
-                                    lq_used = core.lq_used
-                                    sq_used = core.sq_used
-                                    rename_int_used = core.rename_int_used
-                                    rename_fp_used = core.rename_fp_used
-                                    fetch_pc = core.fetch_pc
-                                    fetch_resume = core.fetch_resume
-                                    last_fetch_line = core.last_fetch_line
-
-                # ------------------------------------------------------- retire
-                if rob or pending_stores:
-                    while pending_stores and pending_stores[0] <= cycle:
-                        pending_stores.popleft()
-                    retired = 0
-                    last_next = 0
-                    while rob and retired < retire_width:
-                        head = rob[0]
-                        if head.state != 2:
-                            if parked or head.remaining != 0 \
-                                    or head.state != 0 \
-                                    or not ser_tab[head.pc]:
-                                break
-                            # An SPL op reached the head with operands
-                            # ready (hard ops deopted at the cycle top,
-                            # a parked head broke above): run the
-                            # interpreter's own executor at its exact
-                            # point in the cycle.  It reads and writes
-                            # ``sb_next_free`` on the core, so sync the
-                            # hoisted copy around the call, and flag
-                            # the cycle so the walk keeps the
-                            # controllers ticking.
-                            core.sb_next_free = sb_next_free
-                            ok = exec_serialize(head, cycle)
-                            sb_next_free = core.sb_next_free
-                            ser_ran = True
-                            if not ok or head.state != 2:
-                                break
-                        pc = head.pc
-                        write_fn = st_tab[pc]
-                        if write_fn is not None:
-                            if len(pending_stores) >= store_queue:
-                                stats_bump("store_buffer_stalls")
-                                break
-                            addr = head.addr
-                            write_fn(addr, head.store_value)
-                            begin = sb_next_free
-                            if begin < cycle:
-                                begin = cycle
-                            done = data_access(index, addr, True, begin)
-                            sb_next_free = done
-                            pending_stores.append(done)
-                            n_stores += 1
-                        dest = dest_tab[pc]
-                        if dest is not None:
-                            ctx_write(dest, head.value)
-                            if rat.get(dest) is head:
-                                del rat[dest]
-                        rob.popleft()
-                        if write_fn is not None:
-                            if head in store_entries:
-                                store_entries.remove(head)
-                            if blocked_loads:
-                                for load in blocked_loads:
-                                    if not load.flushed:
-                                        heappush(ready, (load.seq, load))
-                                blocked_loads.clear()
-                        held = head.held
-                        if held:
-                            if held & h_int:
-                                int_iq_used -= 1
-                            elif held & h_fp:
-                                fp_iq_used -= 1
-                            if held & h_lq:
-                                lq_used -= 1
-                            if held & h_sq:
-                                sq_used -= 1
-                            if held & h_ri:
-                                rename_int_used -= 1
-                            elif held & h_rf:
-                                rename_fp_used -= 1
-                            head.held = 0
-                        if rp is not None:
-                            rp[pc] = rp.get(pc, 0) + 1
-                        last_next = head.actual_next
-                        retired += 1
-                    if retired:
-                        ctx.pc = last_next
-                        ctx.retired_instructions += retired
-                        core.last_retire_cycle = cycle
-                        n_retired += retired
-
-                # -------------------------------------------------------- issue
-                if ready:
-                    budget = issue_width
-                    fu_used = [0, 0, 0, 0]
-                    put_back = None
-                    issued = 0
-                    int_iq_freed = 0
-                    fp_iq_freed = 0
-                    while budget > 0 and ready:
-                        entry = heappop(ready)[1]
-                        if entry.flushed or entry.state != 0:
-                            continue
-                        pc = entry.pc
-                        pool, pool_limit = pool_tab[pc]
-                        if fu_used[pool] >= pool_limit:
-                            if put_back is None:
-                                put_back = [entry]
-                            else:
-                                put_back.append(entry)
-                            continue
-                        meta = exec_meta[pc]
-                        kind = meta[0]
-                        srcs = entry.srcs
-                        if kind == 0:
-                            fn = meta[1]
-                            if fn is None:
-                                self._install(block_of[pc])
-                                fn = meta[1]
-                            entry.value = fn(srcs[0], srcs[1])
-                            entry.state = 1
-                            done = cycle + meta[2]
-                            n_int += 1
-                        elif kind == 4:
-                            addr = srcs[0] + meta[3]
-                            size = meta[2]
-                            forward = None
-                            blocked = False
-                            for store in reversed(store_entries):
-                                if store.seq > entry.seq or store.flushed:
-                                    continue
-                                store_addr = store.addr
-                                if store_addr is None:
-                                    blocked = True
-                                    break
-                                if store_addr == addr and \
-                                        store.size == size:
-                                    forward = store
-                                    break
-                                if store_addr < addr + size and \
-                                        addr < store_addr + store.size:
-                                    blocked = True
-                                    break
-                            if blocked:
-                                blocked_loads.append(entry)
-                                continue
-                            entry.addr = addr
-                            entry.size = size
-                            entry.state = 1
-                            if forward is not None:
-                                conv = meta[4]
-                                raw = forward.store_value
-                                entry.value = raw if conv is None \
-                                    else conv(raw)
-                                done = cycle + l1d_hit
-                                stats_bump("load_forwards")
-                            else:
-                                entry.value = meta[1](addr)
-                                done = data_access(index, addr, False, cycle)
-                            n_loads += 1
-                        elif kind == 2:
-                            fn = meta[1]
-                            if fn is None:
-                                self._install(block_of[pc])
-                                fn = meta[1]
-                            entry.actual_next = fn(srcs[0], srcs[1])
-                            link = meta[2]
-                            if link is not None:
-                                entry.value = link
-                            entry.state = 1
-                            done = cycle + 1
-                        elif kind == 3:
-                            entry.addr = srcs[0] + meta[3]
-                            entry.size = meta[2]
-                            entry.store_value = srcs[1]
-                            entry.state = 1
-                            done = cycle + 1
-                            if blocked_loads:
-                                for load in blocked_loads:
-                                    if not load.flushed:
-                                        heappush(ready, (load.seq, load))
-                                blocked_loads.clear()
-                        else:  # kind == 1: FP
-                            fn = meta[1]
-                            if fn is None:
-                                self._install(block_of[pc])
-                                fn = meta[1]
-                            entry.value = fn(srcs[0], srcs[1])
-                            entry.state = 1
-                            done = cycle + meta[2]
-                            n_fp += 1
-                        entry.completion = done
-                        bucket = completing.get(done)
-                        if bucket is None:
-                            completing[done] = [entry]
-                        else:
-                            bucket.append(entry)
-                        fu_used[pool] += 1
-                        budget -= 1
-                        held = entry.held
-                        if held & h_int:
-                            int_iq_freed += 1
-                            entry.held = held & ~h_int
-                        elif held & h_fp:
-                            fp_iq_freed += 1
-                            entry.held = held & ~h_fp
-                        issued += 1
-                    if issued:
-                        n_issued += issued
-                        int_iq_used -= int_iq_freed
-                        fp_iq_used -= fp_iq_freed
-                    if put_back is not None:
-                        for entry in put_back:
-                            heappush(ready, (entry.seq, entry))
-
-                # ----------------------------------------------------- dispatch
-                if fetch_queue:
-                    dispatched = 0
-                    while fetch_queue and dispatched < decode_width:
-                        inst, pc, pred_next, fetched_at = fetch_queue[0]
-                        if cycle < fetched_at + frontend_delay:
-                            break
-                        if len(rob) >= rob_entries:
-                            stats_bump("rob_full_stalls")
-                            break
-                        (needs_fp_iq, needs_int_iq, uses_lq, uses_sq, dest,
-                         dest_fp, held, rs1, rs2) = disp_tab[pc]
-                        if needs_fp_iq and fp_iq_used >= fp_queue:
-                            stats_bump("iq_full_stalls")
-                            break
-                        if needs_int_iq and int_iq_used >= int_queue:
-                            stats_bump("iq_full_stalls")
-                            break
-                        if uses_lq and lq_used >= load_queue:
-                            stats_bump("lsq_full_stalls")
-                            break
-                        if uses_sq and sq_used >= store_queue:
-                            stats_bump("lsq_full_stalls")
-                            break
-                        if dest is not None:
-                            if dest_fp:
-                                if rename_fp_used >= rename_limit_fp:
-                                    stats_bump("rename_stalls")
-                                    break
-                            elif rename_int_used >= rename_limit_int:
-                                stats_bump("rename_stalls")
-                                break
-                        fetch_queue.popleft()
-                        entry = RobEntry(seq, inst, pc, pred_next)
-                        seq += 1
-                        srcs = entry.srcs
-                        if rs1 is not None:
-                            producer = rat.get(rs1)
-                            if producer is None:
-                                srcs[0] = ctx_read(rs1)
-                            elif producer.state == 2:
-                                srcs[0] = producer.value
-                            else:
-                                producer.consumers.append((entry, 0))
-                                entry.remaining += 1
-                                srcs[0] = None
-                        if rs2 is not None:
-                            producer = rat.get(rs2)
-                            if producer is None:
-                                srcs[1] = ctx_read(rs2)
-                            elif producer.state == 2:
-                                srcs[1] = producer.value
-                            else:
-                                producer.consumers.append((entry, 1))
-                                entry.remaining += 1
-                                srcs[1] = None
-                        entry.held = held
-                        if needs_fp_iq:
-                            fp_iq_used += 1
-                        if needs_int_iq:
-                            int_iq_used += 1
-                        if uses_lq:
-                            lq_used += 1
-                        if uses_sq:
-                            sq_used += 1
-                            store_entries.append(entry)
-                        if dest is not None:
-                            if dest_fp:
-                                rename_fp_used += 1
-                            else:
-                                rename_int_used += 1
-                            rat[dest] = entry
-                        rob.append(entry)
-                        if entry.remaining == 0 and \
-                                (needs_fp_iq or needs_int_iq):
-                            heappush(ready, (entry.seq, entry))
-                        dispatched += 1
-                    if dispatched:
-                        n_dispatched += dispatched
-
-                # -------------------------------------------------------- fetch
-                if not core.stop_fetch and cycle >= fetch_resume \
-                        and fetch_pc >= 0:
-                    fetched = 0
-                    while fetched < fetch_width and \
-                            len(fetch_queue) < queue_cap:
-                        pc = fetch_pc
-                        if pc < 0 or pc >= program_end:
-                            break
-                        line = pc >> 3
-                        if line != last_fetch_line:
-                            done = inst_fetch(index, pc, cycle)
-                            last_fetch_line = line
-                            if done > cycle + l1i_hit:
-                                fetch_resume = done
-                                stats_bump("icache_stall_cycles",
-                                           done - cycle)
-                                break
-                        fetch_meta = fetch_tab[pc]
-                        kind = fetch_meta[1]
-                        if kind == 0:
-                            pred_next = pc + 1
-                        elif kind == 1:
-                            pred_next = fetch_meta[2] \
-                                if predict_direction(pc) else pc + 1
-                        elif kind == 5:  # HALT: fetch stops dead
-                            fetch_queue.append(
-                                (fetch_meta[0], pc, pc + 1, cycle))
-                            fetched += 1
-                            fetch_pc = -1
-                            break
-                        elif kind == 2:
-                            pred_next = fetch_meta[2]
-                        elif kind == 3:
-                            ras_push(pc + 1)
-                            pred_next = fetch_meta[2]
-                        else:  # kind == 4: JR
-                            target = ras_pop()
-                            if target is None:
-                                target = btb_lookup(pc)
-                            pred_next = -1 if target is None else target
-                        block = fetch_meta[3]
-                        if block is not None:
-                            block.hits += 1
-                            if not installed[block.bid]:
-                                self._install(block)
-                        fetch_queue.append(
-                            (fetch_meta[0], pc, pred_next, cycle))
-                        fetched += 1
-                        fetch_pc = pred_next
-                        if pred_next != pc + 1:
-                            break
-                    if fetched:
-                        n_fetched += fetched
-
-                if ser_ran:
-                    # A serialized SPL op executed this cycle: it may
-                    # have started a fabric job or freed queue space,
-                    # so the walk must keep the controllers ticking.
-                    cycle = yield 3
-                elif parked and q0 == n_fetched + n_dispatched + n_issued:
-                    cycle = yield 2
-                else:
-                    cycle = yield True
-                while cycle == -2:
+            while True:
+                # ------------------------------------------------- message
+                if cycle.__class__ is tuple:
+                    cycle, limit, watch = cycle
+                    poke_stores = n_stores
+                    serialized = False  # True ends the send
+                elif cycle < 0:
+                    if cycle == -1:
+                        return
                     # Publish: the ``finally`` write-back below, minus
                     # ending the residency.
                     core.seq = seq
@@ -1662,6 +658,517 @@ class BlockRunner:
                         n_retired = n_int = n_fp = n_loads = n_stores = 0
                         n_br = 0
                     cycle = yield None
+                    continue
+                # -------------------------------------- the send's cycles
+                while True:
+                    if limit:
+                        # Multi-cycle send: stop *before* the limit, the
+                        # cycle after a retired store poked a watched
+                        # sibling (only this core's stores can, so the
+                        # pokes need checking only after one), and any
+                        # cycle with a serialized op — SPL ones too —
+                        # within retire reach: the walk steps those one
+                        # cycle at a time.
+                        if cycle >= limit:
+                            break
+                        if watch and n_stores != poke_stores:
+                            poke_stores = n_stores
+                            if any(other.ff_poke for other in watch):
+                                break
+                        if rob:
+                            k = retire_width
+                            for entry in rob:
+                                if ser_tab[entry.pc]:
+                                    serialized = True
+                                    break
+                                k -= 1
+                                if not k:
+                                    break
+                            if serialized:
+                                break
+                    else:
+                        parked = 0
+                        ser_ran = False
+                        if rob:
+                            head0 = rob[0]
+                            pc0 = head0.pc
+                            if ser_tab[pc0] and not hard_tab[pc0]:
+                                # SPL op already at the head.  The *park*
+                                # — operands ready, output queue empty
+                                # (or store queue full) — replays exactly
+                                # as the interpreter's failed retry:
+                                # nothing retires and at most the
+                                # spl_recv_stalls counter bumps, so the
+                                # cycle runs compiled and yields a park
+                                # hint the walk can turn into an elide
+                                # probe.  The queue is only filled by
+                                # controller ticks (end of the walk
+                                # cycle), so this pre-writeback check
+                                # sees the state the retire stage would.
+                                # When not parked — queue pending, or an
+                                # operand still in flight that this
+                                # cycle's writeback could complete — the
+                                # retire stage below executes the op via
+                                # the interpreter's own
+                                # ``_exec_serialize``.
+                                kind = park_tab[pc0]
+                                if kind and head0.remaining == 0 \
+                                        and head0.state == 0 \
+                                        and output_pending is not None:
+                                    if kind == 2:
+                                        while pending_stores and \
+                                                pending_stores[0] <= cycle:
+                                            pending_stores.popleft()
+                                        if len(pending_stores) >= \
+                                                store_queue:
+                                            parked = 1
+                                        elif not output_pending():
+                                            parked = 2
+                                    elif not output_pending():
+                                        parked = 2
+                                if parked == 2:
+                                    n_spl_stalls += 1
+                                if parked:
+                                    # Hint the walk only when this parked
+                                    # cycle is also *quiet* (no frontend
+                                    # or issue progress): during the
+                                    # post-arrival frontend fill the probe
+                                    # would fail anyway and its backoff
+                                    # would delay the real elide by as
+                                    # much as it grew.
+                                    q0 = n_fetched + n_dispatched + n_issued
+                            if not parked:
+                                # A hard serialized op (HALT / FENCE /
+                                # atomic) within retire reach deopts: the
+                                # interpreter runs the whole cycle.  (A
+                                # parked head retires nothing, so nothing
+                                # deeper can reach it.)
+                                k = retire_width
+                                for entry in rob:
+                                    if hard_tab[entry.pc]:
+                                        return
+                                    k -= 1
+                                    if not k:
+                                        break
+                    n_cycles += 1
+
+                    # ----------------------------------------------- writeback
+                    if completing:
+                        entries = completing.pop(cycle, None)
+                        if entries:
+                            entries.sort(key=_BY_SEQ)
+                            for entry in entries:
+                                if entry.flushed or entry.state == 2:
+                                    continue
+                                entry.state = 2
+                                value = entry.value
+                                for consumer, slot in entry.consumers:
+                                    if consumer.flushed:
+                                        continue
+                                    consumer.srcs[slot] = value
+                                    consumer.remaining -= 1
+                                    if consumer.remaining == 0 and \
+                                            consumer.state == 0 and \
+                                            not ser_tab[consumer.pc]:
+                                        heappush(ready,
+                                                 (consumer.seq, consumer))
+                                entry.consumers = []
+                                branch = br_tab[entry.pc]
+                                if branch is not None:
+                                    mode, target = branch
+                                    actual = entry.actual_next
+                                    if mode == 1:
+                                        update_direction(entry.pc,
+                                                         actual == target)
+                                    elif mode == 2:
+                                        btb_update(entry.pc, actual)
+                                    n_br += 1
+                                    if actual != entry.pred_next:
+                                        core.int_iq_used = int_iq_used
+                                        core.fp_iq_used = fp_iq_used
+                                        core.lq_used = lq_used
+                                        core.sq_used = sq_used
+                                        core.rename_int_used = rename_int_used
+                                        core.rename_fp_used = rename_fp_used
+                                        stats_bump("mispredicts")
+                                        core._flush_from_seq(entry.seq + 1,
+                                                             cycle, actual)
+                                        rob = core.rob
+                                        rat = core.rat
+                                        store_entries = core.store_entries
+                                        blocked_loads = core.blocked_loads
+                                        int_iq_used = core.int_iq_used
+                                        fp_iq_used = core.fp_iq_used
+                                        lq_used = core.lq_used
+                                        sq_used = core.sq_used
+                                        rename_int_used = core.rename_int_used
+                                        rename_fp_used = core.rename_fp_used
+                                        fetch_pc = core.fetch_pc
+                                        fetch_resume = core.fetch_resume
+                                        last_fetch_line = core.last_fetch_line
+
+                    # -------------------------------------------------- retire
+                    if rob or pending_stores:
+                        while pending_stores and pending_stores[0] <= cycle:
+                            pending_stores.popleft()
+                        retired = 0
+                        last_next = 0
+                        while rob and retired < retire_width:
+                            head = rob[0]
+                            if head.state != 2:
+                                # (No serialized op is within reach in a
+                                # multi-cycle send: it stops before one.)
+                                if limit or head.state != 0 or parked \
+                                        or head.remaining != 0 \
+                                        or not ser_tab[head.pc]:
+                                    break
+                                # An SPL op reached the head with operands
+                                # ready (hard ops deopted at the cycle top,
+                                # a parked head broke above): run the
+                                # interpreter's own executor at its exact
+                                # point in the cycle.  It reads and writes
+                                # ``sb_next_free`` on the core, so sync the
+                                # hoisted copy around the call, and flag
+                                # the cycle so the walk keeps the
+                                # controllers ticking.
+                                core.sb_next_free = sb_next_free
+                                ok = exec_serialize(head, cycle)
+                                sb_next_free = core.sb_next_free
+                                ser_ran = True
+                                if not ok or head.state != 2:
+                                    break
+                            pc = head.pc
+                            write_fn = st_tab[pc]
+                            if write_fn is not None:
+                                if len(pending_stores) >= store_queue:
+                                    stats_bump("store_buffer_stalls")
+                                    break
+                                addr = head.addr
+                                write_fn(addr, head.store_value)
+                                begin = sb_next_free
+                                if begin < cycle:
+                                    begin = cycle
+                                done = data_access(index, addr, True, begin)
+                                sb_next_free = done
+                                pending_stores.append(done)
+                                n_stores += 1
+                            dest = dest_tab[pc]
+                            if dest is not None:
+                                ctx_write(dest, head.value)
+                                if rat.get(dest) is head:
+                                    del rat[dest]
+                            rob.popleft()
+                            if write_fn is not None:
+                                if head in store_entries:
+                                    store_entries.remove(head)
+                                if blocked_loads:
+                                    for load in blocked_loads:
+                                        if not load.flushed:
+                                            heappush(ready, (load.seq, load))
+                                    blocked_loads.clear()
+                            held = head.held
+                            if held:
+                                if held & h_int:
+                                    int_iq_used -= 1
+                                elif held & h_fp:
+                                    fp_iq_used -= 1
+                                if held & h_lq:
+                                    lq_used -= 1
+                                if held & h_sq:
+                                    sq_used -= 1
+                                if held & h_ri:
+                                    rename_int_used -= 1
+                                elif held & h_rf:
+                                    rename_fp_used -= 1
+                                head.held = 0
+                            if rp is not None:
+                                rp[pc] = rp.get(pc, 0) + 1
+                            last_next = head.actual_next
+                            retired += 1
+                        if retired:
+                            ctx.pc = last_next
+                            ctx.retired_instructions += retired
+                            core.last_retire_cycle = cycle
+                            n_retired += retired
+
+                    # --------------------------------------------------- issue
+                    if ready:
+                        budget = issue_width
+                        fu_used = [0, 0, 0, 0]
+                        put_back = None
+                        issued = 0
+                        int_iq_freed = 0
+                        fp_iq_freed = 0
+                        while budget > 0 and ready:
+                            entry = heappop(ready)[1]
+                            if entry.flushed or entry.state != 0:
+                                continue
+                            pc = entry.pc
+                            pool, pool_limit = pool_tab[pc]
+                            if fu_used[pool] >= pool_limit:
+                                if put_back is None:
+                                    put_back = [entry]
+                                else:
+                                    put_back.append(entry)
+                                continue
+                            meta = exec_meta[pc]
+                            kind = meta[0]
+                            srcs = entry.srcs
+                            if kind == 0:
+                                fn = meta[1]
+                                if fn is None:
+                                    self._install(block_of[pc])
+                                    fn = meta[1]
+                                entry.value = fn(srcs[0], srcs[1])
+                                entry.state = 1
+                                done = cycle + meta[2]
+                                n_int += 1
+                            elif kind == 4:
+                                addr = srcs[0] + meta[3]
+                                size = meta[2]
+                                forward = None
+                                blocked = False
+                                for store in reversed(store_entries):
+                                    if store.seq > entry.seq or store.flushed:
+                                        continue
+                                    store_addr = store.addr
+                                    if store_addr is None:
+                                        blocked = True
+                                        break
+                                    if store_addr == addr and \
+                                            store.size == size:
+                                        forward = store
+                                        break
+                                    if store_addr < addr + size and \
+                                            addr < store_addr + store.size:
+                                        blocked = True
+                                        break
+                                if blocked:
+                                    blocked_loads.append(entry)
+                                    continue
+                                entry.addr = addr
+                                entry.size = size
+                                entry.state = 1
+                                if forward is not None:
+                                    conv = meta[4]
+                                    raw = forward.store_value
+                                    entry.value = raw if conv is None \
+                                        else conv(raw)
+                                    done = cycle + l1d_hit
+                                    stats_bump("load_forwards")
+                                else:
+                                    entry.value = meta[1](addr)
+                                    done = data_access(index, addr, False,
+                                                       cycle)
+                                n_loads += 1
+                            elif kind == 2:
+                                fn = meta[1]
+                                if fn is None:
+                                    self._install(block_of[pc])
+                                    fn = meta[1]
+                                entry.actual_next = fn(srcs[0], srcs[1])
+                                link = meta[2]
+                                if link is not None:
+                                    entry.value = link
+                                entry.state = 1
+                                done = cycle + 1
+                            elif kind == 3:
+                                entry.addr = srcs[0] + meta[3]
+                                entry.size = meta[2]
+                                entry.store_value = srcs[1]
+                                entry.state = 1
+                                done = cycle + 1
+                                if blocked_loads:
+                                    for load in blocked_loads:
+                                        if not load.flushed:
+                                            heappush(ready, (load.seq, load))
+                                    blocked_loads.clear()
+                            else:  # kind == 1: FP
+                                fn = meta[1]
+                                if fn is None:
+                                    self._install(block_of[pc])
+                                    fn = meta[1]
+                                entry.value = fn(srcs[0], srcs[1])
+                                entry.state = 1
+                                done = cycle + meta[2]
+                                n_fp += 1
+                            entry.completion = done
+                            bucket = completing.get(done)
+                            if bucket is None:
+                                completing[done] = [entry]
+                            else:
+                                bucket.append(entry)
+                            fu_used[pool] += 1
+                            budget -= 1
+                            held = entry.held
+                            if held & h_int:
+                                int_iq_freed += 1
+                                entry.held = held & ~h_int
+                            elif held & h_fp:
+                                fp_iq_freed += 1
+                                entry.held = held & ~h_fp
+                            issued += 1
+                        if issued:
+                            n_issued += issued
+                            int_iq_used -= int_iq_freed
+                            fp_iq_used -= fp_iq_freed
+                        if put_back is not None:
+                            for entry in put_back:
+                                heappush(ready, (entry.seq, entry))
+
+                    # ------------------------------------------------ dispatch
+                    if fetch_queue:
+                        dispatched = 0
+                        while fetch_queue and dispatched < decode_width:
+                            inst, pc, pred_next, fetched_at = fetch_queue[0]
+                            if cycle < fetched_at + frontend_delay:
+                                break
+                            if len(rob) >= rob_entries:
+                                stats_bump("rob_full_stalls")
+                                break
+                            (needs_fp_iq, needs_int_iq, uses_lq, uses_sq, dest,
+                             dest_fp, held, rs1, rs2) = disp_tab[pc]
+                            if needs_fp_iq and fp_iq_used >= fp_queue:
+                                stats_bump("iq_full_stalls")
+                                break
+                            if needs_int_iq and int_iq_used >= int_queue:
+                                stats_bump("iq_full_stalls")
+                                break
+                            if uses_lq and lq_used >= load_queue:
+                                stats_bump("lsq_full_stalls")
+                                break
+                            if uses_sq and sq_used >= store_queue:
+                                stats_bump("lsq_full_stalls")
+                                break
+                            if dest is not None:
+                                if dest_fp:
+                                    if rename_fp_used >= rename_limit_fp:
+                                        stats_bump("rename_stalls")
+                                        break
+                                elif rename_int_used >= rename_limit_int:
+                                    stats_bump("rename_stalls")
+                                    break
+                            fetch_queue.popleft()
+                            entry = RobEntry(seq, inst, pc, pred_next)
+                            seq += 1
+                            srcs = entry.srcs
+                            if rs1 is not None:
+                                producer = rat.get(rs1)
+                                if producer is None:
+                                    srcs[0] = ctx_read(rs1)
+                                elif producer.state == 2:
+                                    srcs[0] = producer.value
+                                else:
+                                    producer.consumers.append((entry, 0))
+                                    entry.remaining += 1
+                                    srcs[0] = None
+                            if rs2 is not None:
+                                producer = rat.get(rs2)
+                                if producer is None:
+                                    srcs[1] = ctx_read(rs2)
+                                elif producer.state == 2:
+                                    srcs[1] = producer.value
+                                else:
+                                    producer.consumers.append((entry, 1))
+                                    entry.remaining += 1
+                                    srcs[1] = None
+                            entry.held = held
+                            if needs_fp_iq:
+                                fp_iq_used += 1
+                            if needs_int_iq:
+                                int_iq_used += 1
+                            if uses_lq:
+                                lq_used += 1
+                            if uses_sq:
+                                sq_used += 1
+                                store_entries.append(entry)
+                            if dest is not None:
+                                if dest_fp:
+                                    rename_fp_used += 1
+                                else:
+                                    rename_int_used += 1
+                                rat[dest] = entry
+                            rob.append(entry)
+                            if entry.remaining == 0 and \
+                                    (needs_fp_iq or needs_int_iq):
+                                heappush(ready, (entry.seq, entry))
+                            dispatched += 1
+                        if dispatched:
+                            n_dispatched += dispatched
+
+                    # --------------------------------------------------- fetch
+                    # stop_fetch is constant False while resident: the
+                    # walk builds runners for fetching cores only, and
+                    # the one op that sets it (HALT) deopts first.
+                    if cycle >= fetch_resume and fetch_pc >= 0:
+                        fetched = 0
+                        while fetched < fetch_width and \
+                                len(fetch_queue) < queue_cap:
+                            pc = fetch_pc
+                            if pc < 0 or pc >= program_end:
+                                break
+                            line = pc >> 3
+                            if line != last_fetch_line:
+                                done = inst_fetch(index, pc, cycle)
+                                last_fetch_line = line
+                                if done > cycle + l1i_hit:
+                                    fetch_resume = done
+                                    stats_bump("icache_stall_cycles",
+                                               done - cycle)
+                                    break
+                            fetch_meta = fetch_tab[pc]
+                            kind = fetch_meta[1]
+                            if kind == 0:
+                                pred_next = pc + 1
+                            elif kind == 1:
+                                pred_next = fetch_meta[2] \
+                                    if predict_direction(pc) else pc + 1
+                            elif kind == 5:  # HALT: fetch stops dead
+                                fetch_queue.append(
+                                    (fetch_meta[0], pc, pc + 1, cycle))
+                                fetched += 1
+                                fetch_pc = -1
+                                break
+                            elif kind == 2:
+                                pred_next = fetch_meta[2]
+                            elif kind == 3:
+                                ras_push(pc + 1)
+                                pred_next = fetch_meta[2]
+                            else:  # kind == 4: JR
+                                target = ras_pop()
+                                if target is None:
+                                    target = btb_lookup(pc)
+                                pred_next = -1 if target is None else target
+                            block = fetch_meta[3]
+                            if block is not None:
+                                block.hits += 1
+                                if not installed[block.bid]:
+                                    self._install(block)
+                            fetch_queue.append(
+                                (fetch_meta[0], pc, pred_next, cycle))
+                            fetched += 1
+                            fetch_pc = pred_next
+                            if pred_next != pc + 1:
+                                break
+                        if fetched:
+                            n_fetched += fetched
+
+                    if not limit:
+                        break
+                    cycle += 1
+
+                if limit:
+                    limit = 0
+                    cycle = yield cycle
+                elif ser_ran:
+                    # A serialized SPL op executed this cycle: it may
+                    # have started a fabric job or freed queue space,
+                    # so the walk must keep the controllers ticking.
+                    cycle = yield 3
+                elif parked and q0 == n_fetched + n_dispatched + n_issued:
+                    cycle = yield 2
+                else:
+                    cycle = yield True
         finally:
             core._bg_resident = False
             if n_spl_stalls:
@@ -1724,11 +1231,11 @@ _PE_RECHECK = 8
 
 
 class MultiBlockRunner:
-    """Fused multi-core windows: N cores per cycle, one Python loop.
+    """The fused walk: every running core per cycle, one Python loop.
 
-    Generalizes :meth:`BlockRunner.run_window` to any number of running
-    cores.  Exactness rests on three invariants, mirrored from the naive
-    ``Machine.run`` loop:
+    The machine opens one whenever blockgen is engaged, whether one core
+    is running or sixteen.  Exactness rests on three invariants,
+    mirrored from the naive ``Machine.run`` loop:
 
     * **Core order.**  Cores advance in index order within each cycle —
       the interleaving that fixes shared-memory and snoop-invalidation
@@ -1760,19 +1267,25 @@ class MultiBlockRunner:
       spin are elided under periodic plans (:mod:`repro.cpu.periodic`)
       through the same contract.
 
-    Per-core deopt: a core whose ROB head nears a serialized op falls
-    back to ``core.tick`` for that cycle only; the window continues for
-    the rest.  A stretch where exactly one compiled core remains live
-    (and controllers are still provably quiet) delegates to the
-    single-core ``run_window`` with the elided siblings as its poke
-    escape — full single-core speed for the common barrier-tail and
-    producer/consumer phases.
+    Per-core deopt: a core whose ROB head nears a hard serialized op
+    falls back to ``core.tick`` for that cycle only; the window
+    continues for the rest.  While exactly one core is live and the
+    controllers are provably quiet, the walk gives that core's resident
+    generator one *multi-cycle send* (see :meth:`BlockRunner.drive`)
+    instead of one send per cycle — the single-core runs, barrier tails
+    and producer/consumer phases — and keeps the residency when the
+    send stops.
+
+    Telemetry, one set for every walk: ``windows`` (walks opened),
+    ``fused_cycles`` (core-cycles run compiled) and ``deopts`` (compiled
+    stretches a hard serialized op ended).
     """
 
     def __init__(self, machine) -> None:
         self.machine = machine
         self.windows = 0
         self.fused_cycles = 0
+        self.deopts = 0
 
     def run_window(self, start: int, end: int, cores, runners,
                    allow_elide: bool, ctl_resume: int = _BG_NEVER):
@@ -1788,25 +1301,26 @@ class MultiBlockRunner:
         walk goes controller-live at that cycle — a streaming
         controller (``ctl_resume <= start``) keeps the window open with
         controllers ticking every cycle, rather than declining
-        engagement.  Returns ``(done, stepped, delegated, attempted,
-        elided)`` — the first un-executed cycle plus per-core
-        compiled-cycle/engagement telemetry for the machine's per-core
-        backoff.  The caller guarantees: every core has a bound context,
-        at least one is neither halted nor elided, no elided core has a
-        pending poke, observers off, and ``end`` respects the
-        watchdog/pause ceiling.
+        engagement.  Returns ``(done, stepped, attempted, elided)`` —
+        the first un-executed cycle plus per-core compiled-cycle and
+        engagement telemetry for the machine's per-core backoff.  The
+        caller guarantees: every core has a bound context, at least one
+        is neither halted nor elided, no elided core has a pending poke,
+        observers off, and ``end`` respects the watchdog/pause ceiling.
         """
         controllers = self.machine._controllers
         n = len(cores)
         periodic = None
         spin_tabs = [None] * n
-        if allow_elide:
+        if allow_elide and n > 1:
+            # With one thread no other core can write a line a store-free
+            # loop reads (the wake invariant, DESIGN.md section 10), so a
+            # lone spinner never wakes: nothing to elide periodically.
             from repro.cpu import periodic
             spin_tabs = [periodic.spin_table(runner) if runner is not None
                          else None for runner in runners]
         pends = [[0] * 10 for _ in range(n)]
         stepped = [0] * n
-        delegated = [0] * n
         attempted = [False] * n
         was_compiled = [False] * n
         deopts = [0] * n
@@ -1829,7 +1343,7 @@ class MultiBlockRunner:
         # the core is interpreting / elided / declined.  A live entry
         # means the core's hoisted scalars live in the generator frame:
         # it must be synced (send(-1)) before anything outside the
-        # generator reads or writes them — elide probes, delegation,
+        # generator reads or writes them — elide probes,
         # deferred-invalidation replay, and window exit.
         gens = [None] * n
         live = 0
@@ -1861,13 +1375,14 @@ class MultiBlockRunner:
                 # (and bound the watchdog floor) instead of iterating.
                 break
             if live == 1 and not controllers_live:
-                # Single-live stretch: delegate to the single-core fused
-                # loop, bounded by the earliest elided wake and the
-                # controllers' comeback cycle, escaping the moment a
-                # store pokes an elided sibling.
+                # One live core, controllers provably quiet: give its
+                # generator one multi-cycle send, bounded by the
+                # controllers' comeback cycle and the earliest elided
+                # wake, stopping the cycle after a store pokes an elided
+                # sibling.
                 target = -1
-                escapes = []
-                sub_end = end if controllers_resume >= end \
+                watch = []
+                limit = end if controllers_resume >= end \
                     else controllers_resume
                 poked = False
                 for i, core in enum_cores:
@@ -1881,10 +1396,10 @@ class MultiBlockRunner:
                             # *this* cycle before anything else runs.
                             poked = True
                             break
-                        escapes.append(core)
+                        watch.append(core)
                         wake = wake_at[i]
-                        if wake < sub_end:
-                            sub_end = wake
+                        if wake < limit:
+                            limit = wake
                     else:
                         target = i
                 runner = runners[target] if target >= 0 else None
@@ -1898,59 +1413,56 @@ class MultiBlockRunner:
                         rob = cores[target].rob
                         if rob and spin_tabs[target][rob[0].pc]:
                             runner = None
-                if not poked and runner is not None \
-                        and not cores[target]._bg_pending_inval \
-                        and cycle < sub_end:
+                if not poked and runner is not None and cycle < limit \
+                        and cycle >= cores[target].stall_until \
+                        and not cores[target]._bg_pending_inval:
                     gen = gens[target]
+                    if gen is None and not runner.declines():
+                        gen = runner.drive(pends[target])
+                        gen.send(None)
+                        gens[target] = gen
                     if gen is not None:
-                        # run_window re-hoists from the core attributes:
-                        # retire the residency first.
-                        gens[target] = None
-                        try:
-                            gen.send(-1)
-                        except StopIteration:
-                            pass
-                    attempted[target] = True
-                    done = runners[target].run_window(
-                        cycle, sub_end, tuple(escapes))
-                    if done > cycle:
-                        delegated[target] += done - cycle
-                        was_compiled[target] = True
-                        # Poke fix-up: a store in the window's *last*
-                        # cycle may have snoop-flushed elided siblings.
-                        # In core order, a sibling *after* the target
-                        # ticks on that same cycle (its slot had not
-                        # passed yet); one *before* it resumes next
-                        # cycle through the normal walk.  The fix-up
-                        # tick is interpreted and may touch an SPL/comm
-                        # port, so controllers go live at that cycle.
-                        fixup_ran = False
-                        last = done - 1
-                        for i, core in enum_cores:
-                            if i <= target or states[i] != 1 \
-                                    or not core.ff_poke:
-                                continue
-                            core.ff_poke = False
-                            core.credit_fast_forward(
-                                core.ff_skip_from, last - 1)
-                            core.ff_skip_from = -1
-                            states[i] = 0
-                            live += 1
-                            probe_at[i] = done
-                            probe_backoff[i] = 1
-                            core.tick(last)
-                            fixup_ran = True
-                            if core.halted:
-                                states[i] = 2
-                                live -= 1
-                        if fixup_ran:
-                            controllers_live = True
-                            for controller in controllers:
-                                controller.tick(last)
-                        cycle = done
-                        continue
-                # Declined or immediate deopt: fall through and run this
-                # cycle through the per-core path.
+                        attempted[target] = True
+                        done = gen.send((cycle, limit, watch))
+                        if done > cycle:
+                            stepped[target] += done - cycle
+                            was_compiled[target] = True
+                            # Poke fix-up: a store in the send's *last*
+                            # cycle may have snoop-flushed elided
+                            # siblings.  In core order, a sibling
+                            # *after* the target ticks on that same
+                            # cycle (its slot had not passed yet); one
+                            # *before* it resumes next cycle through the
+                            # per-core path.  The fix-up tick is
+                            # interpreted and may touch an SPL/comm port,
+                            # so controllers go live at that cycle.
+                            fixup_ran = False
+                            last = done - 1
+                            for i, core in enum_cores:
+                                if i <= target or states[i] != 1 \
+                                        or not core.ff_poke:
+                                    continue
+                                core.ff_poke = False
+                                core.credit_fast_forward(
+                                    core.ff_skip_from, last - 1)
+                                core.ff_skip_from = -1
+                                states[i] = 0
+                                live += 1
+                                probe_at[i] = done
+                                probe_backoff[i] = 1
+                                core.tick(last)
+                                fixup_ran = True
+                                if core.halted:
+                                    states[i] = 2
+                                    live -= 1
+                            if fixup_ran:
+                                controllers_live = True
+                                for controller in controllers:
+                                    controller.tick(last)
+                            cycle = done
+                            continue
+                # Declined, or stopped on its first cycle: run this cycle
+                # through the per-core path.
             interp_ran = False
             ser_exec_ran = False
             for i, core in enum_cores:
@@ -2150,8 +1662,8 @@ class MultiBlockRunner:
                 if not interp_ran and not ser_exec_ran \
                         and cycle >= ctl_probe_at:
                     # Quiet cycle: try to prove the controllers dormant
-                    # again so delegation can re-arm and the remaining
-                    # window skips their no-op ticks.
+                    # again so multi-cycle sends can re-arm and the
+                    # remaining window skips their no-op ticks.
                     bound = _BG_NEVER
                     for controller in controllers:
                         t = controller.next_event_cycle(cycle)
@@ -2186,7 +1698,6 @@ class MultiBlockRunner:
                     on_inv(idx, line)
                 del pending[:]
 
-        fused = 0
         for i, core in enum_cores:
             pend = pends[i]
             if pend[0]:
@@ -2195,14 +1706,7 @@ class MultiBlockRunner:
                     value = pend[j]
                     if value:
                         cnt[key] += value
-            runner = runners[i]
-            if runner is not None:
-                if stepped[i]:
-                    runner.windows += 1
-                    runner.fused_cycles += stepped[i]
-                runner.deopts += deopts[i]
-            fused += stepped[i] + delegated[i]
         self.windows += 1
-        self.fused_cycles += fused
-        return (cycle, stepped, delegated, attempted,
-                [st == 1 for st in states])
+        self.fused_cycles += sum(stepped)
+        self.deopts += sum(deopts)
+        return cycle, stepped, attempted, [st == 1 for st in states]

@@ -11,8 +11,8 @@ core (:class:`_SpinAttempt`), records one period phase by phase, and
 elides the core under a :class:`PeriodicPlan`, which
 ``OutOfOrderCore.credit_fast_forward`` hands every resume to.
 
-The walk imports this module only when it may elide (fast-forward on),
-so runs that never open a multi-core walk never load it.
+The walk imports this module only when it may elide (fast-forward on)
+and runs more than one core, so single-thread runs never load it.
 """
 
 from __future__ import annotations
@@ -685,8 +685,8 @@ def probe(i, core, runner, cycle, gens, pends, attempts, pe_at,
         runner.pe_attempts += 1
         verdict = att.observe(core, runner, cycle, pends[i])
     elif att.gen is not gen or core.ff_poke:
-        # The residency was retired under the attempt (deopt,
-        # delegation, a deferred snoop) or an event poked the core.
+        # The residency was retired under the attempt (a deopt or a
+        # deferred snoop) or an event poked the core.
         verdict = False
     else:
         verdict = att.observe(core, runner, cycle, pends[i])

@@ -36,13 +36,9 @@ from repro.system.machine import Machine
 from repro.workloads import registry
 
 #: Report schema; bump when the JSON layout changes.  Schema 2 added the
-#: blockgen leg, per-leg wall-clock spread, and the host fingerprint;
-#: :func:`check_report` still accepts schema-1 baselines (the simulated
-#: ``cycles``/``retired`` keys it gates on are unchanged).
+#: blockgen leg, per-leg wall-clock spread, and the host fingerprint.
+#: :func:`check_report` reads this schema only.
 BENCH_SCHEMA_VERSION = 2
-
-#: Schemas :func:`check_report` knows how to read.
-_READABLE_SCHEMAS = (1, 2)
 
 #: Default output file (gitignored).
 DEFAULT_OUT = "BENCH_simloop.json"
@@ -128,11 +124,11 @@ def run_case(name: str) -> Dict:
             walls[leg].append(wall)
             if blockgen:
                 runners = machine._bg_runners.values()
+                walk = machine._bg_multi
                 engagement = {
-                    "windows": sum(r.windows for r in runners),
-                    "fused_cycles": sum(r.fused_cycles for r in runners),
-                    "multi_windows": machine._bg_multi.windows,
-                    "multi_fused_cycles": machine._bg_multi.fused_cycles,
+                    "windows": walk.windows,
+                    "fused_cycles": walk.fused_cycles,
+                    "deopts": walk.deopts,
                     "periodic_cycles": sum(r.pe_cycles for r in runners),
                     "periodic_wakes": sum(r.pe_wakes for r in runners),
                     "periodic_attempts": sum(r.pe_attempts
@@ -163,9 +159,10 @@ def run_case(name: str) -> Dict:
     for leg, _, _ in LEGS:
         row[leg] = _leg_stats(cycles, walls[leg])
     if engagement:
-        # Informational (never gated): how much of the blockgen leg ran
-        # inside fused windows, split single-core vs multi-core, and how
-        # many core-cycles the walk elided as periodic spins.
+        # Informational (never gated): how many core-cycles of the
+        # blockgen leg the walk ran compiled, how often a hard serialized
+        # op ended a compiled stretch, and how many core-cycles it elided
+        # as periodic spins.
         row["blockgen"]["engagement"] = engagement
     row["speedup"] = row["naive"]["wall_s"] / row["fast_forward"]["wall_s"]
     row["blockgen_speedup"] = row["naive"]["wall_s"] / row["blockgen"]["wall_s"]
@@ -281,17 +278,15 @@ def check_report(fresh: Dict, baseline: Dict) -> List[str]:
     Simulated results (final cycles and retired instructions) must match
     exactly for every case the two reports share — they are deterministic,
     so any drift is a behaviour change, not noise.  Wall-clock numbers are
-    informational only and never fail the check.  Schema-1 baselines
-    (before the blockgen leg and the spread/host keys) remain readable:
-    the gated keys are identical in both layouts.  Returns a list of
-    failure messages (empty when the gate passes).
+    informational only and never fail the check.  Both reports must carry
+    schema :data:`BENCH_SCHEMA_VERSION`.  Returns a list of failure
+    messages (empty when the gate passes).
     """
     failures: List[str] = []
     for label, report in (("fresh", fresh), ("baseline", baseline)):
-        if report.get("schema") not in _READABLE_SCHEMAS:
-            return [f"{label} report has unknown schema "
-                    f"{report.get('schema')!r} "
-                    f"(readable: {_READABLE_SCHEMAS})"]
+        if report.get("schema") != BENCH_SCHEMA_VERSION:
+            return [f"{label} report has schema {report.get('schema')!r}, "
+                    f"expected {BENCH_SCHEMA_VERSION}"]
     fresh_rows = {row["case"]: row for row in fresh["cases"]}
     base_rows = {row["case"]: row for row in baseline["cases"]}
     shared = [name for name in base_rows if name in fresh_rows]

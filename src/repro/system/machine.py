@@ -139,11 +139,12 @@ class Machine:
         self._bg_code: Dict[str, object] = {}
         self._bg_backoff = 1
         self._bg_resume_probe = 0
-        #: Multi-core fused windows (DESIGN.md §10) plus per-core
-        #: engagement backoff: one core deopting every window must not
-        #: starve compiled execution on its siblings, so each core's
-        #: eligibility backs off independently of the global probe.
-        #: Not snapshotted, like every other ``_bg_*`` hint.
+        #: The fused walk (DESIGN.md §10), which also keeps the blockgen
+        #: telemetry, plus per-core engagement backoff: one core
+        #: deopting every window must not starve compiled execution on
+        #: its siblings, so each core's eligibility backs off
+        #: independently of the global probe.  Not snapshotted, like
+        #: every other ``_bg_*`` hint.
         self._bg_multi = MultiBlockRunner(self)
         self._bg_core_backoff: Dict[int, int] = {}
         self._bg_core_resume: Dict[int, int] = {}
@@ -464,43 +465,19 @@ class Machine:
 
         Engagement requires at least one running core that is eligible
         for compiled execution — not elided, not draining, not backed
-        off.  One running core takes the specialized single-core
-        ``run_window``, which additionally requires every controller
-        provably quiescent until some bound (the same
-        ``next_event_cycle`` contract fast-forward relies on: skipped
-        controller ticks are no-ops) because it never ticks them.  Two
-        or more running cores take the
-        :class:`repro.cpu.blockgen.MultiBlockRunner` per-cycle walk, in
-        which ineligible cores still advance (interpreted or elided)
-        while their siblings run compiled; the walk ticks controllers
-        itself from their event bound on, so streaming phases fuse too.  ``allow_elide`` forwards the
-        run's fast-forward setting to the in-window elision machinery.
-        Returns the first cycle *not* executed — ``start`` when the
-        window declines or deopts immediately.
+        off.  One running core or sixteen, the window is a
+        :class:`repro.cpu.blockgen.MultiBlockRunner` walk, in which
+        ineligible cores still advance (interpreted or elided) while
+        their siblings run compiled; the walk ticks controllers itself
+        from their event bound on, so streaming phases fuse too.
+        ``allow_elide`` forwards the run's fast-forward setting to the
+        in-window elision machinery.  Returns the first cycle *not*
+        executed — ``start`` when the window declines.
         """
         actives = [core for core in self.cores
                    if core.ctx is not None and not core.halted]
-        if not actives:
-            return start
-        if len(actives) == 1:
-            active = actives[0]
-            if (active.ff_skip_from >= 0 or active.ff_poke
-                    or active.stop_fetch or start < active.stall_until
-                    or start < self._bg_core_resume.get(active.index, 0)):
-                return start
-            end = ceiling
-            now = start - 1
-            for controller in self._controllers:
-                event = controller.next_event_cycle(now)
-                if event is not None and event < end:
-                    end = event
-            if end <= start:
-                return start
-            done = self._runner_for(active).run_window(start, end)
-            self._bg_note(active.index, done > start, done)
-            return done
-        # Multi-core window.  An elided core with a pending poke must
-        # resume through the machine loop's own resume block first.
+        # An elided core with a pending poke must resume through the
+        # machine loop's own resume block first.
         any_live = False
         for core in actives:
             if core.ff_skip_from >= 0:
@@ -510,11 +487,11 @@ class Machine:
                 any_live = True
         if not any_live:
             return start
-        # Unlike the single-core path, a controller event does not bound
-        # the multi window: the walk ticks controllers itself from
-        # ``ctl_resume`` on (going live immediately when a streaming
-        # controller's bound is already due), so the window runs to the
-        # ceiling instead of exiting at every delivery.
+        # A controller event does not bound the window: the walk ticks
+        # controllers itself from ``ctl_resume`` on (going live
+        # immediately when a streaming controller's bound is already
+        # due), so the window runs to the ceiling instead of exiting at
+        # every delivery.
         now = start - 1
         ctl_resume = _BG_NEVER
         for controller in self._controllers:
@@ -537,13 +514,12 @@ class Machine:
             runners.append(runner)
         if not eligible:
             return start
-        done, stepped, delegated, attempted, elided = \
-            self._bg_multi.run_window(start, ceiling, actives, runners,
-                                      allow_elide, ctl_resume)
+        done, stepped, attempted, elided = self._bg_multi.run_window(
+            start, ceiling, actives, runners, allow_elide, ctl_resume)
         for i, core in enumerate(actives):
             if runners[i] is None:
                 continue
-            if stepped[i] or delegated[i]:
+            if stepped[i]:
                 self._bg_note(core.index, True, done)
             elif attempted[i] and not elided[i] and not core.halted:
                 # Attempted but never compiled a cycle, and not excused

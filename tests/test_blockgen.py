@@ -224,8 +224,8 @@ def test_generated_source_is_inspectable():
     _, _, machine = _run_small()
     runners = list(machine._bg_runners.values())
     assert runners, "blockgen never engaged on a compute-bound run"
-    assert sum(r.windows for r in runners) > 0
-    assert sum(r.fused_cycles for r in runners) > 0
+    assert machine._bg_multi.windows > 0
+    assert machine._bg_multi.fused_cycles > 0
     dump = runners[0].bp.source_dump()
     assert "def _pc" in dump
     assert runners[0].bp.hit_rate() > 0.5
@@ -605,3 +605,44 @@ def test_block_code_shared_within_a_machine():
     machine.load(spec.workload)
     machine.run(options=RunOptions(max_cycles=spec.max_cycles))
     assert machine._bg_runners and not machine._bg_code
+
+
+# ----------------------------------------------------- multi-cycle sends
+
+
+def _stalled_workload(stall):
+    """A short store loop on core 0, re-attached with a ``stall``-cycle
+    attach stall, so the walk's first cycles sit inside its
+    ``stall_until`` window."""
+    from repro.isa import Asm
+    from repro.isa.program import MemoryImage, ThreadSpec
+    from repro.system.workload import Workload
+
+    image = MemoryImage()
+    out = image.alloc_words([0])
+    a = Asm("count")
+    a.li("r1", 0)
+    a.li("r2", 40)
+    a.li("r3", out)
+    a.label("loop")
+    a.addi("r1", "r1", 1)
+    a.sw("r1", "r3", 0)
+    a.blt("r1", "r2", "loop")
+    a.halt()
+
+    def setup(machine):
+        core = machine.cores[0]
+        core.attach(core.ctx, machine.cycle, stall=stall)
+
+    return Workload("stalled", image, [ThreadSpec(a.assemble(), 0)],
+                    setup=setup)
+
+
+def test_send_never_starts_inside_an_attach_stall():
+    """A lone core attached with a stall is the walk's only live core
+    from the first cycle: no multi-cycle send may run its stalled
+    cycles, which the naive loop does not count."""
+    naive, ff, fused = _spin_legs(lambda: _stalled_workload(700))
+    assert naive[0] > 700
+    assert fused[0] == ff[0] == naive[0]
+    assert fused[1] == ff[1] == naive[1]

@@ -89,6 +89,32 @@ def test_run_json_output(capsys):
     assert "system" in record and record["system"]["clusters"]
 
 
+def test_profile_hot_fused_share_is_of_core_cycles(capsys):
+    """On a multi-core run the fused share divides the walk's compiled
+    core-cycles by the core-cycles simulated, so it stays within [0, 1],
+    and the text and ``--json`` reports give the same counts."""
+    import json
+    import re
+    argv = ["profile", "--hot", "--bench", "ll2", "barrier",
+            "--items", "n=32", "p=8", "passes=1", "--top", "1"]
+    assert main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["blockgen"]
+    assert 0 < report["fused_cycles"] <= report["core_cycles"]
+    assert 0.0 < report["fused_share"] <= 1.0
+    assert main(argv) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("blockgen:"))
+    match = re.fullmatch(
+        r"blockgen: (\d+) windows, (\d+) fused core-cycles "
+        r"\(([\d.]+)% of (\d+) core-cycles\), (\d+) deopts", line)
+    assert match, line
+    windows, fused, share, core_cycles, deopts = match.groups()
+    assert (int(windows), int(fused), int(core_cycles), int(deopts)) == (
+        report["windows"], report["fused_cycles"], report["core_cycles"],
+        report["deopts"])
+    assert f"{share}%" == f"{report['fused_share']:.1%}"
+
+
 # -- the exit-code convention --------------------------------------------------
 #
 # Every cmd_* handler returns an int exit code (0 ok, 1 failed gate,
