@@ -4,7 +4,7 @@ they quantify the mechanisms the paper argues for qualitatively)."""
 from conftest import ENGINE
 
 from repro.experiments import ablations
-from repro.experiments.report import format_table
+from repro.obs.render import format_table
 
 
 def bench_ablation_sharing_degree(benchmark):

@@ -3,7 +3,7 @@
 from conftest import ENGINE, REGION_OVERRIDES, get_or_run
 
 from repro.experiments.regions import figure10_rows, run_region_study
-from repro.experiments.report import format_table
+from repro.obs.render import format_table
 
 
 def _study():

@@ -3,7 +3,7 @@
 from conftest import ENGINE, REGION_OVERRIDES, get_or_run
 
 from repro.experiments.regions import figure11_rows, run_region_study
-from repro.experiments.report import format_table
+from repro.obs.render import format_table
 
 
 def bench_figure11(benchmark):

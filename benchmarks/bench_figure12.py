@@ -3,7 +3,7 @@
 from conftest import BARRIER_SIZES, ENGINE, get_or_run
 
 from repro.experiments.barriers import figure12_series, run_barrier_sweep
-from repro.experiments.report import format_series
+from repro.obs.render import format_series
 
 
 def _sweep(bench):

@@ -4,7 +4,7 @@ from bench_figure12 import _sweep
 from conftest import get_or_run
 
 from repro.experiments.barriers import figure14_series
-from repro.experiments.report import format_series
+from repro.obs.render import format_series
 
 
 def _bench(benchmark, name):

@@ -2,8 +2,8 @@
 
 from conftest import ENGINE, REGION_OVERRIDES, get_or_run
 
-from repro.experiments.report import format_table, geomean_row
 from repro.experiments.whole_program import figure8_rows, whole_program_study
+from repro.obs.render import format_table, geomean_row
 
 
 def _study():

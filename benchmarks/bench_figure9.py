@@ -2,8 +2,8 @@
 
 from conftest import ENGINE, REGION_OVERRIDES, get_or_run
 
-from repro.experiments.report import format_table
 from repro.experiments.whole_program import figure9_rows, whole_program_study
+from repro.obs.render import format_table
 
 
 def bench_figure9(benchmark):

@@ -3,7 +3,7 @@
 from conftest import ENGINE
 
 from repro.experiments.barriers import homogeneous_comparison
-from repro.experiments.report import format_table
+from repro.obs.render import format_table
 
 
 def bench_homogeneous_dijkstra(benchmark):

@@ -2,8 +2,8 @@
 
 from conftest import ENGINE
 
-from repro.experiments.report import format_table
 from repro.experiments.sensitivity import ALL_SENSITIVITIES
+from repro.obs.render import format_table
 
 
 def bench_sensitivity_rob(benchmark):

@@ -1,7 +1,7 @@
 """Table I: relative area and power of four OOO1 cores vs the shared SPL."""
 
 from repro.experiments.tables import table1, table2, table3
-from repro.experiments.report import format_table
+from repro.obs.render import format_table
 
 
 def bench_table1(benchmark):

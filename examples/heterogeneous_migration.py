@@ -12,7 +12,8 @@ Run:  python examples/heterogeneous_migration.py
 """
 
 from repro import Machine, MemoryImage, ThreadSpec, Workload
-from repro.common.config import (SystemConfig, ooo2_cluster, remap_cluster)
+from repro.common.config import (RunOptions, SystemConfig, ooo2_cluster,
+                                 remap_cluster)
 from repro.isa import Asm
 from repro.system.report import machine_report
 from repro.workloads.g721 import G721Layout, fmult_function
@@ -97,9 +98,10 @@ def main() -> None:
     machine.load(workload)
 
     # Phase 1 runs on OOO2 until it reaches the first wait loop.
-    machine.run(max_cycles=300_000,
-                until=lambda: machine.cores[4].ctx is not None
-                and machine.cores[4].ctx.retired_instructions > 500)
+    machine.run(options=RunOptions(
+        max_cycles=300_000,
+        until=lambda: machine.cores[4].ctx is not None
+        and machine.cores[4].ctx.retired_instructions > 500))
     t0 = machine.cycle
     print(f"phase 1 (OOO2 core 4):        cycle {t0}")
 
@@ -110,17 +112,17 @@ def main() -> None:
     print(f"migrated to SPL core 0:       cycle {t1} "
           f"(+{t1 - t0} drain + 500 switch)")
 
-    machine.run(max_cycles=2_000_000,
-                until=lambda: machine.memory.read_word(lay.out
-                                                       + 4 * (ITEMS - 1))
-                != 0)
+    machine.run(options=RunOptions(
+        max_cycles=2_000_000,
+        until=lambda: machine.memory.read_word(lay.out + 4 * (ITEMS - 1))
+        != 0))
     t2 = machine.cycle
     print(f"fabric region done:           cycle {t2} (+{t2 - t1})")
 
     # Scheduler: migrate back for the sequential epilogue.
     machine.migrate(1, dest_core=4)
     machine.memory.write_word(marker, 2)
-    machine.run(max_cycles=2_000_000)
+    machine.run(options=RunOptions(max_cycles=2_000_000))
     t3 = machine.cycle
     print(f"phase 3 (back on OOO2):       cycle {t3} (+{t3 - t2})")
 

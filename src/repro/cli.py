@@ -12,10 +12,6 @@ Usage::
     python -m repro profile dijkstra
     python -m repro sample mpeg2enc seq --warmup 20000 --sample 50000
     python -m repro resume out/snap_mpeg2enc_seq.json
-    python -m repro serve --port 8321
-    python -m repro submit hmmer compcomm --items M=64 --watch
-    python -m repro status --url 127.0.0.1:8321
-    python -m repro watch a1b2c3d4e5f6
 
 Simulation commands accept ``--jobs N`` (fan out over N worker
 processes; also ``REPRO_JOBS``), ``--no-cache`` (ignore the persistent
@@ -28,45 +24,58 @@ simulating anything; it exits non-zero when any error-severity
 diagnostic is found.
 
 Every ``cmd_*`` handler returns an integer exit code (the table is in
-``python -m repro --help``): 0 success, 1 for failed checks or failed
-jobs, 2 for usage errors (argparse's convention).  Simulation verbs
-route through :mod:`repro.api`, the supported programmatic facade; the
-service commands (``serve`` / ``submit`` / ``status`` / ``watch``)
-speak to the job server from :mod:`repro.serve`.
+``python -m repro --help``): 0 success, 1 for failed checks, 2 for
+usage errors (argparse's convention).  Handlers reject bad input by
+raising :class:`UsageError`, which :func:`main` prints as one stderr
+line and turns into exit 2; so does a request whose spec cannot be
+built (a ``ConfigError`` or ``WorkloadError`` naming the spec).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
+from repro.common.errors import ConfigError, WorkloadError
 from repro.experiments import ablations
 from repro.experiments.barriers import (PAPER_SIZES, QUICK_SIZES,
                                         figure12_series, figure13_series,
                                         figure14_series, run_barrier_sweep)
-from repro.experiments.engine import ExperimentEngine, request
+from repro.experiments.engine import (ExperimentBatchError,
+                                      ExperimentEngine, SpecRequest, request)
 from repro.experiments.regions import (figure10_rows, figure11_rows,
                                        run_region_study, swqueue_rows)
-from repro.experiments.report import format_series, format_table
 from repro.experiments.tables import table1, table2, table3
 from repro.experiments.whole_program import (figure8_rows, figure9_rows,
                                              whole_program_study)
+from repro.obs.render import format_series, format_table
 from repro.workloads import registry
 
 #: The CLI-wide exit-code convention (every ``cmd_*`` returns one).
 EXIT_OK = 0        # the command did what was asked
-EXIT_FAIL = 1      # ran, but a check/lint/job/baseline gate failed
-EXIT_USAGE = 2     # bad arguments (argparse and SystemExit paths)
+EXIT_FAIL = 1      # ran, but a check/lint/baseline gate failed
+EXIT_USAGE = 2     # bad arguments (argparse and UsageError paths)
 
 EXIT_CODE_TABLE = """\
 exit codes:
   0  success
   1  a gate failed: lint errors, bound violations, baseline check
-     mismatches, fuzz disagreements, or a submitted job that did not
-     complete (failed / cancelled / timed out)
-  2  usage error (unknown command, malformed arguments)
+     mismatches, or fuzz disagreements
+  2  usage error (unknown command, malformed arguments, or a spec
+     request that cannot be built)
 """
+
+
+class UsageError(Exception):
+    """Bad command-line input: :func:`main` prints it and exits 2."""
+
+
+#: What building or validating a spec request raises for bad parameters.
+#: A spec that builds and then fails (lint, deadlock, output check)
+#: raises something else and keeps exit 1.
+_REQUEST_ERRORS = (ConfigError, WorkloadError)
 
 _ABLATIONS = {
     "sharing": ablations.sharing_degree,
@@ -95,7 +104,7 @@ def _parse_kwargs(pairs: List[str]) -> dict:
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(
+            raise UsageError(
                 f"bad parameter {pair!r}: expected name=value, e.g. M=64, "
                 f"scale=0.5, wide_core=true, bench=g721dec")
         key, value = pair.split("=", 1)
@@ -112,10 +121,35 @@ def _engine_from_args(args) -> ExperimentEngine:
         progress=True)
 
 
-def _session_from_args(args):
-    """An :mod:`repro.api` session over the flag-configured engine."""
-    from repro import api
-    return api.Session(engine=_engine_from_args(args))
+@contextmanager
+def _building(req: SpecRequest) -> Iterator[None]:
+    """Report a request that cannot be built as a :class:`UsageError`.
+
+    Covers both shapes: raised directly, or collected by the engine into
+    an :class:`ExperimentBatchError` from its worker.
+    """
+    try:
+        yield
+    except _REQUEST_ERRORS as exc:
+        raise UsageError(
+            f"{req.label}: {type(exc).__name__}: {exc}") from None
+    except ExperimentBatchError as exc:
+        names = {cls.__name__ for cls in _REQUEST_ERRORS}
+        if any(error.exception_type not in names for error in exc.errors):
+            raise
+        raise UsageError("; ".join(map(str, exc.errors))) from None
+
+
+def _user_request(bench: str, variant: str, params: List[str]
+                  ) -> SpecRequest:
+    """The request a ``BENCH VARIANT --items ...`` command line names."""
+    info = registry.REGISTRY.get(bench)
+    if info is None:
+        raise UsageError(f"unknown benchmark {bench!r}")
+    if variant not in info.variants:
+        raise UsageError(f"{bench} variants: "
+                         f"{', '.join(sorted(info.variants))}")
+    return request(bench, variant, **_parse_kwargs(params))
 
 
 def cmd_list(_args) -> int:
@@ -139,12 +173,24 @@ def cmd_table(args) -> int:
         print(format_table([{"benchmark": n, "functions": f, "% exec": p}
                             for n, f, p in table3()]))
     else:
-        raise SystemExit("tables are 1, 2, or 3")
+        raise UsageError("tables are 1, 2, or 3")
     return EXIT_OK
 
 
 def cmd_figure(args) -> int:
     number = args.number
+    if not 8 <= number <= 14:
+        raise UsageError("figures are 8-14")
+    if number <= 11:
+        known = [info.name for info in registry.computation_only()
+                 + registry.communicating()]
+    else:
+        known = list(QUICK_SIZES)
+    unknown = [bench for bench in args.benchmarks or []
+               if bench not in known]
+    if unknown:
+        raise UsageError(f"figure {number} has no benchmark "
+                         f"{', '.join(unknown)} (have {', '.join(known)})")
     engine = _engine_from_args(args)
     if number in (8, 9):
         points = whole_program_study(args.benchmarks or None, engine=engine)
@@ -159,7 +205,7 @@ def cmd_figure(args) -> int:
         if number == 10:
             print("\nSoftware queues (Section V-B):")
             print(format_table(swqueue_rows(study)))
-    elif number in (12, 13, 14):
+    else:
         benches = args.benchmarks or (["ll3", "dijkstra"] if number == 13
                                       else ["ll2", "ll6", "ll3", "dijkstra"])
         for bench in benches:
@@ -172,29 +218,22 @@ def cmd_figure(args) -> int:
                                                    thread_counts=threads)
             print(f"--- {bench} ---")
             print(format_series(series))
-    else:
-        raise SystemExit("figures are 8-14")
     return EXIT_OK
 
 
 def cmd_ablation(args) -> int:
     if args.name not in _ABLATIONS:
-        raise SystemExit(f"ablations: {', '.join(_ABLATIONS)}")
+        raise UsageError(f"ablations: {', '.join(_ABLATIONS)}")
     print(format_table(_ABLATIONS[args.name](
         engine=_engine_from_args(args))))
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    info = registry.REGISTRY.get(args.benchmark)
-    if info is None:
-        raise SystemExit(f"unknown benchmark {args.benchmark!r}")
-    if args.variant not in info.variants:
-        raise SystemExit(f"{args.benchmark} variants: "
-                         f"{', '.join(sorted(info.variants))}")
-    result = _session_from_args(args).run(
-        request(args.benchmark, args.variant,
-                **_parse_kwargs(args.params)))
+    req = _user_request(args.benchmark, args.variant, args.params)
+    engine = _engine_from_args(args)
+    with _building(req):
+        result = engine.run(req)
     if args.json:
         import json
         print(json.dumps(result.to_dict(), indent=2))
@@ -219,25 +258,19 @@ def _resolve_observed_spec(args):
     from repro.experiments.engine import build_spec
     bench = args.benchmark_opt or args.benchmark
     if not bench:
-        raise SystemExit("name a benchmark (positional or --bench)")
+        raise UsageError("name a benchmark (positional or --bench)")
     variant = args.variant
     if args.benchmark_opt and args.benchmark and not variant:
         # "trace --bench hmmer compcomm": the positional is the variant.
         variant = args.benchmark
     info = registry.REGISTRY.get(bench)
-    if info is None:
-        raise SystemExit(f"unknown benchmark {bench!r}")
-    if not variant:
-        for candidate in _VARIANT_PREFERENCE:
-            if candidate in info.variants:
-                variant = candidate
-                break
-        else:
-            variant = sorted(info.variants)[0]
-    if variant not in info.variants:
-        raise SystemExit(f"{bench} variants: "
-                         f"{', '.join(sorted(info.variants))}")
-    return build_spec(request(bench, variant, **_parse_kwargs(args.params)))
+    if not variant and info is not None:
+        variant = next((candidate for candidate in _VARIANT_PREFERENCE
+                        if candidate in info.variants),
+                       min(info.variants))
+    req = _user_request(bench, variant, args.params)
+    with _building(req):
+        return build_spec(req)
 
 
 def _run_observed(spec, *sinks):
@@ -392,13 +425,9 @@ def cmd_sample(args) -> int:
     import json
     import os
 
+    from repro import api
     from repro.experiments.sample import format_report
-    info = registry.REGISTRY.get(args.benchmark)
-    if info is None:
-        raise SystemExit(f"unknown benchmark {args.benchmark!r}")
-    if args.variant not in info.variants:
-        raise SystemExit(f"{args.benchmark} variants: "
-                         f"{', '.join(sorted(info.variants))}")
+    req = _user_request(args.benchmark, args.variant, args.params)
     snapshot_path = args.snapshot
     if snapshot_path is None:
         snapshot_path = os.path.join(
@@ -406,11 +435,10 @@ def cmd_sample(args) -> int:
     parent = os.path.dirname(snapshot_path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    from repro import api
-    report = api.sample(
-        request(args.benchmark, args.variant, **_parse_kwargs(args.params)),
-        warmup=args.warmup, sample=args.sample,
-        snapshot_path=snapshot_path, compare_full=args.compare_full)
+    with _building(req):
+        report = api.sample(req, warmup=args.warmup, sample=args.sample,
+                            snapshot_path=snapshot_path,
+                            compare_full=args.compare_full)
     if args.json:
         print(json.dumps(report, indent=2))
         return EXIT_OK
@@ -468,7 +496,7 @@ def cmd_lint(args) -> int:
     if benchmarks:
         unknown = [b for b in benchmarks if b not in registry.REGISTRY]
         if unknown:
-            raise SystemExit(f"unknown benchmarks: {', '.join(unknown)}")
+            raise UsageError(f"unknown benchmarks: {', '.join(unknown)}")
     diagnostics = api.lint(benchmarks)
     if args.json:
         print(render_json(diagnostics))
@@ -493,119 +521,6 @@ def cmd_fuzz(args) -> int:
     return EXIT_FAIL if report["disagreements"] else EXIT_OK
 
 
-# -- job-service commands ------------------------------------------------------
-
-
-def cmd_serve(args) -> int:
-    """Run the async job server until drained (SIGTERM/Ctrl-C/drain)."""
-    from repro import api
-    from repro.serve import server
-    session = api.Session(
-        engine=_engine_from_args(args), shards=args.shards,
-        queue_limit=args.queue_limit, tenant_quota=args.tenant_quota,
-        default_timeout_s=args.timeout)
-
-    def announce(port: int) -> None:
-        print(f"repro job server listening on http://{args.host}:{port} "
-              f"({args.shards} shards, queue limit {args.queue_limit}, "
-              f"{args.tenant_quota} jobs/tenant)", flush=True)
-
-    return server.main(session, host=args.host, port=args.port,
-                       on_ready=announce)
-
-
-def _client_from_args(args):
-    from repro.serve.client import Client
-    return Client(args.url)
-
-
-def _print_record(record, as_json: bool) -> None:
-    import json
-    if as_json:
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-        return
-    line = f"{record.job_id}  {record.state:9s} {record.label}"
-    if record.cached:
-        line += "  [cached]"
-    if record.heartbeat:
-        line += (f"  cycle {record.heartbeat['cycle']} "
-                 f"ipc {record.heartbeat['ipc']:.2f}")
-    if record.detail:
-        line += f"  ({record.detail})"
-    print(line)
-
-
-def _job_exit(record) -> int:
-    return EXIT_OK if record.state == "done" else EXIT_FAIL
-
-
-def cmd_submit(args) -> int:
-    info = registry.REGISTRY.get(args.benchmark)
-    if info is None:
-        raise SystemExit(f"unknown benchmark {args.benchmark!r}")
-    if args.variant not in info.variants:
-        raise SystemExit(f"{args.benchmark} variants: "
-                         f"{', '.join(sorted(info.variants))}")
-    client = _client_from_args(args)
-    record = client.submit(
-        request(args.benchmark, args.variant, **_parse_kwargs(args.params)),
-        tenant=args.tenant, priority=args.priority,
-        timeout_s=args.timeout)
-    _print_record(record, args.json)
-    if args.watch and record.state not in ("done", "failed", "cancelled"):
-        return _watch(client, record.job_id, args.json)
-    if args.watch or record.cached:
-        return _job_exit(record)
-    return EXIT_OK
-
-
-def cmd_status(args) -> int:
-    client = _client_from_args(args)
-    if args.job_id:
-        _print_record(client.status(args.job_id), args.json)
-        return EXIT_OK
-    health = client.health()
-    records = client.jobs(args.tenant)
-    if args.json:
-        import json
-        print(json.dumps({"health": health,
-                          "jobs": [r.to_dict() for r in records]},
-                         indent=2, sort_keys=True))
-        return EXIT_OK
-    census = " ".join(f"{state}={count}"
-                      for state, count in sorted(health["jobs"].items()))
-    print(f"server: {census}  workers {health['running_workers']}"
-          f"/{health['shards']}"
-          + ("  [draining]" if health.get("draining") else ""))
-    for record in records:
-        _print_record(record, False)
-    return EXIT_OK
-
-
-def _watch(client, job_id: str, as_json: bool) -> int:
-    from repro.serve.protocol import JobRecord
-    final = None
-    for event, payload in client.watch(job_id):
-        if event == "heartbeat":
-            if as_json:
-                import json
-                print(json.dumps({"heartbeat": payload}, sort_keys=True))
-            else:
-                print(f"  cycle {payload['cycle']:>10}  "
-                      f"retired {payload['retired']:>10}  "
-                      f"ipc {payload['ipc']:.3f}")
-        elif event == "state":
-            final = JobRecord.from_dict(payload)
-            _print_record(final, as_json)
-    if final is None:
-        final = client.status(job_id)
-    return _job_exit(final)
-
-
-def cmd_watch(args) -> int:
-    return _watch(_client_from_args(args), args.job_id, args.json)
-
-
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default $REPRO_JOBS or 1)")
@@ -617,14 +532,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-lint", action="store_true",
                         help="skip the static pre-flight verification "
                              "of specs before simulating")
-
-
-def _add_client_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--url", default="127.0.0.1:8321",
-                        help="job server address "
-                             "(default 127.0.0.1:8321)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit job records as JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -777,63 +684,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--json", dest="json_out", default=None,
                         help="also write the full report to this path")
     p_fuzz.set_defaults(func=cmd_fuzz)
-
-    p_serve = sub.add_parser(
-        "serve", help="run the async HTTP job server over the engine")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8321,
-                         help="listen port (0 picks a free one; "
-                              "default 8321)")
-    p_serve.add_argument("--shards", type=int, default=2,
-                         help="concurrent worker processes (default 2)")
-    p_serve.add_argument("--queue-limit", type=int, default=64,
-                         help="max live jobs before 429 back-pressure "
-                              "(default 64)")
-    p_serve.add_argument("--tenant-quota", type=int, default=16,
-                         help="max live jobs per tenant (default 16)")
-    p_serve.add_argument("--timeout", type=float, default=300.0,
-                         help="default per-job wall-clock budget in "
-                              "seconds (default 300)")
-    _add_engine_flags(p_serve)
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit one benchmark variant to a job server")
-    p_submit.add_argument("benchmark")
-    p_submit.add_argument("variant")
-    p_submit.add_argument("--items", dest="params", nargs="*", default=[],
-                          help="spec parameters, e.g. M=64 R=3 or "
-                               "items=128")
-    p_submit.add_argument("--tenant", default="default")
-    p_submit.add_argument("--priority", type=int, default=0,
-                          help="higher runs first (default 0)")
-    p_submit.add_argument("--timeout", type=float, default=None,
-                          help="per-job wall-clock budget in seconds")
-    p_submit.add_argument("--watch", action="store_true",
-                          help="stream the job's progress to completion "
-                               "and exit by its final state")
-    _add_client_flags(p_submit)
-    p_submit.set_defaults(func=cmd_submit)
-
-    p_status = sub.add_parser(
-        "status", help="show a job's record, or the whole server")
-    p_status.add_argument("job_id", nargs="?", default=None)
-    p_status.add_argument("--tenant", default=None,
-                          help="filter the job list to one tenant")
-    _add_client_flags(p_status)
-    p_status.set_defaults(func=cmd_status)
-
-    p_watch = sub.add_parser(
-        "watch", help="stream one job's SSE feed until it finishes")
-    p_watch.add_argument("job_id")
-    _add_client_flags(p_watch)
-    p_watch.set_defaults(func=cmd_watch)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -250,9 +250,8 @@ def env_enabled(var: str) -> bool:
 class RunOptions:
     """Every knob of one simulation run, in one place.
 
-    This replaces the kwarg/env sprawl that used to be spread over
-    ``Machine.run(max_cycles=, until=, fast_forward=)``, ``execute()``,
-    and ad-hoc ``REPRO_NO_*`` reads: construct a ``RunOptions``, resolve
+    ``Machine.run(options=)`` takes nothing else, and ``execute``
+    passes its ``options=`` through: construct a ``RunOptions``, resolve
     it once, and pass it around.  The tri-state fields (``fast_forward``,
     ``codegen``, ``lint``) default to ``None`` = "consult the
     environment"; :meth:`resolve` pins them to booleans using the

@@ -16,9 +16,6 @@ Attach through the bus::
     tracer = PipelineTracer(stages=["retire"])
     machine.obs.attach(tracer, kinds=tracer.kinds,
                        sources={f"cpu{core.index}"})
-
-(The historical one-call ``attach_tracer`` form now lives only as a
-deprecated stub in :mod:`repro.api.compat`.)
 """
 
 from __future__ import annotations

@@ -173,7 +173,7 @@ class SpecError:
                 f"{self.message}")
 
     def to_dict(self) -> Dict:
-        """JSON-safe payload (the unit the job server serializes)."""
+        """JSON-safe payload (request, type, message, traceback)."""
         return {
             "request": dataclasses.asdict(self.request),
             "label": self.request.label,
@@ -198,7 +198,7 @@ class ExperimentBatchError(Exception):
 
     Carries both the live :class:`SpecError` records (``errors``) and
     their structured :meth:`SpecError.to_dict` payloads (``payloads``),
-    so services can serialize batch failures without string-parsing the
+    so callers can serialize batch failures without string-parsing the
     exception message or tracebacks.
     """
 
@@ -521,22 +521,6 @@ class ExperimentEngine:
         if outcome is None:
             self._lint_passed.add(cache_key)
         return outcome
-
-    def preflight(self, req: SpecRequest) -> Optional[SpecError]:
-        """Public pre-flight gate: lint one request without running it.
-
-        Returns ``None`` when the spec is clear to simulate (or linting
-        is disabled), else a structured :class:`SpecError`.  This is the
-        hook the job service uses to reject bad specs before burning a
-        worker process.
-        """
-        if not self.lint:
-            return None
-        outcome = self._preflight_outcome(req.cache_key(), req)
-        if outcome is None:
-            return None
-        _, exc_type, message, tb = outcome
-        return SpecError(req, exc_type, message, tb)
 
     def _preflight(self, req: SpecRequest) -> Optional[Tuple]:
         """Lint one spec; an error-outcome tuple when it must not run.

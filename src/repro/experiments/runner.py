@@ -138,10 +138,7 @@ def execute(spec: RunSpec, check: bool = True,
 
     The run is configured by one :class:`RunOptions` value.  An
     ``options`` whose ``max_cycles`` is still the RunOptions default is
-    bounded by the spec's own ``max_cycles`` budget, matching the
-    historical behaviour.  (The loose ``fast_forward`` keyword this
-    function accepted for one release now lives only in
-    :mod:`repro.api.compat`.)
+    bounded by the spec's own ``max_cycles`` budget.
     """
     if options is None:
         options = RunOptions(max_cycles=spec.max_cycles)
@@ -158,10 +155,10 @@ def finalize(machine: Machine, spec: RunSpec, cycles: int,
              model: Optional[EnergyModel] = None) -> RunResult:
     """Verify and account one completed machine into a :class:`RunResult`.
 
-    The back half of :func:`execute`, shared with runners that drive the
-    machine themselves (the job-server worker runs in ``pause_at``
-    slices to emit heartbeats) so every path produces byte-identical
-    result records for the same simulation.
+    The back half of :func:`execute`, shared with callers that drive the
+    machine themselves (in ``pause_at`` slices, or with sinks attached)
+    so every path produces byte-identical result records for the same
+    simulation.
     """
     machine.finish_observation()
     if check and spec.workload.check is not None:

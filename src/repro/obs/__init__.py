@@ -14,14 +14,11 @@ The subsystem has three layers (see docs/OBSERVABILITY.md):
 
 from repro.obs.bus import CallbackSink, CollectorSink, EventBus, Sink
 from repro.obs.events import Event
-from repro.obs.progress import ProgressSink, publish_heartbeat
 
 __all__ = [
     "CallbackSink",
     "CollectorSink",
     "Event",
     "EventBus",
-    "ProgressSink",
     "Sink",
-    "publish_heartbeat",
 ]

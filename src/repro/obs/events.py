@@ -39,7 +39,6 @@ kind               meaning
 ``bus_wait``       mem: bus arbitration made a transaction wait
 ``migrate``        system: a thread moved between cores
 ``watchdog``       system: the deadlock watchdog saw stalled cores
-``heartbeat``      system: periodic liveness sample (cycle, retired, IPC)
 =================  ==========================================================
 """
 
@@ -89,12 +88,8 @@ MEM_KINDS = frozenset((MEM_MISS, BUS_WAIT))
 # -- system -------------------------------------------------------------------
 MIGRATE = "migrate"
 WATCHDOG = "watchdog"
-#: Periodic liveness sample published by sliced runners (the job-server
-#: worker); payload: ``retired``, ``ipc``.  Not emitted by Machine.run
-#: itself — a driver that wants heartbeats publishes them between slices.
-HEARTBEAT = "heartbeat"
 
-SYSTEM_KINDS = frozenset((MIGRATE, WATCHDOG, HEARTBEAT))
+SYSTEM_KINDS = frozenset((MIGRATE, WATCHDOG))
 
 # -- cycle-accounting classes (payload of ``cycle_span``) ---------------------
 CLS_COMPUTE = "compute"

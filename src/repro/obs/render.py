@@ -3,8 +3,8 @@
 One renderer for everything textual the simulator reports: experiment
 tables and series, run-level metric snapshots (see
 :mod:`repro.obs.metrics`), and the cycle-accounting profile (see
-:mod:`repro.obs.profile`).  ``system/report.py`` and
-``experiments/report.py`` both delegate here, so the two report paths
+:mod:`repro.obs.profile`).  ``system/report.py``, the CLI and the
+``benchmarks/`` harness all render through here, so the report paths
 can never drift apart.
 """
 

@@ -9,7 +9,7 @@ context-switch cost), and convenience wrappers for SPL configuration.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import RunOptions, SystemConfig
 from repro.common.errors import ConfigError, DeadlockError, SimulationError
@@ -217,23 +217,17 @@ class Machine:
 
     # -- execution ------------------------------------------------------------------------
 
-    def run(self, max_cycles: Optional[int] = None,
-            until: Optional[Callable[[], bool]] = None,
-            fast_forward: Optional[bool] = None, *,
-            options: Optional[RunOptions] = None) -> int:
+    def run(self, *, options: Optional[RunOptions] = None) -> int:
         """Advance until all threads finish (or a stop condition fires).
 
         Returns the cycle count at stop.  Raises DeadlockError when no core
         retires anything for the configured watchdog window.
 
-        The run is configured by one :class:`RunOptions` value.  Passing
-        ``options=`` is the current surface; the loose ``max_cycles`` /
-        ``until`` / ``fast_forward`` keywords are a deprecated shim kept
-        for one release and fold into an equivalent ``RunOptions`` (mixing
-        both styles is an error).
+        The run is configured by one :class:`RunOptions` value (the
+        defaults when ``options`` is omitted).
 
-        ``fast_forward`` selects the scheduler: None (the default) enables
-        the quiescence-aware next-event scheduler unless the
+        ``options.fast_forward`` selects the scheduler: None (the default)
+        enables the quiescence-aware next-event scheduler unless the
         ``REPRO_NO_FASTFORWARD`` environment variable is set; False forces
         the naive per-cycle loop.  Even when enabled, fast-forward silently
         falls back to per-cycle ticking while an ``until`` predicate is
@@ -251,15 +245,7 @@ class Machine:
         another :meth:`run` call.
         """
         if options is None:
-            options = RunOptions(
-                max_cycles=(1_000_000_000 if max_cycles is None
-                            else max_cycles),
-                until=until, fast_forward=fast_forward)
-        elif (max_cycles is not None or until is not None
-                or fast_forward is not None):
-            raise ConfigError(
-                "pass either options= or the deprecated loose keywords, "
-                "not both")
+            options = RunOptions()
         options.validate()
         options = options.resolve()
         until = options.until
@@ -666,7 +652,8 @@ class Machine:
         if dest.ctx is not None:
             raise SimulationError(f"core {dest_core} is occupied")
         src_core.begin_drain()
-        self.run(max_cycles=max_cycles, until=src_core.is_drained)
+        self.run(options=RunOptions(max_cycles=max_cycles,
+                                    until=src_core.is_drained))
         if not src_core.is_drained():
             raise SimulationError("migration drain did not complete")
         ctx = src_core.detach()

@@ -6,7 +6,8 @@ from repro.baselines.comm_network import (DedicatedCommController,
                                           attach_comm_network,
                                           attach_network)
 from repro.baselines.sw_sync import SwBarrier, SwQueue
-from repro.common.config import SystemConfig, ooo1_cluster, ooo2_cluster
+from repro.common.config import (RunOptions, SystemConfig, ooo1_cluster,
+                                 ooo2_cluster)
 from repro.common.errors import ConfigError, SplError
 from repro.common.stats import Stats
 from repro.isa import Asm, MemoryImage, ThreadSpec
@@ -104,7 +105,7 @@ class TestSwSync:
                             placement=[0, 1])
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(workload)
-        machine.run(max_cycles=200_000)
+        machine.run(options=RunOptions(max_cycles=200_000))
         assert machine.memory.read_words(outs, 2) == [2, 1]
 
     def test_queue_preserves_order_and_values(self):
@@ -144,7 +145,7 @@ class TestSwSync:
             placement=[0, 1])
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(workload)
-        machine.run(max_cycles=500_000)
+        machine.run(options=RunOptions(max_cycles=500_000))
         assert machine.memory.read_words(out, n) == \
             [i * i for i in range(n)]
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.cli import _parse_kwargs, build_parser, main
+from repro.cli import UsageError, _parse_kwargs, build_parser, main
 
 
 class TestParsing:
     def test_kwargs(self):
         assert _parse_kwargs(["M=64", "R=3"]) == {"M": 64, "R": 3}
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             _parse_kwargs(["M"])
 
     def test_kwargs_typed_values(self):
@@ -20,7 +20,7 @@ class TestParsing:
         assert isinstance(parsed["scale"], float)
 
     def test_kwargs_error_names_the_pair(self):
-        with pytest.raises(SystemExit, match="bogus"):
+        with pytest.raises(UsageError, match="bogus"):
             _parse_kwargs(["bogus"])
 
     def test_parser_builds(self):
@@ -53,26 +53,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "0.51" in out and "MESI" in out and "P7Viterbi" in out
 
-    def test_bad_table(self):
-        with pytest.raises(SystemExit):
-            main(["table", "9"])
-
     def test_run_variant(self, capsys):
         assert main(["run", "wc", "compcomm", "--items", "items=48"]) == 0
         out = capsys.readouterr().out
         assert "verified" in out
-
-    def test_run_unknown_benchmark(self):
-        with pytest.raises(SystemExit):
-            main(["run", "nope", "seq"])
-
-    def test_run_unknown_variant(self):
-        with pytest.raises(SystemExit):
-            main(["run", "wc", "warp"])
-
-    def test_ablation_unknown(self):
-        with pytest.raises(SystemExit):
-            main(["ablation", "nope"])
 
     def test_ablation_sharing(self, capsys):
         assert main(["ablation", "sharing"]) == 0
@@ -118,8 +102,8 @@ def test_profile_hot_fused_share_is_of_core_cycles(capsys):
 # -- the exit-code convention --------------------------------------------------
 #
 # Every cmd_* handler returns an int exit code (0 ok, 1 failed gate,
-# 2 usage); main() passes it through untouched.  The table is printed
-# in --help.
+# 2 usage); main() passes it through, and turns a UsageError into a
+# stderr line and 2.  The table is printed in --help.
 
 def _handlers():
     import repro.cli as cli
@@ -162,22 +146,40 @@ def test_help_epilog_documents_exit_codes(capsys):
     assert "usage error" in out
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["no-such-command"])
-    assert excinfo.value.code == 2
-
-
-def test_service_commands_parse():
-    parser = build_parser()
-    args = parser.parse_args(["serve", "--port", "0", "--shards", "4",
-                              "--queue-limit", "8"])
-    assert args.port == 0 and args.shards == 4 and args.queue_limit == 8
-    args = parser.parse_args(["submit", "wc", "seq", "--items", "items=8",
-                              "--tenant", "t", "--priority", "3",
-                              "--watch"])
-    assert args.tenant == "t" and args.priority == 3 and args.watch
-    args = parser.parse_args(["status"])
-    assert args.job_id is None
-    args = parser.parse_args(["watch", "abc123", "--url", "host:1"])
-    assert args.job_id == "abc123" and args.url == "host:1"
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["no-such-command"], "invalid choice", id="unknown-command"),
+    pytest.param(["serve"], "invalid choice", id="serve-is-gone"),
+    pytest.param(["run", "wc", "seq", "--items", "items"],
+                 "bad parameter 'items'", id="run-items-not-a-pair"),
+    pytest.param(["run", "nosuch", "seq"], "unknown benchmark 'nosuch'",
+                 id="run-unknown-benchmark"),
+    pytest.param(["run", "wc", "warp"], "wc variants:",
+                 id="run-unknown-variant"),
+    pytest.param(["table", "4"], "tables are 1, 2, or 3", id="table-4"),
+    pytest.param(["figure", "7"], "figures are 8-14", id="figure-7"),
+    pytest.param(["ablation", "nope"], "ablations:", id="ablation-unknown"),
+    pytest.param(["lint", "--bench", "nosuch"], "unknown benchmarks: nosuch",
+                 id="lint-unknown-benchmark"),
+    # A name the figure does not plot, and two requests whose spec
+    # cannot be built (one in the engine's worker, one before it).
+    pytest.param(["figure", "12", "--quick", "--bench", "nosuch"],
+                 "figure 12 has no benchmark nosuch",
+                 id="figure-unknown-benchmark"),
+    pytest.param(["run", "hmmer", "compcomm", "--items", "M=8"],
+                 "hmmer/compcomm: WorkloadError: compcomm needs M >= 48",
+                 id="run-workload-error"),
+    pytest.param(["sample", "g721dec", "seq", "--sample", "0"],
+                 "g721dec/seq: ConfigError: need warmup >= 0",
+                 id="sample-config-error"),
+])
+def test_usage_errors_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err.strip().splitlines()[-1]

@@ -112,7 +112,7 @@ class TestCompile:
 class TestCompiledEndToEnd:
     def test_runs_on_the_fabric(self):
         """A compiled function executes in the simulated SPL."""
-        from repro.common.config import remap_system
+        from repro.common.config import RunOptions, remap_system
         from repro.isa import Asm, MemoryImage, ThreadSpec
         from repro.system import Machine, Workload
         fn = compile_expression("o = abs(a - b);", inputs={"a": 0, "b": 4})
@@ -134,5 +134,5 @@ class TestCompiledEndToEnd:
             setup=lambda m: m.configure_spl(0, 1, fn))
         machine = Machine(remap_system())
         machine.load(workload)
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         assert machine.memory.read_word_signed(out) == 45

@@ -8,8 +8,8 @@ cycle-level simulator and on the sequential interpreter.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import SystemConfig, ooo1_cluster, ooo2_cluster, \
-    remap_system
+from repro.common.config import RunOptions, SystemConfig, ooo1_cluster, \
+    ooo2_cluster, remap_system
 from repro.core.dfg import Dfg, DfgOp
 from repro.core.function import SplFunction
 from repro.isa import Asm, MemoryImage, Op, ThreadSpec
@@ -32,7 +32,7 @@ def _run_both(asm, image, regs=None, system=None):
                         placement=[0])
     machine = Machine(system or SystemConfig(clusters=[ooo1_cluster()]))
     machine.load(workload)
-    machine.run(max_cycles=3_000_000)
+    machine.run(options=RunOptions(max_cycles=3_000_000))
     # Golden run.
     memory = MainMemory()
     memory.load_image(image)
@@ -197,7 +197,7 @@ class TestDifferentialSpl:
             setup=lambda m: m.configure_spl(0, 1, self._function()))
         machine = Machine(remap_system())
         machine.load(workload)
-        machine.run(max_cycles=3_000_000)
+        machine.run(options=RunOptions(max_cycles=3_000_000))
 
         # Golden.
         memory = MainMemory()

@@ -1,6 +1,7 @@
 """Tests of the parallel experiment engine and its persistent cache."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -273,3 +274,23 @@ class TestLintCache:
 
     def test_no_cache_engine_has_no_lint_cache(self):
         assert _engine().lint_cache is None
+
+
+class TestBatchErrorPayloads:
+    def test_batch_error_carries_structured_payloads(self, tmp_path):
+        engine = ExperimentEngine(cache_dir=tmp_path / "cache",
+                                  progress=False)
+        good = request("wc", "seq", items=24)
+        bad = request("wc", "no-such-variant")
+        with pytest.raises(ExperimentBatchError) as excinfo:
+            engine.run_batch([good, bad])
+        error = excinfo.value
+        assert len(error.payloads) == 1
+        payload = error.payloads[0]
+        assert payload["exception_type"] == "ConfigError"
+        assert payload["request"]["variant"] == "no-such-variant"
+        assert payload["label"] == bad.label
+        assert error.to_dict() == {"errors": error.payloads}
+        # payloads survive JSON and rebuild into live SpecErrors
+        rebuilt = SpecError.from_dict(json.loads(json.dumps(payload)))
+        assert rebuilt.request == bad

@@ -6,10 +6,10 @@ from repro.experiments.barriers import (figure12_series, figure13_series,
                                         figure14_series, run_barrier_sweep)
 from repro.experiments.regions import (figure10_rows, figure11_rows,
                                        run_region_study, swqueue_rows)
-from repro.experiments.report import format_series, format_table
 from repro.experiments.tables import spl_parameters, table1, table2, table3
 from repro.experiments.whole_program import (figure8_rows, figure9_rows,
                                              whole_program_study)
+from repro.obs.render import format_series, format_table
 
 
 class TestTables:

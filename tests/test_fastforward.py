@@ -143,8 +143,8 @@ def _profiled(bench, variant, kwargs, fast_forward):
     machine.load(spec.workload)
     sink = ProfilerSink()
     machine.obs.attach(sink, ProfilerSink.KINDS)
-    cycles = machine.run(max_cycles=spec.max_cycles,
-                         fast_forward=fast_forward)
+    cycles = machine.run(options=RunOptions(max_cycles=spec.max_cycles,
+                                            fast_forward=fast_forward))
     machine.finish_observation()
     accounting = sink.accounting()
     accounting.verify()  # spans exactly tile the ticked cycles
@@ -179,7 +179,8 @@ def test_perfetto_events_identical_under_fast_forward():
         machine.load(spec.workload)
         sink = PerfettoSink()
         machine.obs.attach(sink, PERFETTO_KINDS)
-        machine.run(max_cycles=spec.max_cycles, fast_forward=fast_forward)
+        machine.run(options=RunOptions(max_cycles=spec.max_cycles,
+                                       fast_forward=fast_forward))
         machine.finish_observation()
         return sorted(json.dumps(event, sort_keys=True)
                       for event in sink.trace_events)
@@ -213,9 +214,11 @@ def _migrating_run(fast_forward):
     machine = Machine(SystemConfig(
         clusters=[ooo1_cluster(), ooo2_cluster()]))
     machine.load(workload)
-    machine.run(max_cycles=2_000, until=lambda: machine.cycle >= 1_000)
+    machine.run(options=RunOptions(
+        max_cycles=2_000, until=lambda: machine.cycle >= 1_000))
     machine.migrate(1, dest_core=4)  # drain + 500-cycle context switch
-    final = machine.run(max_cycles=5_000_000, fast_forward=fast_forward)
+    final = machine.run(options=RunOptions(max_cycles=5_000_000,
+                                           fast_forward=fast_forward))
     assert machine.memory.read_word_signed(out) == 40_000
     return final
 
@@ -249,7 +252,7 @@ def test_watchdog_tolerates_legal_bounded_quiesce():
     fast-forward scheduler jumps it in bounded steps and must not let the
     watchdog call it a hang."""
     machine, out = _stalled_machine(deadlock_cycles=1_000, stall=6_000)
-    machine.run(max_cycles=100_000, fast_forward=True)
+    machine.run(options=RunOptions(max_cycles=100_000, fast_forward=True))
     assert machine.memory.read_word_signed(out) == 10
 
 
@@ -259,7 +262,7 @@ def test_watchdog_naive_loop_still_trips_on_long_quiesce():
     fast-forward progress floor provides."""
     machine, _ = _stalled_machine(deadlock_cycles=1_000, stall=6_000)
     with pytest.raises(DeadlockError):
-        machine.run(max_cycles=100_000, fast_forward=False)
+        machine.run(options=RunOptions(max_cycles=100_000, fast_forward=False))
 
 
 def test_true_deadlock_still_raises_under_fast_forward():
@@ -276,7 +279,7 @@ def test_true_deadlock_still_raises_under_fast_forward():
         placement=[0],
         setup=lambda m: m.configure_spl(0, 1, identity_function())))
     with pytest.raises(DeadlockError):
-        machine.run(max_cycles=100_000, fast_forward=True)
+        machine.run(options=RunOptions(max_cycles=100_000, fast_forward=True))
 
 
 # ------------------------------------------------------------ escape hatch
@@ -342,8 +345,8 @@ def test_fast_forward_skips_ticks_on_barrier_wait():
                 n=64, passes=3, p=4)
             machine = Machine(spec.system)
             machine.load(spec.workload)
-            cycles = machine.run(max_cycles=spec.max_cycles,
-                                 fast_forward=fast_forward)
+            cycles = machine.run(options=RunOptions(
+                max_cycles=spec.max_cycles, fast_forward=fast_forward))
         finally:
             OutOfOrderCore.tick = original
         return cycles, ticks[0]

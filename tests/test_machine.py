@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.common.config import (SystemConfig, ooo1_cluster, ooo2_cluster,
-                                 remap_cluster, remap_system)
+from repro.common.config import (RunOptions, SystemConfig, ooo1_cluster,
+                                 ooo2_cluster, remap_cluster, remap_system)
 from repro.common.errors import ConfigError, SimulationError
 from repro.core.function import identity_function
 from repro.isa import Asm, MemoryImage, ThreadSpec
@@ -67,7 +67,7 @@ class TestExecution:
             placement=[0, 1])
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(workload)
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         assert machine.finished()
         assert machine.memory.read_word_signed(out_a) == 50
         assert machine.memory.read_word_signed(out_b) == 80
@@ -81,7 +81,8 @@ class TestExecution:
                             placement=[0])
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(workload)
-        machine.run(max_cycles=1_000_000, until=lambda: machine.cycle >= 500)
+        machine.run(options=RunOptions(
+            max_cycles=1_000_000, until=lambda: machine.cycle >= 500))
         assert 500 <= machine.cycle < 600
 
     def test_cycle_limit_raises(self):
@@ -93,7 +94,7 @@ class TestExecution:
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(workload)
         with pytest.raises(SimulationError):
-            machine.run(max_cycles=1_000)
+            machine.run(options=RunOptions(max_cycles=1_000))
 
 
 class TestMigration:
@@ -106,10 +107,11 @@ class TestMigration:
         machine = Machine(SystemConfig(
             clusters=[ooo1_cluster(), ooo2_cluster()]))
         machine.load(workload)
-        machine.run(max_cycles=2_000, until=lambda: machine.cycle >= 1_000)
+        machine.run(options=RunOptions(
+            max_cycles=2_000, until=lambda: machine.cycle >= 1_000))
         machine.migrate(1, dest_core=4)
         assert machine.thread_core[1] == 4
-        machine.run(max_cycles=5_000_000)
+        machine.run(options=RunOptions(max_cycles=5_000_000))
         assert machine.memory.read_word_signed(out) == 40_000
         assert machine.stats.get("migrations") == 1
 
@@ -135,7 +137,7 @@ class TestMigration:
                             placement=[0])
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(workload)
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         baseline = machine.cycle
 
         image2 = MemoryImage()
@@ -145,9 +147,10 @@ class TestMigration:
                              placement=[0])
         machine2 = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine2.load(workload2)
-        machine2.run(max_cycles=1_000, until=lambda: machine2.cycle >= 20)
+        machine2.run(options=RunOptions(
+            max_cycles=1_000, until=lambda: machine2.cycle >= 20))
         machine2.migrate(1, dest_core=1)
-        machine2.run(max_cycles=100_000)
+        machine2.run(options=RunOptions(max_cycles=100_000))
         # The migrated run pays the drain + 500-cycle context switch.
         assert machine2.cycle >= baseline + 400
 
@@ -178,5 +181,5 @@ class TestSplIntegration:
         system = SystemConfig(clusters=[remap_cluster(), ooo1_cluster()])
         machine = Machine(system)
         machine.load(workload)
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         assert machine.memory.read_word_signed(out) == 123

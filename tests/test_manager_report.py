@@ -1,6 +1,6 @@
 """Tests for the dynamic fabric manager, machine reports, and ASCII plots."""
 
-from repro.common.config import remap_system
+from repro.common.config import RunOptions, remap_system
 from repro.core.compile import compile_expression
 from repro.core.manager import FabricManager, attach_fabric_manager
 from repro.experiments.plots import ascii_plot
@@ -63,7 +63,7 @@ class TestFabricManager:
         machine.load(workload)
         if managed:
             attach_fabric_manager(machine, 0, interval=interval)
-        cycles = machine.run(max_cycles=3_000_000)
+        cycles = machine.run(options=RunOptions(max_cycles=3_000_000))
         for dst, exp in zip(dests, expected):
             assert machine.memory.read_words(dst, n) == exp
         return machine, cycles
@@ -105,7 +105,7 @@ class TestFabricManager:
         machine = Machine(remap_system())
         machine.load(workload)
         attach_fabric_manager(machine, 0, interval=256)
-        machine.run(max_cycles=3_000_000)
+        machine.run(options=RunOptions(max_cycles=3_000_000))
         assert len(machine.clusters[0].controller.partitions) == 1
 
 
@@ -114,7 +114,7 @@ class TestReports:
         workload, dests, expected = _mixed_function_workload(n=32)
         machine = Machine(remap_system())
         machine.load(workload)
-        machine.run(max_cycles=3_000_000)
+        machine.run(options=RunOptions(max_cycles=3_000_000))
         return machine
 
     def test_core_summary(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.config import RunOptions
 from repro.obs import CallbackSink, CollectorSink, EventBus, Sink
 from repro.obs import events as ev
 from repro.obs.bus import EventBus as BusClass
@@ -83,7 +84,7 @@ class TestZeroOverhead:
         spec = _small_spec()
         machine = Machine(spec.system)
         machine.load(spec.workload)
-        machine.run(max_cycles=spec.max_cycles)
+        machine.run(options=RunOptions(max_cycles=spec.max_cycles))
         spec.workload.check(machine.memory)
 
     def test_same_result_with_and_without_observer(self):
@@ -91,14 +92,14 @@ class TestZeroOverhead:
         spec = _small_spec()
         plain = Machine(spec.system)
         plain.load(spec.workload)
-        base_cycles = plain.run(max_cycles=spec.max_cycles)
+        base_cycles = plain.run(options=RunOptions(max_cycles=spec.max_cycles))
 
         spec2 = _small_spec()
         observed = Machine(spec2.system)
         sink = CollectorSink()
         observed.obs.attach(sink)
         observed.load(spec2.workload)
-        cycles = observed.run(max_cycles=spec2.max_cycles)
+        cycles = observed.run(options=RunOptions(max_cycles=spec2.max_cycles))
         observed.finish_observation()
         assert cycles == base_cycles
         assert sink.events  # and the sink really saw the run

@@ -11,6 +11,7 @@ Regenerate deliberately with::
 import json
 import os
 
+from repro.common.config import RunOptions
 from repro.obs.perfetto import PERFETTO_KINDS, PerfettoSink
 from repro.system.machine import Machine
 from repro.workloads import registry
@@ -29,7 +30,7 @@ def traced_run():
     sink = PerfettoSink()
     machine.obs.attach(sink, kinds=PERFETTO_KINDS)
     machine.load(spec.workload)
-    machine.run(max_cycles=spec.max_cycles)
+    machine.run(options=RunOptions(max_cycles=spec.max_cycles))
     machine.finish_observation()
     return machine, sink
 

@@ -9,6 +9,7 @@ count for every core.
 
 import pytest
 
+from repro.common.config import RunOptions
 from repro.common.errors import SimulationError
 from repro.obs import events as ev
 from repro.obs.profile import CycleAccounting, ProfilerSink
@@ -28,7 +29,7 @@ def _profiled_run(bench, variant, params):
     sink = ProfilerSink()
     machine.obs.attach(sink, kinds=ProfilerSink.KINDS)
     machine.load(spec.workload)
-    machine.run(max_cycles=spec.max_cycles)
+    machine.run(options=RunOptions(max_cycles=spec.max_cycles))
     machine.finish_observation()
     return machine, sink
 

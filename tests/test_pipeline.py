@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import SystemConfig, ooo1_cluster, ooo2_cluster
+from repro.common.config import (RunOptions, SystemConfig, ooo1_cluster,
+                                 ooo2_cluster)
 from repro.common.errors import DeadlockError, SimulationError
 from repro.cpu.exec import alu, branch_taken
 from repro.isa import Asm, MemoryImage, Op, ThreadSpec
@@ -18,7 +19,7 @@ def run_program(asm, image=None, regs=None, system=None, max_cycles=500_000):
                         placement=[0])
     machine = Machine(system or SystemConfig(clusters=[ooo1_cluster()]))
     machine.load(workload)
-    cycles = machine.run(max_cycles=max_cycles)
+    cycles = machine.run(options=RunOptions(max_cycles=max_cycles))
     return machine, cycles
 
 
@@ -87,7 +88,7 @@ class TestArithmetic:
                             placement=[0])
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(workload)
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         assert machine.memory.read_word_signed(out) == 1
 
 
@@ -173,7 +174,7 @@ class TestMemoryOps:
                             placement=[0, 1])
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(workload)
-        machine.run(max_cycles=500_000)
+        machine.run(options=RunOptions(max_cycles=500_000))
         assert machine.memory.read_word_signed(counter) == 2 * n
 
     def test_fence_waits_for_stores(self):
@@ -323,7 +324,7 @@ class TestRobustness:
         # The spinner retires instructions, so this is NOT a deadlock: it
         # must hit the cycle limit instead.
         with pytest.raises(SimulationError):
-            machine.run(max_cycles=20_000)
+            machine.run(options=RunOptions(max_cycles=20_000))
 
 
 SAFE_OPS = [Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SLT, Op.SLTU, Op.MUL]

@@ -10,6 +10,7 @@ the adversarial states called out in the design: mid-SPL-staging,
 mid-barrier-wait, and inside a fast-forward elision window.
 """
 
+import inspect
 import json
 import os
 
@@ -21,6 +22,7 @@ from repro.common.errors import ConfigError
 from repro.common.serialize import (decode_record, encode_record,
                                     registered_codecs)
 from repro.experiments.engine import build_spec, request
+from repro.experiments.runner import execute, finalize
 from repro.obs.perfetto import PERFETTO_KINDS, PerfettoSink
 from repro.obs.profile import ProfilerSink
 from repro.system.machine import Machine
@@ -328,18 +330,10 @@ def test_restore_rejects_config_mismatch():
 
 
 class TestRunOptions:
-    def test_shim_equivalence(self):
-        """Loose keywords and options= drive the same simulation."""
-        a = _build("g721dec", "seq", {"items": 10})
-        b = _build("g721dec", "seq", {"items": 10})
-        assert a.run(max_cycles=1_000_000) == \
-            b.run(options=RunOptions(max_cycles=1_000_000))
-        assert a.stats.as_dict() == b.stats.as_dict()
-
-    def test_mixing_styles_is_an_error(self):
-        machine = _build("g721dec", "seq", {"items": 10})
-        with pytest.raises(ConfigError):
-            machine.run(max_cycles=100, options=RunOptions())
+    def test_run_takes_only_options(self):
+        params = inspect.signature(Machine.run).parameters
+        assert list(params) == ["self", "options"]
+        assert params["options"].kind is inspect.Parameter.KEYWORD_ONLY
 
     def test_validate(self):
         with pytest.raises(ConfigError):
@@ -382,6 +376,23 @@ class TestRunOptions:
         final = machine.run(options=RunOptions())
         assert final > 123
         assert machine.finished()
+
+
+def test_sliced_execution_matches_unsliced():
+    """A run paused every 500 cycles, with a non-pipeline sink attached
+    (so fast-forward stays on), ends in the same RunResult record as an
+    uninterrupted execute()."""
+    req = request("wc", "compcomm", items=48)
+    spec = build_spec(req)
+    machine = Machine(spec.system)
+    machine.obs.attach(ProfilerSink(), kinds=ProfilerSink.KINDS)
+    machine.load(spec.workload)
+    while not machine.finished() and machine.cycle < spec.max_cycles:
+        machine.run(options=RunOptions(pause_at=machine.cycle + 500))
+    sliced = finalize(machine, spec, machine.cycle)
+    direct = execute(build_spec(req))
+    assert sliced.cycles == direct.cycles
+    assert sliced.to_dict() == direct.to_dict()
 
 
 # -- codec registry (unified serialization surface) -----------------------------

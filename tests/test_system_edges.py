@@ -3,8 +3,8 @@ memory-dependence blocking, and fetch robustness."""
 
 import pytest
 
-from repro.common.config import (CacheConfig, ClusterConfig, SystemConfig,
-                                 ooo1_config, ooo1_cluster)
+from repro.common.config import (CacheConfig, ClusterConfig, RunOptions,
+                                 SystemConfig, ooo1_config, ooo1_cluster)
 from repro.common.errors import DeadlockError
 from repro.common.stats import Stats
 from repro.isa import Asm, MemoryImage, ThreadSpec
@@ -70,7 +70,7 @@ class TestIcacheBehaviour:
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(Workload("t", image, [ThreadSpec(a.assemble(), 1)],
                               placement=[0]))
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         cpu = machine.stats.find("cpu0")
         mem = machine.stats.find("mem").find("core0")
         assert cpu.get("icache_stall_cycles") > 0   # cold misses
@@ -94,7 +94,7 @@ class TestDeadlockDetection:
             placement=[0],
             setup=lambda m: m.configure_spl(0, 1, identity_function())))
         with pytest.raises(DeadlockError):
-            machine.run(max_cycles=100_000)
+            machine.run(options=RunOptions(max_cycles=100_000))
 
 
 class TestMemoryDependences:
@@ -119,7 +119,7 @@ class TestMemoryDependences:
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(Workload("t", image, [ThreadSpec(a.assemble(), 1)],
                               placement=[0]))
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         assert machine.memory.read_word_signed(out) == 222
 
     def test_partial_overlap_blocks_until_store_retires(self):
@@ -139,7 +139,7 @@ class TestMemoryDependences:
         machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
         machine.load(Workload("t", image, [ThreadSpec(a.assemble(), 1)],
                               placement=[0]))
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         assert machine.memory.read_word(out) == 0x1122AA44
 
 
@@ -153,5 +153,5 @@ class TestFetchRobustness:
         machine.load(Workload("t", MemoryImage(),
                               [ThreadSpec(a.assemble(), 1)],
                               placement=[0]))
-        machine.run(max_cycles=10_000)
+        machine.run(options=RunOptions(max_cycles=10_000))
         assert machine.finished()

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.common.config import (SystemConfig, ooo2_cluster, remap_cluster,
-                                 remap_system, spl_config)
+from repro.common.config import (RunOptions, SystemConfig, ooo2_cluster,
+                                 remap_cluster, remap_system, spl_config)
 from repro.common.errors import SplError
 from repro.common.stats import Stats
 from repro.core.controller import SplClusterController
@@ -89,7 +89,7 @@ class TestOoo2Behaviour:
         machine = Machine(SystemConfig(clusters=[ooo2_cluster()]))
         machine.load(Workload("t", image, [ThreadSpec(a.assemble(), 1)],
                               placement=[0]))
-        machine.run(max_cycles=500_000)
+        machine.run(options=RunOptions(max_cycles=500_000))
         stats = machine.stats.find("cpu0")
         assert stats.get("retired") / stats.get("cycles") > 1.5
 
@@ -116,7 +116,7 @@ class TestMisconfiguration:
                               [ThreadSpec(a.assemble(), 1)],
                               placement=[0]))
         with pytest.raises(SplError):
-            machine.run(max_cycles=10_000)
+            machine.run(options=RunOptions(max_cycles=10_000))
 
 
 class TestSplLoadVTiming:
@@ -141,7 +141,7 @@ class TestSplLoadVTiming:
         machine.load(Workload(
             "t", image, [ThreadSpec(a.assemble(), 1)], placement=[0],
             setup=lambda m: m.configure_spl(0, 1, fn)))
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         assert machine.memory.read_words(out, 4) == values
 
 
@@ -176,7 +176,7 @@ class TestSubwordDifferential:
             "t", image,
             [ThreadSpec(program, 1, fp_regs={"f1": 1.25, "f2": 2.5})],
             placement=[0]))
-        machine.run(max_cycles=100_000)
+        machine.run(options=RunOptions(max_cycles=100_000))
         memory = MainMemory()
         memory.load_image(image)
         interp = Interpreter(program, memory)

@@ -1,8 +1,6 @@
 """Tests for the pipeline tracer (an event-bus sink)."""
 
-import pytest
-
-from repro.common.config import SystemConfig, ooo1_cluster
+from repro.common.config import RunOptions, SystemConfig, ooo1_cluster
 from repro.cpu.trace import PipelineTracer
 from repro.isa import Asm, MemoryImage, ThreadSpec
 from repro.system import Machine, Workload
@@ -30,7 +28,7 @@ def _machine_with_tracer(stages=None, limit=100_000):
     machine = _counting_machine()
     tracer = PipelineTracer(limit=limit, stages=stages)
     machine.obs.attach(tracer, kinds=tracer.kinds, sources={"cpu0"})
-    machine.run(max_cycles=100_000)
+    machine.run(options=RunOptions(max_cycles=100_000))
     return machine, tracer
 
 
@@ -71,16 +69,6 @@ def test_clear():
     assert not tracer.events and tracer.dropped == 0
 
 
-def test_attach_tracer_compat_stub_warns_but_works():
-    from repro.api.compat import attach_tracer
-    machine = _counting_machine()
-    with pytest.warns(DeprecationWarning):
-        tracer = attach_tracer(machine.cores[0], stages=["retire"])
-    machine.run(max_cycles=100_000)
-    retired = machine.stats.find("cpu0").get("retired")
-    assert len(tracer.of_stage("retire")) == retired
-
-
 def test_mispredict_produces_flush_events():
     image = MemoryImage()
     values = [(i * 2654435761) % 31 - 15 for i in range(40)]
@@ -105,5 +93,5 @@ def test_mispredict_produces_flush_events():
                           placement=[0]))
     tracer = PipelineTracer(stages=["flush"])
     machine.obs.attach(tracer, kinds=tracer.kinds, sources={"cpu0"})
-    machine.run(max_cycles=100_000)
+    machine.run(options=RunOptions(max_cycles=100_000))
     assert tracer.of_stage("flush")
