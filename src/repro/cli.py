@@ -309,10 +309,11 @@ def cmd_trace(args) -> int:
 def _cmd_profile_hot(args) -> int:
     """Hot-path report: per-PC retire counts plus block-cache statistics.
 
-    Runs WITHOUT observation sinks: an active event bus disables the
-    compiled hot loop (DESIGN.md section 10), and the point of ``--hot``
-    is to profile the run exactly as the default configuration executes
-    it — fused windows, trace-cache hits and all.
+    Runs WITHOUT observation sinks: an attached sink keeps the compiled
+    walk but turns off its periodic spin elision (DESIGN.md section
+    10), and the point of ``--hot`` is to profile the run exactly as
+    the default configuration executes it — fused windows, periodic
+    elision, trace-cache hits and all.
     """
     import json
     import os
@@ -601,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--hot", action="store_true",
                         help="per-PC retire counts and trace-cache block "
                              "statistics instead of cycle accounting "
-                             "(runs unobserved so blockgen engages)")
+                             "(runs unobserved: periodic elision engages)")
     p_prof.add_argument("--top", type=int, default=20,
                         help="rows in the --hot per-PC table (default 20)")
     p_prof.add_argument("--dump-blocks", default=None,

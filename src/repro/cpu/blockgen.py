@@ -14,14 +14,15 @@ decisions out of the loop:
   in :mod:`repro.cpu.exec` (``ALU_EXPR``/``FP_EXPR``/``BRANCH_EXPR``)
   with immediates and branch targets folded in as literals.
 * :meth:`BlockRunner.drive` is the one compiled core cycle: a
-  specialized re-implementation of ``OutOfOrderCore.tick`` for the
-  no-observer case, written as a generator so one core's hoisted
-  scalars live in locals for a whole *residency*; per-PC metadata lives
-  in dense tables, and hot counters accumulate locally and flush once
-  per walk.  **Every architectural effect is cycle- and stats-exact
-  against the interpreter** — tests/test_fastforward.py sweeps the two
-  against each other, and ``repro bench --check`` gates on identical
-  cycles.
+  specialized re-implementation of ``OutOfOrderCore.tick`` for runs
+  with no pipeline-kind sink, written as a generator so one core's
+  hoisted scalars live in locals for a whole *residency*; per-PC
+  metadata lives in dense tables, and hot counters accumulate locally
+  and flush once per walk.  Under any other sink it classifies each
+  cycle into the cycle-accounting spans, as ``tick`` does.  **Every
+  architectural effect is cycle- and stats-exact against the
+  interpreter** — tests/test_fastforward.py sweeps the two against
+  each other, and ``repro bench --check`` gates on identical cycles.
 * **The walk**: :class:`MultiBlockRunner` advances every running core
   — one or many — cycle by cycle in index order (the naive loop's
   order, which fixes the shared-memory / snoop-invalidation
@@ -55,18 +56,19 @@ decisions out of the loop:
   elided too, once its whole shift-normalized state repeats with a
   fixed period: the walk keeps one period's per-phase records and a
   snoop of a line the loop reads wakes the core into the exact state of
-  the wake cycle's phase.
+  the wake cycle's phase.  Runs with a sink attached skip it: a
+  periodic plan has no per-phase accounting class.
 
-Compiled blocks are memoized on the ``Program`` object, keyed by
-``BLOCKGEN_VERSION``, the core config, and a content fingerprint of the
-instruction stream, so mutating a program or changing the config misses
-the cache.  The whole mechanism is gated by ``RunOptions.blockgen`` /
-``REPRO_NO_BLOCKGEN`` (see repro.common.config) and engaged by
-``Machine.run`` under the same conditions as fast-forward elision.
+Compiled blocks are memoized per machine, keyed by the program, the
+core config, and a content fingerprint of the instruction stream, so
+mutating a program or changing the config misses the memo.  The whole
+mechanism is gated by ``RunOptions.blockgen`` / ``REPRO_NO_BLOCKGEN``
+(see repro.common.config) and engaged by ``Machine.run`` under the same
+conditions as fast-forward elision.
 
 Purity constraint: generated closures bind **no machine state** — only
 the pure helpers in ``_NAMESPACE`` — because the compiled artifact is
-shared across machines via the per-Program memo.  Anything touching
+shared by every runner of the machine's memo.  Anything touching
 memory (load reads, store writes) lives in per-:class:`BlockRunner`
 tables built in plain Python against the owning machine's memory.
 """
@@ -86,10 +88,6 @@ from repro.cpu.pipeline import (FRONTEND_DELAY, _LOAD_OPS, _STORE_OPS,
                                 HOLD_REN_FP, HOLD_REN_INT, HOLD_SQ,
                                 OutOfOrderCore, RobEntry)
 from repro.isa.opcodes import FuClass, Op
-
-#: Bump on any change to the generated code or table layout; part of the
-#: per-Program memo key so stale caches from another version never hit.
-BLOCKGEN_VERSION = 1
 
 _BY_SEQ = attrgetter("seq")
 
@@ -150,17 +148,15 @@ class Block:
 
     ``fns`` is None until the block is first entered (the compile is the
     trace-cache "miss"); afterwards it maps each value-producing PC to
-    its generated closure and ``source`` keeps the generated text for
-    inspection (tests, the CI artifact).
+    its generated closure.
     """
 
-    __slots__ = ("bid", "entry", "pcs", "source", "fns", "hits")
+    __slots__ = ("bid", "entry", "pcs", "fns", "hits")
 
     def __init__(self, bid: int, entry: int, pcs: range) -> None:
         self.bid = bid
         self.entry = entry
         self.pcs = pcs
-        self.source: Optional[str] = None
         self.fns: Optional[Dict[int, object]] = None
         self.hits = 0
 
@@ -170,6 +166,9 @@ class BlockProgram:
 
     def __init__(self, instructions) -> None:
         self._instructions = instructions
+        # Every block execs into this one namespace: its functions are
+        # named by PC, so blocks cannot collide.
+        self._namespace = dict(_NAMESPACE)
         n = len(instructions)
         leaders = {0} if n else set()
         for pc, inst in enumerate(instructions):
@@ -243,22 +242,21 @@ class BlockProgram:
         machine running several threads passes one memo to all its
         runners: the threads of a spec run programs that differ only in
         a few immediates, so most of their blocks generate identical
-        source.  Code objects are
-        immutable and each block still ``exec``s into a fresh namespace,
-        so sharing them changes nothing but the ``compile()`` calls;
-        ``compiles`` keeps counting this program's block installs.
+        source.  Code objects are immutable and each program still
+        ``exec``s them into its own namespace, so sharing them changes
+        nothing but the ``compile()`` calls; ``compiles`` keeps counting
+        this program's block installs.
         """
         if block.fns is not None:
             return
         source = self.generate_source(block)
-        block.source = source
         code = None if code_memo is None else code_memo.get(source)
         if code is None:
             code = compile(source, f"<blockgen:block{block.bid}"
                                    f"@{block.entry}>", "exec")
             if code_memo is not None:
                 code_memo[source] = code
-        namespace = dict(_NAMESPACE)
+        namespace = self._namespace
         exec(code, namespace)
         block.fns = {pc: namespace[f"_pc{pc}"] for pc in block.pcs
                      if f"_pc{pc}" in namespace}
@@ -281,23 +279,23 @@ class BlockProgram:
         """Generated source of every block (compiling any not yet hot)."""
         for block in self.blocks:
             self.compile_block(block)
-        return "\n".join(block.source for block in self.blocks)
+        return "\n".join(self.generate_source(block)
+                         for block in self.blocks)
 
 
-def compiled_blocks(program, config) -> BlockProgram:
-    """The memoized :class:`BlockProgram` for ``(program, config)``.
+def compiled_blocks(program, config, memo: dict) -> BlockProgram:
+    """The :class:`BlockProgram` for ``(program, config)`` in ``memo``.
 
-    The key carries the generator version, the core config, and a
-    content fingerprint of the instruction stream, so a mutated program
-    or a different configuration misses and recompiles.
+    The key carries the program, the core config, and a content
+    fingerprint of the instruction stream, so a mutated program or a
+    different configuration misses and recompiles.  ``memo`` belongs to
+    one machine: finished results keep their programs alive, and the
+    compiled closures should not outlive the run.
     """
-    cache = getattr(program, "_blockgen_cache", None)
-    if cache is None:
-        cache = program._blockgen_cache = {}
-    key = (BLOCKGEN_VERSION, config, _fingerprint(program.instructions))
-    block_program = cache.get(key)
+    key = (program, config, _fingerprint(program.instructions))
+    block_program = memo.get(key)
     if block_program is None:
-        block_program = cache[key] = BlockProgram(program.instructions)
+        block_program = memo[key] = BlockProgram(program.instructions)
     return block_program
 
 
@@ -312,16 +310,22 @@ class BlockRunner:
     Holds the dense per-PC tables (fetch, dispatch, execute, retire) and
     the machine-bound memory accessors that the memoized pure closures
     must not capture.  Rebuilt by the machine whenever the core's
-    context changes.
+    context changes.  ``programs`` is the machine's
+    :func:`compiled_blocks` memo; ``code_memo`` (generated source ->
+    code object) and ``row_memo`` (an immutable table row -> its one
+    shared copy) are shared by the machine's runners when it runs more
+    than one thread.
     """
 
-    def __init__(self, core: OutOfOrderCore,
-                 code_memo: Optional[Dict[str, object]] = None) -> None:
+    def __init__(self, core: OutOfOrderCore, programs: dict,
+                 code_memo: Optional[Dict[str, object]] = None,
+                 row_memo: Optional[dict] = None) -> None:
         self.core = core
         self.ctx = core.ctx
         program = core.ctx.program
-        self.bp = compiled_blocks(program, core.config)
+        self.bp = compiled_blocks(program, core.config, programs)
         self.code_memo = code_memo
+        rows = {} if row_memo is None else row_memo
         memory = core.memory
 
         def _read_lb(addr, _rb=memory.read_byte):
@@ -377,10 +381,10 @@ class BlockRunner:
                  block if block is not None and block.entry == pc else None))
             rs1 = inst.rs1 if inst.rs1 else None
             rs2 = inst.rs2 if inst.rs2 else None
-            self.disp_tab.append(
-                (inst.needs_fp_iq, inst.needs_int_iq, inst.uses_lq,
-                 inst.uses_sq, inst._dest, inst.dest_fp, inst.held_mask,
-                 rs1, rs2))
+            row = (inst.needs_fp_iq, inst.needs_int_iq, inst.uses_lq,
+                   inst.uses_sq, inst._dest, inst.dest_fp, inst.held_mask,
+                   rs1, rs2)
+            self.disp_tab.append(rows.setdefault(row, row))
             self.ser_tab.append(info.serialize)
             op = inst.op
             self.park_tab.append(
@@ -416,7 +420,8 @@ class BlockRunner:
             else:
                 self.br_tab.append((1, inst.target))
             pool_name, limit = core._fu_pool[info.fu]
-            self.pool_tab.append((_POOL_IDS[pool_name], limit))
+            row = (_POOL_IDS[pool_name], limit)
+            self.pool_tab.append(rows.setdefault(row, row))
         self.installed = bytearray(len(self.bp.blocks))
         # Periodic elision (repro.cpu.periodic): its per-runner tables,
         # built when the runner first joins a walk that may elide, and
@@ -513,6 +518,11 @@ class BlockRunner:
         ``(False, addr)`` per data access, ``(True, pc)`` per
         instruction-line fetch — for the periodic-elision record.
 
+        With a sink attached (``core.obs.active``), every cycle the
+        generator runs is classified into the core's cycle-accounting
+        span where ``tick`` does it, after fetch, by the interpreter's
+        own ``_observe_cycle``.
+
         While resident, the core's deque/dict structures stay shared in
         place (flush paths rebind them, and the body re-fetches before
         the next yield), and ``last_retire_cycle`` is written through
@@ -525,7 +535,7 @@ class BlockRunner:
 
         The caller guarantees: ctx is bound, core not halted, not
         elided, and not stalled (``stall_until``) on any cycle it sends,
-        observers off.
+        and no pipeline-kind sink attached (no per-instruction events).
         """
         core = self.core
         n_cycles = 0
@@ -613,6 +623,7 @@ class BlockRunner:
         h_int, h_fp = HOLD_INT_IQ, HOLD_FP_IQ
         h_lq, h_sq = HOLD_LQ, HOLD_SQ
         h_ri, h_rf = HOLD_REN_INT, HOLD_REN_FP
+        observe = core._observe_cycle if core.obs.active else None
 
         core._bg_resident = True
         limit = 0  # 0: a one-cycle send; else the multi-cycle send's bound
@@ -1153,6 +1164,12 @@ class BlockRunner:
                         if fetched:
                             n_fetched += fetched
 
+                    if observe is not None:
+                        # The classifier reads ``fetch_resume`` off the
+                        # core; every other input is shared or written
+                        # through.
+                        core.fetch_resume = fetch_resume
+                        observe(cycle)
                     if not limit:
                         break
                     cycle += 1
@@ -1306,16 +1323,19 @@ class MultiBlockRunner:
         engagement telemetry for the machine's per-core backoff.  The
         caller guarantees: every core has a bound context, at least one
         is neither halted nor elided, no elided core has a pending poke,
-        observers off, and ``end`` respects the watchdog/pause ceiling.
+        no pipeline-kind sink is attached, and ``end`` respects the
+        watchdog/pause ceiling.
         """
         controllers = self.machine._controllers
         n = len(cores)
         periodic = None
         spin_tabs = [None] * n
-        if allow_elide and n > 1:
+        if allow_elide and n > 1 and not self.machine.obs.active:
             # With one thread no other core can write a line a store-free
             # loop reads (the wake invariant, DESIGN.md section 10), so a
             # lone spinner never wakes: nothing to elide periodically.
+            # Under a sink neither: a periodic plan has no per-phase
+            # accounting class to credit its spans with.
             from repro.cpu import periodic
             spin_tabs = [periodic.spin_table(runner) if runner is not None
                          else None for runner in runners]

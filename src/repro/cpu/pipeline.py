@@ -529,8 +529,10 @@ class OutOfOrderCore:
                 if head.state == DISP and head.remaining == 0:
                     if head.inst.op not in _EXT_WAKE_OPS:
                         return now + 1
-                    if (head.inst.op is not Op.FENCE
-                            and self.spl_port is not None
+                    if head.inst.op is Op.FENCE:
+                        if not self.pending_stores:
+                            return now + 1  # drained: retires next cycle
+                    elif (self.spl_port is not None
                             and self.spl_port.output_pending()):
                         return now + 1  # delivered words await this recv
                 # in-flight AMO wakes via ``completing``; ext-wake ops

@@ -17,7 +17,8 @@ from repro.common.stats import Stats
 from repro.core.controller import SplClusterController
 from repro.core.function import SplFunction
 from repro.core.tables import BarrierBus
-from repro.cpu.blockgen import BlockRunner, MultiBlockRunner, _BG_NEVER
+from repro.cpu.blockgen import (BlockProgram, BlockRunner, MultiBlockRunner,
+                                _BG_NEVER)
 from repro.cpu.context import ThreadContext
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.mem.hierarchy import CoherentMemorySystem
@@ -132,11 +133,14 @@ class Machine:
         #: are performance hints only; a restored machine re-derives them
         #: and produces identical cycles and stats either way.
         self._bg_runners: Dict[int, BlockRunner] = {}
-        #: Generated block source -> code object, shared by this
-        #: machine's runners when it runs more than one thread (see
-        #: ``_runner_for`` and ``BlockProgram.compile_block``).  Per
-        #: machine, not per process, so the sources die with the run.
+        #: Compiled programs (``blockgen.compiled_blocks``), and, shared
+        #: by this machine's runners when it runs more than one thread
+        #: (see ``_runner_for``), generated block source -> code object
+        #: and the runners' immutable per-PC table rows.  Per machine,
+        #: not per process, so the sources die with the run.
+        self._bg_programs: Dict[tuple, BlockProgram] = {}
         self._bg_code: Dict[str, object] = {}
+        self._bg_rows: Dict[tuple, tuple] = {}
         self._bg_backoff = 1
         self._bg_resume_probe = 0
         #: The fused walk (DESIGN.md §10), which also keeps the blockgen
@@ -229,13 +233,17 @@ class Machine:
         ``options.fast_forward`` selects the scheduler: None (the default)
         enables the quiescence-aware next-event scheduler unless the
         ``REPRO_NO_FASTFORWARD`` environment variable is set; False forces
-        the naive per-cycle loop.  Even when enabled, fast-forward silently
-        falls back to per-cycle ticking while an ``until`` predicate is
-        supplied (it may read arbitrary machine state between cycles) or a
-        pipeline-level observability sink is attached.  Both schedulers are
-        cycle-exact: final cycle counts, retired-instruction counts, and
-        stats totals are identical (see DESIGN.md and
-        tests/test_fastforward.py).
+        the naive per-cycle loop.  ``options.blockgen`` likewise gates the
+        compiled multi-core walk (``REPRO_NO_BLOCKGEN``).  Even when
+        enabled, both silently fall back to per-cycle ticking while an
+        ``until`` predicate is supplied (it may read arbitrary machine
+        state between cycles) or a pipeline-level observability sink is
+        attached (per-instruction events).  Any other sink keeps the walk,
+        which classifies its compiled cycles for the cycle-accounting
+        spans, but turns off its periodic spin elision.  Every scheduler
+        is cycle-exact: final cycle counts, retired-instruction counts,
+        stats totals and cycle-accounting spans are identical (see
+        DESIGN.md and tests/test_fastforward.py).
 
         ``options.pause_at`` stops the loop at exactly that absolute cycle
         *without* flushing fast-forward elision windows and without the
@@ -287,7 +295,7 @@ class Machine:
             nxt = cycle + 1
             advanced = False
             if (use_bg and cycle >= self._bg_resume_probe
-                    and not self.obs.active):
+                    and not self.obs.pipeline_active):
                 done = self._try_block_window(nxt, min(stop, next_watchdog),
                                               use_ff)
                 if done > nxt:
@@ -427,8 +435,11 @@ class Machine:
             # lone thread's blocks rarely repeat, so a memo would only
             # hold its code objects (about 2% more peak memory on the
             # perf/ seq_compute workload, no time saved).
-            memo = self._bg_code if len(self.contexts) > 1 else None
-            runner = BlockRunner(core, memo)
+            if len(self.contexts) > 1:
+                runner = BlockRunner(core, self._bg_programs,
+                                     self._bg_code, self._bg_rows)
+            else:
+                runner = BlockRunner(core, self._bg_programs)
             self._bg_runners[core.index] = runner
         return runner
 

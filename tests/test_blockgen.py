@@ -8,9 +8,9 @@ Three properties are enforced:
    :func:`repro.cpu.exec.fp`, :func:`repro.cpu.exec.branch_taken`) on
    randomized operands — any divergence is a silent wrong-result bug in
    the fused loop.
-2. **Cache keying.**  Compiled blocks are memoized per program keyed by
-   (BLOCKGEN_VERSION, core config, instruction fingerprint): same inputs
-   hit, a different config or a mutated program must miss.  The same
+2. **Cache keying.**  Compiled blocks are memoized per machine keyed by
+   (program, core config, instruction fingerprint): same inputs hit, a
+   different config or a mutated program must miss.  The same
    invalidation contract holds one layer down for DFG codegen.
 3. **Gating and integration.**  The ``REPRO_NO_BLOCKGEN`` /
    ``REPRO_NO_CODEGEN`` escape hatches and mid-run snapshots preserve the
@@ -135,17 +135,20 @@ def test_compiled_blocks_memoized_per_program_and_config():
     prog = _program()
     cfg1, cfg2 = _core_configs()
     assert cfg1 != cfg2
-    bp = compiled_blocks(prog, cfg1)
-    assert compiled_blocks(prog, cfg1) is bp
-    assert compiled_blocks(prog, cfg2) is not bp
+    memo = {}
+    bp = compiled_blocks(prog, cfg1, memo)
+    assert compiled_blocks(prog, cfg1, memo) is bp
+    assert compiled_blocks(prog, cfg2, memo) is not bp
+    assert compiled_blocks(_program(), cfg1, memo) is not bp
 
 
 def test_compiled_blocks_miss_on_program_mutation():
     prog = _program()
     cfg, _ = _core_configs()
-    bp = compiled_blocks(prog, cfg)
+    memo = {}
+    bp = compiled_blocks(prog, cfg, memo)
     prog.instructions[0].imm = 7  # li r1, 0 -> li r1, 7
-    assert compiled_blocks(prog, cfg) is not bp
+    assert compiled_blocks(prog, cfg, memo) is not bp
 
 
 def test_dfg_mutation_invalidates_compiled_closures():

@@ -45,7 +45,18 @@ _BARRIER_CASES = [
     ("dijkstra", "barrier", {"n": 20, "p": 16}),
     ("dijkstra", "barrier_comp", {"n": 16, "p": 8}),
     ("dijkstra", "hwbar", {"n": 16, "p": 4}),
+    ("ll2", "sw", {"n": 16, "passes": 2, "p": 4}),
+    ("ll3", "sw", {"n": 64, "passes": 3, "p": 4}),
+    ("ll3", "sw", {"n": 64, "passes": 2, "p": 16}),
+    ("ll6", "sw", {"n": 16, "passes": 2, "p": 4}),
+    ("dijkstra", "sw", {"n": 16, "p": 4}),
 ]
+
+#: ``(fast_forward, blockgen)`` of the three schedulers every exactness
+#: test compares: the naive per-cycle loop, fast-forward elision around
+#: interpreted ticks, and the default (fast-forward plus the compiled
+#: walk).
+_LEGS = ((False, False), (True, False), (True, True))
 
 
 def _registry_cases():
@@ -136,7 +147,7 @@ def test_codegen_off_same_simulation(bench, variant, kwargs, monkeypatch):
 # ---------------------------------------------------------------- profiler
 
 
-def _profiled(bench, variant, kwargs, fast_forward):
+def _profiled(bench, variant, kwargs, fast_forward, blockgen):
     from repro.obs.profile import ProfilerSink
     spec = registry.REGISTRY[bench].variants[variant](**kwargs)
     machine = Machine(spec.system)
@@ -144,11 +155,12 @@ def _profiled(bench, variant, kwargs, fast_forward):
     sink = ProfilerSink()
     machine.obs.attach(sink, ProfilerSink.KINDS)
     cycles = machine.run(options=RunOptions(max_cycles=spec.max_cycles,
-                                            fast_forward=fast_forward))
+                                            fast_forward=fast_forward,
+                                            blockgen=blockgen))
     machine.finish_observation()
     accounting = sink.accounting()
     accounting.verify()  # spans exactly tile the ticked cycles
-    return cycles, accounting.rows()
+    return cycles, accounting.rows(), machine._bg_multi.fused_cycles
 
 
 @pytest.mark.parametrize("bench,variant,kwargs", [
@@ -156,36 +168,49 @@ def _profiled(bench, variant, kwargs, fast_forward):
     ("dijkstra", "hwbar", {"n": 16, "p": 4}),
     ("hmmer", "compcomm", {"M": 48, "R": 2}),
     ("g721dec", "seq", {"items": 10}),
+    ("ll2", "sw", {"n": 16, "passes": 2, "p": 4}),
+    ("ll3", "sw", {"n": 64, "passes": 2, "p": 16}),
 ])
 def test_profiler_identical_under_fast_forward(bench, variant, kwargs):
-    """Cycle-accounting rows are bit-identical under both schedulers."""
-    naive_cycles, naive_rows = _profiled(bench, variant, kwargs, False)
-    ff_cycles, ff_rows = _profiled(bench, variant, kwargs, True)
-    assert ff_cycles == naive_cycles
-    assert ff_rows == naive_rows
+    """Cycle-accounting rows are bit-identical under all three
+    schedulers, and a profiler sink keeps the compiled walk engaged,
+    single-thread (g721dec/seq) or multi-thread alike."""
+    naive, ff, fused = (_profiled(bench, variant, kwargs, *leg)
+                        for leg in _LEGS)
+    assert ff[:2] == naive[:2]
+    assert fused[:2] == naive[:2]
+    assert fused[2] > 0
 
 
-def test_perfetto_events_identical_under_fast_forward():
-    """Same Perfetto slices either way (order may differ: elided cores
-    close their spans at credit time; 'X' events carry timestamps)."""
+def _perfetto(bench, variant, kwargs, fast_forward, blockgen):
     import json
 
     from repro.obs.perfetto import PERFETTO_KINDS, PerfettoSink
+    spec = registry.REGISTRY[bench].variants[variant](**kwargs)
+    machine = Machine(spec.system)
+    machine.load(spec.workload)
+    sink = PerfettoSink()
+    machine.obs.attach(sink, PERFETTO_KINDS)
+    machine.run(options=RunOptions(max_cycles=spec.max_cycles,
+                                   fast_forward=fast_forward,
+                                   blockgen=blockgen))
+    machine.finish_observation()
+    return sorted(json.dumps(event, sort_keys=True)
+                  for event in sink.trace_events)
 
-    def trace(fast_forward):
-        spec = registry.REGISTRY["ll3"].variants["barrier"](
-            n=64, passes=3, p=4)
-        machine = Machine(spec.system)
-        machine.load(spec.workload)
-        sink = PerfettoSink()
-        machine.obs.attach(sink, PERFETTO_KINDS)
-        machine.run(options=RunOptions(max_cycles=spec.max_cycles,
-                                       fast_forward=fast_forward))
-        machine.finish_observation()
-        return sorted(json.dumps(event, sort_keys=True)
-                      for event in sink.trace_events)
 
-    assert trace(True) == trace(False)
+def test_perfetto_events_identical_under_fast_forward():
+    """Same Perfetto slices under all three schedulers (order may
+    differ: elided cores close their spans at credit time; 'X' events
+    carry timestamps)."""
+    for bench, variant, kwargs in (
+            ("ll3", "barrier", {"n": 64, "passes": 3, "p": 4}),
+            ("hmmer", "compcomm", {"M": 48, "R": 2}),
+            ("ll2", "sw", {"n": 16, "passes": 2, "p": 4})):
+        naive, ff, fused = (_perfetto(bench, variant, kwargs, *leg)
+                            for leg in _LEGS)
+        assert ff == naive, (bench, variant)
+        assert fused == naive, (bench, variant)
 
 
 # --------------------------------------------------------------- migration
@@ -280,6 +305,31 @@ def test_true_deadlock_still_raises_under_fast_forward():
         setup=lambda m: m.configure_spl(0, 1, identity_function())))
     with pytest.raises(DeadlockError):
         machine.run(options=RunOptions(max_cycles=100_000, fast_forward=True))
+
+
+def _fence_run(n, fast_forward, blockgen):
+    """Cycles of ``li; addi x n; fence; halt`` on one core."""
+    a = Asm(f"fence{n}")
+    a.li("r1", 0)
+    for _ in range(n):
+        a.addi("r1", "r1", 1)
+    a.fence()
+    a.halt()
+    machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
+    machine.load(Workload("w", MemoryImage(),
+                          [ThreadSpec(a.assemble(), 1)], placement=[0]))
+    return machine.run(options=RunOptions(
+        max_cycles=100_000, fast_forward=fast_forward, blockgen=blockgen))
+
+
+def test_drained_fence_at_head_wakes_next_cycle():
+    """A FENCE at the ROB head with ready operands and an empty store
+    buffer retires next cycle, so ``next_event_cycle`` must not report
+    it as externally woken: with nothing else pending, an elided core
+    would never wake."""
+    for n in range(60):
+        naive, ff, fused = (_fence_run(n, *leg) for leg in _LEGS)
+        assert (ff, fused) == (naive, naive), n
 
 
 # ------------------------------------------------------------ escape hatch

@@ -39,9 +39,12 @@ def test_records_all_stages():
 
 
 def test_retire_count_matches_stats():
+    """A per-instruction sink keeps the run interpreted: the compiled
+    walk emits no pipeline events, so it must fuse no cycle."""
     machine, tracer = _machine_with_tracer()
     retired = machine.stats.find("cpu0").get("retired")
     assert len(tracer.of_stage("retire")) == retired
+    assert machine._bg_multi.fused_cycles == 0
 
 
 def test_stage_filter():
