@@ -16,13 +16,13 @@ properties are enforced per scenario (``python -m repro fuzz``):
    fault).  A flagged scenario that runs clean is recorded as a
    *downgrade counterexample* for the rule.
 3. **Modes agree.**  Clean scenarios are executed under every
-   combination of DFG codegen on/off, fast-forward on/off, and
-   trace-cache block compilation on/off; cycle counts, every stats
-   counter, and result memory words must be identical across the eight
-   modes.  The multithreaded scenarios (rings, producer/consumer pairs,
-   barriers) keep several cores live at once, so the blockgen=on legs
-   exercise the fused *multi-core* window path (DESIGN.md section 10) —
-   per-core deopt, in-window elision, and cross-core pokes are all
+   combination of DFG codegen on/off and the scheduler switch
+   (``fast_forward``: the compiled walk, or the naive per-cycle loop);
+   cycle counts, every stats counter, and result memory words must be
+   identical across the four modes.  The multithreaded scenarios (rings,
+   producer/consumer pairs, barriers) keep several cores live at once,
+   so the fast legs exercise the *multi-core* walk (DESIGN.md section
+   10) — per-core deopt, elision and jumps, and cross-core pokes are all
    covered by the same agreement contract.
 
 Any violation is a *disagreement*; :func:`run_fuzz` reports them all and
@@ -56,9 +56,9 @@ from repro.workloads.base import RunSpec
 #: JSON schema version of :func:`run_fuzz` reports.
 FUZZ_SCHEMA_VERSION = 1
 
-#: Watchdog window for fuzz machines: recv-parked deadlocks are detected
-#: in O(1) by the quiescence probe, init-spinning ones tick naively, so
-#: the window stays small to bound the worst case.
+#: Watchdog window for fuzz machines: the walk jumps recv-parked
+#: deadlocks to the watchdog in O(1), init-spinning ones tick, so the
+#: window stays small to bound the worst case.
 _DEADLOCK_CYCLES = 10_000
 _MAX_CYCLES = 2_000_000
 
@@ -451,12 +451,11 @@ def _build_in_mode(scenario: Scenario, codegen: bool) -> RunSpec:
 
 
 def _run_spec(spec: RunSpec, scenario: Scenario,
-              fast_forward: bool, blockgen: bool = True) -> Dict[str, Any]:
+              fast_forward: bool) -> Dict[str, Any]:
     machine = Machine(spec.system)
     machine.load(spec.workload)
     cycles = machine.run(options=RunOptions(max_cycles=spec.max_cycles,
-                                            fast_forward=fast_forward,
-                                            blockgen=blockgen))
+                                            fast_forward=fast_forward))
     return {
         "cycles": cycles,
         "counters": machine.stats.as_dict(),
@@ -517,26 +516,23 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     first = True
     for codegen in (True, False):
         for fast_forward in (True, False):
-            for blockgen in (True, False):
-                mode = (f"codegen={'on' if codegen else 'off'},"
-                        f"ff={'on' if fast_forward else 'off'},"
-                        f"blockgen={'on' if blockgen else 'off'}")
-                # The first mode is the default configuration; it reuses
-                # the spec already built for linting (workload images are
-                # consumed by execution, so every other mode rebuilds).
-                mode_spec = spec if first else _build_in_mode(
-                    scenario, codegen=codegen)
-                first = False
-                try:
-                    outcomes[mode] = _run_spec(mode_spec, scenario,
-                                               fast_forward=fast_forward,
-                                               blockgen=blockgen)
-                except ReproError as exc:
-                    disagreements.append(
-                        f"clean scenario failed in mode {mode}: "
-                        f"{type(exc).__name__}: {exc}")
+            mode = (f"codegen={'on' if codegen else 'off'},"
+                    f"ff={'on' if fast_forward else 'off'}")
+            # The first mode is the default configuration; it reuses the
+            # spec already built for linting (workload images are
+            # consumed by execution, so every other mode rebuilds).
+            mode_spec = spec if first else _build_in_mode(
+                scenario, codegen=codegen)
+            first = False
+            try:
+                outcomes[mode] = _run_spec(mode_spec, scenario,
+                                           fast_forward=fast_forward)
+            except ReproError as exc:
+                disagreements.append(
+                    f"clean scenario failed in mode {mode}: "
+                    f"{type(exc).__name__}: {exc}")
     record["dynamic"] = "completed" if outcomes else "failed"
-    if len(outcomes) == 8:
+    if len(outcomes) == 4:
         reference_mode = next(iter(outcomes))
         reference = outcomes[reference_mode]
         for mode, outcome in outcomes.items():

@@ -28,7 +28,8 @@ Every ``cmd_*`` handler returns an integer exit code (the table is in
 usage errors (argparse's convention).  Handlers reject bad input by
 raising :class:`UsageError`, which :func:`main` prints as one stderr
 line and turns into exit 2; so does a request whose spec cannot be
-built (a ``ConfigError`` or ``WorkloadError`` naming the spec).
+built (a ``ConfigError`` or ``WorkloadError`` naming the spec), and a
+snapshot that ``resume`` cannot read or restore.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
-from repro.common.errors import ConfigError, WorkloadError
+from repro.common.errors import ConfigError, ReproError, WorkloadError
 from repro.experiments import ablations
 from repro.experiments.barriers import (PAPER_SIZES, QUICK_SIZES,
                                         figure12_series, figure13_series,
@@ -63,8 +64,8 @@ exit codes:
   0  success
   1  a gate failed: lint errors, bound violations, baseline check
      mismatches, or fuzz disagreements
-  2  usage error (unknown command, malformed arguments, or a spec
-     request that cannot be built)
+  2  usage error (unknown command, malformed arguments, a spec
+     request that cannot be built, or an unreadable snapshot)
 """
 
 
@@ -76,6 +77,11 @@ class UsageError(Exception):
 #: A spec that builds and then fails (lint, deadlock, output check)
 #: raises something else and keeps exit 1.
 _REQUEST_ERRORS = (ConfigError, WorkloadError)
+
+#: What reading or restoring an unusable snapshot file raises: missing
+#: or unreadable, not JSON, another record kind or schema, or a payload
+#: that does not fit the spec it names.
+_SNAPSHOT_ERRORS = (OSError, ValueError, KeyError, TypeError, ReproError)
 
 _ABLATIONS = {
     "sharing": ablations.sharing_degree,
@@ -448,9 +454,14 @@ def cmd_sample(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    from repro.system.snapshot import resume_from_file
-    machine, cycles = resume_from_file(args.snapshot,
-                                       check=not args.no_check)
+    from repro.system.snapshot import (read_snapshot, restore_machine,
+                                       run_restored)
+    try:
+        machine, spec = restore_machine(read_snapshot(args.snapshot))
+    except _SNAPSHOT_ERRORS as exc:
+        raise UsageError(f"{args.snapshot}: {type(exc).__name__}: "
+                         f"{exc}") from None
+    cycles = run_restored(machine, spec, check=not args.no_check)
     print(f"resumed {args.snapshot}: completed at cycle {cycles}, "
           f"{machine.total_retired()} instructions retired")
     if not args.no_check:

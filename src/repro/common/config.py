@@ -238,7 +238,6 @@ class SystemConfig:
 ENV_NO_FASTFORWARD = "REPRO_NO_FASTFORWARD"
 ENV_NO_CODEGEN = "REPRO_NO_CODEGEN"
 ENV_NO_LINT = "REPRO_NO_LINT"
-ENV_NO_BLOCKGEN = "REPRO_NO_BLOCKGEN"
 
 
 def env_enabled(var: str) -> bool:
@@ -259,6 +258,10 @@ class RunOptions:
     escape hatches.  That resolution step is the *only* sanctioned env
     read for run behaviour.
 
+    ``fast_forward`` is the one scheduler switch: the compiled walk,
+    with its elision and jumps, or the naive per-cycle reference loop
+    (see :meth:`Machine.run`).
+
     ``pause_at`` stops :meth:`Machine.run` at exactly that cycle without
     flushing fast-forward elision windows — the machine is left in the
     precise mid-run state the naive loop would inspect at the top of that
@@ -274,14 +277,13 @@ class RunOptions:
     until: Optional[Callable[[], bool]] = None
     #: Stop at exactly this absolute cycle, preserving elision windows.
     pause_at: Optional[int] = None
-    #: Quiescence-aware fast-forward scheduler (None: env-resolved).
+    #: The fast scheduler, the compiled walk with its elision and jumps
+    #: (None: env-resolved); False runs the naive per-cycle loop.
     fast_forward: Optional[bool] = None
     #: Compiled DFG closures for SPL functions (None: env-resolved).
     codegen: Optional[bool] = None
     #: Static-verifier pre-flight in the experiment engine (None: env).
     lint: Optional[bool] = None
-    #: Trace-cache block compilation of the OOO hot loop (None: env).
-    blockgen: Optional[bool] = None
 
     def resolve(self) -> "RunOptions":
         """Pin every tri-state field against the environment, once."""
@@ -293,8 +295,6 @@ class RunOptions:
                      if self.codegen is None else self.codegen),
             lint=(env_enabled(ENV_NO_LINT)
                   if self.lint is None else self.lint),
-            blockgen=(env_enabled(ENV_NO_BLOCKGEN)
-                      if self.blockgen is None else self.blockgen),
         )
 
     def fingerprint(self) -> Dict[str, bool]:
@@ -308,8 +308,7 @@ class RunOptions:
         """
         resolved = self.resolve()
         return {"fast_forward": bool(resolved.fast_forward),
-                "codegen": bool(resolved.codegen),
-                "blockgen": bool(resolved.blockgen)}
+                "codegen": bool(resolved.codegen)}
 
     def validate(self) -> None:
         if self.max_cycles < 0:

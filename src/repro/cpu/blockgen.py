@@ -44,13 +44,14 @@ decisions out of the loop:
   mispredicts, icache misses, and structural stalls are handled inline
   through the interpreter's own machinery (``_flush_from_seq``, stall
   counters), not by deopt — they are exactly replicable.
-* **Controllers and elision**: controllers stay un-ticked (the §6
-  event-horizon bound taken at window start) until an interpreted tick
+* **Controllers, elision and jumps**: controllers stay un-ticked (the
+  §6 event-horizon bound taken at walk entry) until an interpreted tick
   or a compiled SPL op may have touched a port; from then on they tick
   every cycle until a quiet cycle re-proves a bound.  Quiescent cores
-  are handed to the fast-forward elision machinery *inside* the walk
-  (``ff_elide``/``credit_fast_forward`` — the same plans the machine
-  loop resumes).
+  are elided inside the walk (``ff_elide``/``credit_fast_forward`` —
+  the same plans the naive loop resumes after a pause), and when every
+  running core is elided and the controllers are quiet the walk jumps
+  to the earliest wake or controller event.
 * **Periodic elision** (:mod:`repro.cpu.periodic`): a compiled core
   spinning in a store-free loop (a software barrier's sense loop) is
   elided too, once its whole shift-normalized state repeats with a
@@ -61,10 +62,9 @@ decisions out of the loop:
 
 Compiled blocks are memoized per machine, keyed by the program, the
 core config, and a content fingerprint of the instruction stream, so
-mutating a program or changing the config misses the memo.  The whole
-mechanism is gated by ``RunOptions.blockgen`` / ``REPRO_NO_BLOCKGEN``
-(see repro.common.config) and engaged by ``Machine.run`` under the same
-conditions as fast-forward elision.
+mutating a program or changing the config misses the memo.  The walk is
+``Machine.run``'s fast scheduler, switched by ``RunOptions.fast_forward``
+/ ``REPRO_NO_FASTFORWARD`` (see repro.common.config).
 
 Purity constraint: generated closures bind **no machine state** — only
 the pure helpers in ``_NAMESPACE`` — because the compiled artifact is
@@ -1232,13 +1232,13 @@ def _tapped(data_access, inst_fetch, tap: list):
 _CNT_KEYS = ("cycles", "fetched", "dispatched", "issued", "retired",
              "int_ops", "fp_ops", "loads", "stores", "branches_resolved")
 
-#: Mirrors ``repro.system.machine._FF_NEVER``: the ``ff_wake`` sentinel
-#: for an elided core that only an event poke can resume.
+#: The ``ff_wake`` sentinel for an elided core that only an event poke
+#: can resume (and the controllers' bound when none is scheduled).
 _BG_NEVER = 1 << 62
 
-#: In-window elide-probe backoff ceiling, mirroring the machine's
-#: ``_FF_BACKOFF_CAP`` rationale: probing a busy core's quiescence every
-#: cycle costs more than the elision saves.
+#: In-window elide-probe backoff ceiling: probing a busy core's
+#: quiescence every cycle costs more than the elision saves, and a long
+#: backoff only delays *discovering* a quiesce window, never correctness.
 _BG_PROBE_CAP = 256
 
 #: Cycles between periodic-elision candidacy checks of a live compiled
@@ -1248,11 +1248,11 @@ _PE_RECHECK = 8
 
 
 class MultiBlockRunner:
-    """The fused walk: every running core per cycle, one Python loop.
+    """The walk: every running core per cycle, one Python loop.
 
-    The machine opens one whenever blockgen is engaged, whether one core
-    is running or sixteen.  Exactness rests on three invariants,
-    mirrored from the naive ``Machine.run`` loop:
+    ``Machine.run``'s fast scheduler: the machine opens one per watchdog
+    stride, whether one core is running or sixteen.  Exactness rests on
+    three invariants, mirrored from the naive ``Machine.run`` loop:
 
     * **Core order.**  Cores advance in index order within each cycle —
       the interleaving that fixes shared-memory and snoop-invalidation
@@ -1265,24 +1265,27 @@ class MultiBlockRunner:
       not run between the snoop and its slot in either index order, so
       the deferred replay observes exactly the state the synchronous
       interpreter walk would have.
-    * **Controller gating.**  The engagement bound (min over
-      controllers' ``next_event_cycle`` at window start) proves skipped
-      controller ticks are no-ops until that bound, so the walk skips
-      them — *until* the bound arrives or a core tick interprets (it
-      may execute a serialized op against an SPL/comm port).  From that
-      cycle on, ``controllers_live`` sticks and every remaining window
-      cycle ticks the controllers after the cores, in loop order, until
-      a quiet cycle re-proves a bound.  A streaming controller (bound
-      at or before window start) therefore runs live from the first
-      cycle instead of blocking engagement.
+    * **Controller gating.**  The entry bound (min over controllers'
+      ``next_event_cycle`` at ``start - 1``) proves skipped controller
+      ticks are no-ops until that bound, so the walk skips them —
+      *until* the bound arrives or a core tick interprets (it may
+      execute a serialized op against an SPL/comm port).  From that
+      cycle on, ``controllers_live`` sticks and every cycle ticks the
+      controllers after the cores, in loop order, until a quiet cycle
+      re-proves a bound.  A streaming controller (bound at or before
+      ``start``) therefore runs live from the first cycle.
     * **Poke/elide contract.**  Quiescent cores are elided with the
-      standard ``ff_elide`` plan and resumed exactly like the machine
-      loop (poke consumed, skipped span bulk-credited); a delivery or
-      invalidation poke lands before the affected cycle because pokes
-      are only raised by controller ticks and sibling steps, both of
-      which run inside the same per-cycle walk.  Compiled cores that
-      spin are elided under periodic plans (:mod:`repro.cpu.periodic`)
-      through the same contract.
+      standard ``ff_elide`` plan and resumed at their cycle slot (poke
+      consumed, skipped span bulk-credited); a delivery or invalidation
+      poke lands before the affected cycle because pokes are only
+      raised by controller ticks and sibling steps, both of which run
+      inside the same per-cycle walk.  Compiled cores that spin are
+      elided under periodic plans (:mod:`repro.cpu.periodic`) through
+      the same contract.  When every running core is elided, no elided
+      core is poked and the controllers are quiet, nothing runs before
+      the earliest elided wake or controller bound, so the walk jumps
+      there; a bounded jump raises the watchdog's progress floor
+      (``Machine._ff_progress``).
 
     Per-core deopt: a core whose ROB head nears a hard serialized op
     falls back to ``core.tick`` for that cycle only; the window
@@ -1304,33 +1307,28 @@ class MultiBlockRunner:
         self.fused_cycles = 0
         self.deopts = 0
 
-    def run_window(self, start: int, end: int, cores, runners,
-                   allow_elide: bool, ctl_resume: int = _BG_NEVER):
+    def run_window(self, start: int, end: int, cores, runners) -> int:
         """Advance ``cores`` (index order) through ``[start, end)``.
 
         ``runners[i]`` is the installed :class:`BlockRunner` for
-        ``cores[i]`` or None (backed off / draining: interpret only).
-        ``allow_elide`` gates in-window ``ff_elide`` plans (False when
-        the run disabled fast-forward: then quiescent cores tick
-        naively, still exact).  ``ctl_resume`` is the controllers'
-        event bound at engagement (min ``next_event_cycle`` observed at
-        ``start - 1``): the first cycle a controller must tick.  The
-        walk goes controller-live at that cycle — a streaming
-        controller (``ctl_resume <= start``) keeps the window open with
-        controllers ticking every cycle, rather than declining
-        engagement.  Returns ``(done, stepped, attempted, elided)`` —
-        the first un-executed cycle plus per-core compiled-cycle and
-        engagement telemetry for the machine's per-core backoff.  The
-        caller guarantees: every core has a bound context, at least one
-        is neither halted nor elided, no elided core has a pending poke,
-        no pipeline-kind sink is attached, and ``end`` respects the
+        ``cores[i]`` or None (draining: interpret only).  The
+        controllers' event bound at entry (min ``next_event_cycle``
+        at ``start - 1``) is the first cycle a controller must tick;
+        the walk goes controller-live at that cycle, so a streaming
+        controller (bound at or before ``start``) runs live from the
+        first cycle.  Returns the first cycle not run: ``end``, or
+        earlier only when every core has halted.  The caller
+        guarantees: ``cores`` are every core with a bound context that
+        has not halted, no pipeline-kind sink is attached, every
+        controller has ``next_event_cycle``, and ``end`` respects the
         watchdog/pause ceiling.
         """
-        controllers = self.machine._controllers
+        machine = self.machine
+        controllers = machine._controllers
         n = len(cores)
         periodic = None
         spin_tabs = [None] * n
-        if allow_elide and n > 1 and not self.machine.obs.active:
+        if n > 1 and not machine.obs.active:
             # With one thread no other core can write a line a store-free
             # loop reads (the wake invariant, DESIGN.md section 10), so a
             # lone spinner never wakes: nothing to elide periodically.
@@ -1340,16 +1338,14 @@ class MultiBlockRunner:
             spin_tabs = [periodic.spin_table(runner) if runner is not None
                          else None for runner in runners]
         pends = [[0] * 10 for _ in range(n)]
-        stepped = [0] * n
-        attempted = [False] * n
+        fused = deopts = 0
         was_compiled = [False] * n
-        deopts = [0] * n
         probe_at = [start] * n
         probe_backoff = [1] * n
         park_on = [False] * n
         # Periodic elision: the running detection attempt per core, the
-        # next cycle to probe (never, when the run may not elide), and
-        # the failed-attempt backoff.
+        # next cycle to probe (never, when the walk may not elide
+        # periodically), and the failed-attempt backoff.
         attempts = [None] * n
         pe_at = [start if periodic is not None else _BG_NEVER] * n
         pe_backoff = [1] * n
@@ -1372,28 +1368,55 @@ class MultiBlockRunner:
             if core.ff_skip_from >= 0:
                 states[i] = 1
                 wake_at[i] = core.ff_wake
-            elif core.halted:
-                states[i] = 2
             else:
                 live += 1
         # Controller gating: while live, controllers tick every cycle;
         # after an interp-free cycle they may re-quiesce by proving a
-        # bound (next_event_cycle, the same contract the machine's
-        # engagement predicate uses) — ``controllers_resume`` is then the
+        # bound (next_event_cycle) — ``controllers_resume`` is then the
         # cycle they must come back at, _BG_NEVER when only core
         # activity (an interpreted tick) can wake them.
         controllers_live = False
-        controllers_resume = ctl_resume
+        controllers_resume = _BG_NEVER
+        for controller in controllers:
+            t = controller.next_event_cycle(start - 1)
+            if t is not None and t < controllers_resume:
+                controllers_resume = t
         ctl_probe_at = start
         ctl_backoff = 1
         enum_cores = list(enumerate(cores))
         cycle = start
         while cycle < end:
             if live == 0:
-                # Everyone is waiting on an external event: hand back to
-                # the machine loop, whose fast-forward probe can *jump*
-                # (and bound the watchdog floor) instead of iterating.
-                break
+                # Every running core is elided or halted.  All halted:
+                # stop here, as the naive loop does, whatever the
+                # controllers are doing.  Otherwise, with the controllers
+                # quiet and no elided core poked, nothing can run before
+                # the earliest elided wake or the controllers' comeback
+                # cycle: jump there.
+                target = end if controllers_resume >= end \
+                    else controllers_resume
+                bounded = controllers_resume < _BG_NEVER
+                elided = poked = False
+                for i, core in enum_cores:
+                    if states[i] == 1:
+                        elided = True
+                        if core.ff_poke:
+                            poked = True
+                        wake = wake_at[i]
+                        if wake < _BG_NEVER:
+                            bounded = True
+                            if wake < target:
+                                target = wake
+                if not elided:
+                    break
+                if not controllers_live and not poked and target > cycle:
+                    if bounded:
+                        # Some tickable has an event scheduled: forward
+                        # progress for the watchdog, even if no core
+                        # retires for a long legal stall.
+                        machine._ff_progress = target
+                    cycle = target
+                    continue
             if live == 1 and not controllers_live:
                 # One live core, controllers provably quiet: give its
                 # generator one multi-cycle send, bounded by the
@@ -1442,10 +1465,9 @@ class MultiBlockRunner:
                         gen.send(None)
                         gens[target] = gen
                     if gen is not None:
-                        attempted[target] = True
                         done = gen.send((cycle, limit, watch))
                         if done > cycle:
-                            stepped[target] += done - cycle
+                            fused += done - cycle
                             was_compiled[target] = True
                             # Poke fix-up: a store in the send's *last*
                             # cycle may have snoop-flushed elided
@@ -1533,7 +1555,6 @@ class MultiBlockRunner:
                     runner = runners[i]
                     stepped_now = False
                     if runner is not None:
-                        attempted[i] = True
                         gen = gens[i]
                         if gen is None and not runner.declines():
                             gen = runner.drive(pends[i])
@@ -1579,7 +1600,7 @@ class MultiBlockRunner:
                             except StopIteration:
                                 gens[i] = None
                             if res is not None:
-                                stepped[i] += 1
+                                fused += 1
                                 was_compiled[i] = True
                                 if res is True:
                                     park_on[i] = False
@@ -1610,8 +1631,7 @@ class MultiBlockRunner:
                                         park_on[i] = True
                                         probe_at[i] = cycle
                                         probe_backoff[i] = 1
-                                    if not allow_elide \
-                                            or cycle < probe_at[i]:
+                                    if cycle < probe_at[i]:
                                         continue
                                 # Sync the residency so the elide probe
                                 # below reads authoritative scalars; a
@@ -1628,7 +1648,7 @@ class MultiBlockRunner:
                             deopted_now = True
                             if was_compiled[i]:
                                 was_compiled[i] = False
-                                deopts[i] += 1
+                                deopts += 1
                                 # A fresh deopt usually means the core
                                 # just parked on a serialized op
                                 # (barrier / SPL recv): probe for
@@ -1643,7 +1663,7 @@ class MultiBlockRunner:
                             states[i] = 2
                             live -= 1
                             continue
-                if allow_elide and cycle >= probe_at[i]:
+                if cycle >= probe_at[i]:
                     if core.ff_poke:
                         core.ff_poke = False
                     else:
@@ -1701,7 +1721,7 @@ class MultiBlockRunner:
         # Retire every residency: write the hoisted scalars back, then
         # replay invalidations deferred during the final cycle (the
         # victim has not run since the snoop, so the replay is the state
-        # the machine loop must see when it resumes at ``cycle``).
+        # the next walk, or a snapshot, must see at ``cycle``).
         for i, core in enum_cores:
             gen = gens[i]
             if gen is not None:
@@ -1727,6 +1747,6 @@ class MultiBlockRunner:
                     if value:
                         cnt[key] += value
         self.windows += 1
-        self.fused_cycles += sum(stepped)
-        self.deopts += sum(deopts)
-        return cycle, stepped, attempted, [st == 1 for st in states]
+        self.fused_cycles += fused
+        self.deopts += deopts
+        return cycle

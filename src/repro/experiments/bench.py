@@ -1,23 +1,22 @@
 """Simulation-loop throughput benchmark (``python -m repro bench``).
 
-Times representative benches — one compute-bound (seq), one barrier-heavy,
-one communication+computation — under three simulation legs: the naive
-per-cycle loop, the quiescence-aware fast-forward scheduler, and the
-fast-forward scheduler with trace-cache block compilation on top (the
-default configuration).  Each case runs on a fresh machine per leg,
-asserts all legs agree on final cycle and retired-instruction counts (the
-cycle-exactness guarantee, enforced exhaustively in
-tests/test_fastforward.py and tests/test_blockgen.py), and reports
-simulated cycles per wall-clock second.  Results are written to
-``BENCH_simloop.json`` so CI can archive the perf trajectory.
+Times representative benches — compute-bound (seq), barrier-heavy,
+communication+computation — under the two simulation legs ``Machine.run``
+has: the naive per-cycle loop and the fast scheduler (the compiled walk
+with its elision and jumps, the default configuration).  Each case runs
+on a fresh machine per leg, asserts both legs agree on final cycle and
+retired-instruction counts (the cycle-exactness guarantee, enforced
+exhaustively in tests/test_fastforward.py and tests/test_blockgen.py),
+and reports simulated cycles per wall-clock second.  Results are written
+to ``BENCH_simloop.json`` so CI can archive the perf trajectory.
 
-Schema 2 notes: repeats are interleaved round-robin across the legs
-rather than run leg-by-leg, so slow host-frequency drift cannot bias one
-leg's best-of-N against another's (leg-sequential timing once produced a
-phantom 0.965x "regression" on the livermore case that an interleaved
-re-measurement showed to be 1.02x).  Each leg records its wall-clock
-spread (min/median/stdev) and the report carries a host fingerprint so
-archived numbers can be compared apples-to-apples.
+Repeats are interleaved round-robin across the legs rather than run
+leg-by-leg, so slow host-frequency drift cannot bias one leg's best-of-N
+against another's (leg-sequential timing once produced a phantom 0.965x
+"regression" on the livermore case that an interleaved re-measurement
+showed to be 1.02x).  Each leg records its wall-clock spread
+(min/median/stdev) and the report carries a host fingerprint so archived
+numbers can be compared apples-to-apples.
 """
 
 from __future__ import annotations
@@ -36,9 +35,10 @@ from repro.system.machine import Machine
 from repro.workloads import registry
 
 #: Report schema; bump when the JSON layout changes.  Schema 2 added the
-#: blockgen leg, per-leg wall-clock spread, and the host fingerprint.
-#: :func:`check_report` reads this schema only.
-BENCH_SCHEMA_VERSION = 2
+#: blockgen leg, per-leg wall-clock spread, and the host fingerprint;
+#: schema 3 has two legs, ``naive`` and ``fast``.  :func:`check_report`
+#: reads this schema only.
+BENCH_SCHEMA_VERSION = 3
 
 #: Default output file (gitignored).
 DEFAULT_OUT = "BENCH_simloop.json"
@@ -64,18 +64,17 @@ CASES: Dict[str, Tuple[str, str, Dict]] = {
 #: spread (the extra repeats absorb allocator/cache warm-up noise).
 BENCH_REPEATS = 3
 
-#: leg name -> (fast_forward, blockgen).  The blockgen leg is the default
-#: RunOptions configuration; running all three per case makes every bench
-#: invocation an A/B cycle-drift gate for the compiled hot loop.
-LEGS: Tuple[Tuple[str, bool, bool], ...] = (
-    ("naive", False, False),
-    ("fast_forward", True, False),
-    ("blockgen", True, True),
+#: leg name -> ``RunOptions.fast_forward``.  The fast leg is the default
+#: configuration; running both per case makes every bench invocation an
+#: A/B cycle-drift gate for the compiled walk.
+LEGS: Tuple[Tuple[str, bool], ...] = (
+    ("naive", False),
+    ("fast", True),
 )
 
 
-def _run_once(make_spec, fast_forward: bool,
-              blockgen: bool) -> Tuple[int, int, float, Machine]:
+def _run_once(make_spec,
+              fast_forward: bool) -> Tuple[int, int, float, Machine]:
     """(final cycle, retired instructions, wall seconds, machine) for one
     run.
 
@@ -87,8 +86,7 @@ def _run_once(make_spec, fast_forward: bool,
     machine.load(spec.workload)
     start = time.perf_counter()
     cycles = machine.run(options=RunOptions(max_cycles=spec.max_cycles,
-                                            fast_forward=fast_forward,
-                                            blockgen=blockgen))
+                                            fast_forward=fast_forward))
     wall = time.perf_counter() - start
     return cycles, machine.total_retired(), wall, machine
 
@@ -112,17 +110,17 @@ def run_case(name: str) -> Dict:
         return registry.REGISTRY[bench].variants[variant](**kwargs)
 
     spec = make_spec()
-    walls: Dict[str, List[float]] = {leg: [] for leg, _, _ in LEGS}
+    walls: Dict[str, List[float]] = {leg: [] for leg, _ in LEGS}
     results: Dict[str, Tuple[int, int]] = {}
     # Interleave repeats round-robin across legs so slow host drift (CPU
     # frequency, thermal) spreads evenly instead of biasing one leg.
     engagement: Dict[str, int] = {}
     for _ in range(BENCH_REPEATS):
-        for leg, fast_forward, blockgen in LEGS:
-            cycles, retired, wall, machine = _run_once(
-                make_spec, fast_forward, blockgen)
+        for leg, fast_forward in LEGS:
+            cycles, retired, wall, machine = _run_once(make_spec,
+                                                       fast_forward)
             walls[leg].append(wall)
-            if blockgen:
+            if fast_forward:
                 runners = machine._bg_runners.values()
                 walk = machine._bg_multi
                 engagement = {
@@ -143,7 +141,7 @@ def run_case(name: str) -> Dict:
                     f"bench case {name!r} ({spec.name}): {leg} leg is "
                     f"not deterministic")
     reference = results["naive"]
-    for leg, _, _ in LEGS:
+    for leg, _ in LEGS:
         if results[leg] != reference:
             raise SimulationError(
                 f"bench case {name!r} ({spec.name}): {leg} diverged — "
@@ -156,16 +154,15 @@ def run_case(name: str) -> Dict:
         "cycles": cycles,
         "retired": retired,
     }
-    for leg, _, _ in LEGS:
+    for leg, _ in LEGS:
         row[leg] = _leg_stats(cycles, walls[leg])
     if engagement:
-        # Informational (never gated): how many core-cycles of the
-        # blockgen leg the walk ran compiled, how often a hard serialized
-        # op ended a compiled stretch, and how many core-cycles it elided
-        # as periodic spins.
-        row["blockgen"]["engagement"] = engagement
-    row["speedup"] = row["naive"]["wall_s"] / row["fast_forward"]["wall_s"]
-    row["blockgen_speedup"] = row["naive"]["wall_s"] / row["blockgen"]["wall_s"]
+        # Informational (never gated): how many core-cycles of the fast
+        # leg the walk ran compiled, how often a hard serialized op ended
+        # a compiled stretch, and how many core-cycles it elided as
+        # periodic spins.
+        row["fast"]["engagement"] = engagement
+    row["speedup"] = row["naive"]["wall_s"] / row["fast"]["wall_s"]
     return row
 
 
@@ -317,21 +314,14 @@ def format_report(report: Dict) -> str:
                 f"(paused at {row['pause_at']})")
             continue
         naive = row["naive"]["cycles_per_s"]
-        ff = row["fast_forward"]["cycles_per_s"]
+        fast = row["fast"]["cycles_per_s"]
         line = (
             f"{row['case']:10s} {row['spec']:28s} {row['cycles']:>10d} cyc  "
             f"naive {naive / 1e3:8.1f} kcyc/s  "
-            f"ff {ff / 1e3:8.1f} kcyc/s")
-        if "blockgen" in row:
-            bg = row["blockgen"]["cycles_per_s"]
-            line += (f"  blockgen {bg / 1e3:8.1f} kcyc/s  "
-                     f"speedup {row['speedup']:.2f}x/"
-                     f"{row['blockgen_speedup']:.2f}x")
-            periodic = row["blockgen"].get("engagement", {}).get(
-                "periodic_cycles")
-            if periodic:
-                line += f"  periodic {periodic} core-cyc"
-        else:
-            line += f"  speedup {row['speedup']:.2f}x"
+            f"fast {fast / 1e3:8.1f} kcyc/s  "
+            f"speedup {row['speedup']:.2f}x")
+        periodic = row["fast"].get("engagement", {}).get("periodic_cycles")
+        if periodic:
+            line += f"  periodic {periodic} core-cyc"
         lines.append(line)
     return "\n".join(lines)

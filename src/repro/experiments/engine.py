@@ -172,47 +172,21 @@ class SpecError:
         return (f"{self.request.label}: {self.exception_type}: "
                 f"{self.message}")
 
-    def to_dict(self) -> Dict:
-        """JSON-safe payload (request, type, message, traceback)."""
-        return {
-            "request": dataclasses.asdict(self.request),
-            "label": self.request.label,
-            "exception_type": self.exception_type,
-            "message": self.message,
-            "traceback": self.traceback_text,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "SpecError":
-        request_data = dict(data["request"])
-        request_data["params"] = tuple(
-            (key, value) for key, value in request_data.get("params", ()))
-        return cls(request=SpecRequest(**request_data),
-                   exception_type=data["exception_type"],
-                   message=data["message"],
-                   traceback_text=data.get("traceback", ""))
-
 
 class ExperimentBatchError(Exception):
     """Raised by strict gathers after the whole batch has completed.
 
-    Carries both the live :class:`SpecError` records (``errors``) and
-    their structured :meth:`SpecError.to_dict` payloads (``payloads``),
-    so callers can serialize batch failures without string-parsing the
-    exception message or tracebacks.
+    Carries the :class:`SpecError` records (``errors``), so callers can
+    tell the failures apart without string-parsing the exception
+    message or tracebacks.
     """
 
     def __init__(self, errors: List[SpecError]) -> None:
         self.errors = errors
-        self.payloads = [error.to_dict() for error in errors]
         first = errors[0]
         summary = f"{len(errors)} of the batch's specs failed; first: " \
                   f"{first}\n{first.traceback_text}"
         super().__init__(summary)
-
-    def to_dict(self) -> Dict:
-        """The whole batch failure as one JSON-safe record."""
-        return {"errors": self.payloads}
 
 
 # -- persistent result cache ---------------------------------------------------

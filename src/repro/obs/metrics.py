@@ -16,7 +16,7 @@ changes meaning, and the result cache (which keys on the enclosing
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 #: Bump when any snapshot field changes meaning.
 METRICS_SCHEMA_VERSION = 1
@@ -169,20 +169,3 @@ def _register_metrics_codec() -> None:
 
 _register_metrics_codec()
 
-
-def merge_lists(snapshots: List[Dict]) -> Dict:
-    """Aggregate snapshots of repeated runs (sums cycles, keeps schema)."""
-    if not snapshots:
-        return {"schema": METRICS_SCHEMA_VERSION, "cycles": 0,
-                "retired": 0, "cores": [], "fabrics": [],
-                "bus": {"transactions": 0, "wait_cycles": 0},
-                "migrations": 0}
-    out = dict(snapshots[0])
-    for snap in snapshots[1:]:
-        out["cycles"] += snap.get("cycles", 0)
-        out["retired"] += snap.get("retired", 0)
-        out["migrations"] += snap.get("migrations", 0)
-        out["bus"] = {
-            key: out["bus"].get(key, 0) + snap.get("bus", {}).get(key, 0)
-            for key in ("transactions", "wait_cycles")}
-    return out

@@ -17,8 +17,7 @@ from repro.common.stats import Stats
 from repro.core.controller import SplClusterController
 from repro.core.function import SplFunction
 from repro.core.tables import BarrierBus
-from repro.cpu.blockgen import (BlockProgram, BlockRunner, MultiBlockRunner,
-                                _BG_NEVER)
+from repro.cpu.blockgen import BlockProgram, BlockRunner, MultiBlockRunner
 from repro.cpu.context import ThreadContext
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.mem.hierarchy import CoherentMemorySystem
@@ -28,18 +27,6 @@ from repro.obs.bus import EventBus
 from repro.system.workload import Workload
 
 _WATCHDOG_STRIDE = 4096
-
-#: Ceiling for the fast-forward probe backoff (cycles between quiescence
-#: probes while the machine keeps vetoing jumps).  Probing every few cycles
-#: through a compute-bound phase costs more than it saves (~8% on the seq
-#: bench case at a cap of 4); a long backoff only delays *discovering* a
-#: quiesce window — never correctness — and barrier/queue waits are
-#: thousands of cycles, so they are still caught near their start.
-_FF_BACKOFF_CAP = 256
-
-#: ``ff_wake`` sentinel for an elided core that is *externally driven*
-#: (it cannot bound its own wake-up); only an event poke resumes it.
-_FF_NEVER = 1 << 62
 
 
 class ClusterInstance:
@@ -113,23 +100,13 @@ class Machine:
             for index in cluster_instance.core_indices}
         self.contexts: List[ThreadContext] = []
         self.thread_core: Dict[int, int] = {}
-        #: Watchdog progress floor: the last cycle the fast-forward
-        #: scheduler *proved* every tickable quiescent up to.  A bounded
-        #: jump is forward progress (some event is scheduled), so the
-        #: watchdog measures staleness from max(last retire, this floor).
+        #: Watchdog progress floor: the last cycle the walk *proved* every
+        #: tickable quiescent up to.  A bounded jump is forward progress
+        #: (some event is scheduled), so the watchdog measures staleness
+        #: from max(last retire, this floor).
         self._ff_progress = 0
-        #: Probe backoff: while the machine is busy, almost every
-        #: quiescence probe fails, and probing every cycle costs more than
-        #: the skips save.  After a failed probe the next one waits
-        #: 2/4/8/16 cycles (capped); any successful jump resets it.
-        #: Unprobed cycles simply tick naively, so this trades a few
-        #: skippable cycles at a window's start for near-zero probe
-        #: overhead in busy phases — cycle-exactness is unaffected.
-        self._ff_backoff = 1
-        self._ff_resume_probe = 0
         #: Trace-cache block compilation (repro.cpu.blockgen): per-core
-        #: specialized executors plus an engagement backoff mirroring the
-        #: fast-forward probe's.  Deliberately *not* snapshotted — these
+        #: specialized executors.  Deliberately *not* snapshotted — these
         #: are performance hints only; a restored machine re-derives them
         #: and produces identical cycles and stats either way.
         self._bg_runners: Dict[int, BlockRunner] = {}
@@ -141,17 +118,9 @@ class Machine:
         self._bg_programs: Dict[tuple, BlockProgram] = {}
         self._bg_code: Dict[str, object] = {}
         self._bg_rows: Dict[tuple, tuple] = {}
-        self._bg_backoff = 1
-        self._bg_resume_probe = 0
-        #: The fused walk (DESIGN.md §10), which also keeps the blockgen
-        #: telemetry, plus per-core engagement backoff: one core
-        #: deopting every window must not starve compiled execution on
-        #: its siblings, so each core's eligibility backs off
-        #: independently of the global probe.  Not snapshotted, like
-        #: every other ``_bg_*`` hint.
+        #: The walk (DESIGN.md §10), which also keeps the blockgen
+        #: telemetry.  Not snapshotted, like every other ``_bg_*`` hint.
         self._bg_multi = MultiBlockRunner(self)
-        self._bg_core_backoff: Dict[int, int] = {}
-        self._bg_core_resume: Dict[int, int] = {}
 
     def _make_waker(self, indices: List[int]):
         """Delivery callback for a controller: pokes the slot's core so the
@@ -230,20 +199,21 @@ class Machine:
         The run is configured by one :class:`RunOptions` value (the
         defaults when ``options`` is omitted).
 
-        ``options.fast_forward`` selects the scheduler: None (the default)
-        enables the quiescence-aware next-event scheduler unless the
-        ``REPRO_NO_FASTFORWARD`` environment variable is set; False forces
-        the naive per-cycle loop.  ``options.blockgen`` likewise gates the
-        compiled multi-core walk (``REPRO_NO_BLOCKGEN``).  Even when
-        enabled, both silently fall back to per-cycle ticking while an
-        ``until`` predicate is supplied (it may read arbitrary machine
-        state between cycles) or a pipeline-level observability sink is
-        attached (per-instruction events).  Any other sink keeps the walk,
+        Two loops advance the machine.  The fast one is the compiled
+        multi-core walk (:class:`repro.cpu.blockgen.MultiBlockRunner`),
+        which elides quiescent cores and jumps when every running core is
+        elided.  The naive per-cycle loop is the reference; it runs when
+        ``options.fast_forward`` is False (or resolves False through the
+        ``REPRO_NO_FASTFORWARD`` environment variable), while an ``until``
+        predicate is supplied (it may read arbitrary machine state between
+        cycles), while a pipeline-level observability sink is attached
+        (per-instruction events), or when a controller lacks the
+        ``next_event_cycle`` contract.  Any other sink keeps the walk,
         which classifies its compiled cycles for the cycle-accounting
-        spans, but turns off its periodic spin elision.  Every scheduler
-        is cycle-exact: final cycle counts, retired-instruction counts,
-        stats totals and cycle-accounting spans are identical (see
-        DESIGN.md and tests/test_fastforward.py).
+        spans, but turns off its periodic spin elision.  Both loops are
+        cycle-exact: final cycle counts, retired-instruction counts, stats
+        totals and cycle-accounting spans are identical (see DESIGN.md and
+        tests/test_fastforward.py).
 
         ``options.pause_at`` stops the loop at exactly that absolute cycle
         *without* flushing fast-forward elision windows and without the
@@ -259,69 +229,53 @@ class Machine:
         until = options.until
         pause_at = options.pause_at
         cores = self.cores
-        controllers = self._controllers
         limit = self.cycle + options.max_cycles
         stop = limit if pause_at is None else min(limit, pause_at)
         next_watchdog = self.cycle + _WATCHDOG_STRIDE
         # Unknown hardware (a controller without the next_event_cycle
-        # contract) disables fast-forward entirely: the scheduler could
-        # neither bound its events nor trust it to poke elided cores.
-        # Blockgen leans on the same contract to bound its windows.
-        bounded = all(hasattr(c, "next_event_cycle") for c in controllers)
-        use_ff = options.fast_forward and until is None and bounded
-        use_bg = options.blockgen and until is None and bounded
-        while self.cycle < stop:
-            if until is not None and until():
-                return self.cycle
-            running = False
-            cycle = self.cycle
-            for core in cores:
-                if core.ctx is None or core.halted:
-                    continue
-                running = True
-                if core.ff_skip_from >= 0:
-                    # Elided: the probe proved this core dead until
-                    # ``ff_wake`` unless an external event pokes it.
-                    if cycle < core.ff_wake and not core.ff_poke:
+        # contract) keeps the naive loop: the walk could neither bound its
+        # events nor trust it to poke elided cores.
+        if (options.fast_forward and until is None
+                and not self.obs.pipeline_active
+                and all(hasattr(c, "next_event_cycle")
+                        for c in self._controllers)):
+            while self.cycle < stop:
+                end = min(stop, next_watchdog)
+                self.cycle = self._walk(self.cycle, end)
+                if self.cycle < end:
+                    return self.cycle  # every thread has halted
+                if self.cycle >= next_watchdog:
+                    next_watchdog = self.cycle + _WATCHDOG_STRIDE
+                    self._check_watchdog()
+        else:
+            controllers = self._controllers
+            while self.cycle < stop:
+                if until is not None and until():
+                    return self.cycle
+                running = False
+                cycle = self.cycle
+                for core in cores:
+                    if core.ctx is None or core.halted:
                         continue
-                    core.ff_poke = False
-                    core.credit_fast_forward(core.ff_skip_from, cycle - 1)
-                    core.ff_skip_from = -1
-                core.tick(cycle)
-            if not running:
-                return self.cycle
-            for controller in controllers:
-                controller.tick(cycle)
-            nxt = cycle + 1
-            advanced = False
-            if (use_bg and cycle >= self._bg_resume_probe
-                    and not self.obs.pipeline_active):
-                done = self._try_block_window(nxt, min(stop, next_watchdog),
-                                              use_ff)
-                if done > nxt:
-                    self._bg_backoff = 1
-                    nxt = done
-                    advanced = True
-                else:
-                    self._bg_backoff = min(self._bg_backoff * 2,
-                                           _FF_BACKOFF_CAP)
-                    self._bg_resume_probe = cycle + self._bg_backoff
-            if (not advanced and use_ff and cycle >= self._ff_resume_probe
-                    and not self.obs.pipeline_active):
-                target, progressed = self._ff_probe(
-                    cycle, min(stop, next_watchdog))
-                if target > nxt:
-                    nxt = target
-                if progressed:
-                    self._ff_backoff = 1
-                else:
-                    self._ff_backoff = min(self._ff_backoff * 2,
-                                           _FF_BACKOFF_CAP)
-                    self._ff_resume_probe = cycle + self._ff_backoff
-            self.cycle = nxt
-            if nxt >= next_watchdog:
-                next_watchdog = nxt + _WATCHDOG_STRIDE
-                self._check_watchdog()
+                    running = True
+                    if core.ff_skip_from >= 0:
+                        # Elided by a paused fast run or a restored
+                        # snapshot: resume exactly as the walk would.
+                        if cycle < core.ff_wake and not core.ff_poke:
+                            continue
+                        core.ff_poke = False
+                        core.credit_fast_forward(core.ff_skip_from,
+                                                 cycle - 1)
+                        core.ff_skip_from = -1
+                    core.tick(cycle)
+                if not running:
+                    return self.cycle
+                for controller in controllers:
+                    controller.tick(cycle)
+                self.cycle = cycle + 1
+                if self.cycle >= next_watchdog:
+                    next_watchdog = self.cycle + _WATCHDOG_STRIDE
+                    self._check_watchdog()
         if pause_at is not None and self.cycle >= pause_at \
                 and self.cycle < limit:
             # Paused, not finished: leave elision windows un-credited so a
@@ -345,87 +299,6 @@ class Machine:
                 f"completing")
         return self.cycle
 
-    def _ff_probe(self, now: int, ceiling: int) -> Tuple[int, bool]:
-        """One fast-forward scheduling decision at the end of cycle ``now``.
-
-        Returns ``(next_cycle, progressed)``.  Each active core is either
-        *elided* — marked to stop ticking until its reported wake cycle
-        (``_FF_NEVER`` when it is externally driven) or until an event
-        poke — or it *vetoes* the global jump because it can act next
-        cycle.  When nobody vetoes, the machine jumps to the earliest core
-        wake or controller event, clamped to ``ceiling`` (run limit /
-        watchdog boundary, so both fire on exactly the cycle the naive
-        loop would inspect them).  Elision marks survive a veto: a busy
-        core no longer forces its quiescent siblings to tick.
-        ``progressed`` drives the probe backoff — True when the machine
-        jumped or newly elided a core.
-        """
-        nxt = now + 1
-        best = ceiling
-        any_bound = False
-        veto = False
-        elided = False
-        saw_core = False
-        for core in self.cores:
-            if core.ctx is None or core.halted:
-                continue
-            saw_core = True
-            if core.ff_skip_from >= 0:
-                if core.ff_poke:
-                    # A delivery just landed for this elided core: it must
-                    # tick next cycle (the resume path consumes the poke).
-                    veto = True
-                    continue
-                wake = core.ff_wake
-                if wake < _FF_NEVER:
-                    any_bound = True
-                    if wake < best:
-                        best = wake
-                continue
-            if core.ff_poke:
-                # A delivery landed this very cycle: the core must tick
-                # next cycle to observe it, exactly as the naive loop would.
-                core.ff_poke = False
-                veto = True
-                continue
-            t = core.next_event_cycle(now)
-            if t is None:
-                # Externally driven (e.g. parked in spl_recv with an empty
-                # output queue): stop ticking until a delivery pokes it.
-                core.ff_elide(nxt, _FF_NEVER)
-                elided = True
-            elif t <= nxt:
-                veto = True
-            else:
-                core.ff_elide(nxt, t)
-                elided = True
-                any_bound = True
-                if t < best:
-                    best = t
-        if not saw_core:
-            # Every core halted: the loop is about to return on its own; a
-            # jump here would overshoot the final cycle.
-            return nxt, False
-        if veto:
-            return nxt, elided
-        for controller in self._controllers:
-            t = controller.next_event_cycle(now)
-            if t is None:
-                continue
-            if t <= nxt:
-                return nxt, elided
-            any_bound = True
-            if t < best:
-                best = t
-        if best <= nxt:
-            return nxt, elided
-        if any_bound:
-            # Some tickable has an event scheduled: this is forward
-            # progress, not a hang, even if no core retires for a long
-            # legal stall.
-            self._ff_progress = best
-        return best, True
-
     def _runner_for(self, core) -> BlockRunner:
         """The cached :class:`BlockRunner` for ``core``, rebuilt whenever
         the core's bound context has changed since the last window."""
@@ -443,86 +316,20 @@ class Machine:
             self._bg_runners[core.index] = runner
         return runner
 
-    def _bg_note(self, index: int, productive: bool, at: int) -> None:
-        """Per-core engagement backoff (independent of the global probe
-        backoff): a core that keeps deopting stops being *compiled* for a
-        while but still ticks inside its siblings' windows."""
-        if productive:
-            self._bg_core_backoff[index] = 1
-            self._bg_core_resume[index] = 0
-        else:
-            backoff = min(self._bg_core_backoff.get(index, 1) * 2,
-                          _FF_BACKOFF_CAP)
-            self._bg_core_backoff[index] = backoff
-            self._bg_core_resume[index] = at + backoff
+    def _walk(self, start: int, end: int) -> int:
+        """Run the compiled walk over every running core through
+        ``[start, end)``; returns the first cycle it did not run, which
+        is before ``end`` only when every thread has halted.
 
-    def _try_block_window(self, start: int, ceiling: int,
-                          allow_elide: bool = False) -> int:
-        """Attempt a fused block-compiled window ``[start, ...)``.
-
-        Engagement requires at least one running core that is eligible
-        for compiled execution — not elided, not draining, not backed
-        off.  One running core or sixteen, the window is a
-        :class:`repro.cpu.blockgen.MultiBlockRunner` walk, in which
-        ineligible cores still advance (interpreted or elided) while
-        their siblings run compiled; the walk ticks controllers itself
-        from their event bound on, so streaming phases fuse too.
-        ``allow_elide`` forwards the run's fast-forward setting to the
-        in-window elision machinery.  Returns the first cycle *not*
-        executed — ``start`` when the window declines.
+        Every core but a draining one (``stop_fetch``) gets a runner,
+        elided cores included: a barrier release or queue delivery can
+        resume them mid-walk, and they should come back compiled.
         """
-        actives = [core for core in self.cores
-                   if core.ctx is not None and not core.halted]
-        # An elided core with a pending poke must resume through the
-        # machine loop's own resume block first.
-        any_live = False
-        for core in actives:
-            if core.ff_skip_from >= 0:
-                if core.ff_poke:
-                    return start
-            else:
-                any_live = True
-        if not any_live:
-            return start
-        # A controller event does not bound the window: the walk ticks
-        # controllers itself from ``ctl_resume`` on (going live
-        # immediately when a streaming controller's bound is already
-        # due), so the window runs to the ceiling instead of exiting at
-        # every delivery.
-        now = start - 1
-        ctl_resume = _BG_NEVER
-        for controller in self._controllers:
-            event = controller.next_event_cycle(now)
-            if event is not None and event < ctl_resume:
-                ctl_resume = event
-        resume = self._bg_core_resume
-        runners = []
-        eligible = 0
-        for core in actives:
-            # Elided cores get a runner too: a barrier release or queue
-            # delivery can resume them mid-window, and they should come
-            # back compiled instead of interpreting until the ceiling.
-            runner = None
-            if (not core.stop_fetch
-                    and start >= resume.get(core.index, 0)):
-                runner = self._runner_for(core)
-                if core.ff_skip_from < 0:
-                    eligible += 1
-            runners.append(runner)
-        if not eligible:
-            return start
-        done, stepped, attempted, elided = self._bg_multi.run_window(
-            start, ceiling, actives, runners, allow_elide, ctl_resume)
-        for i, core in enumerate(actives):
-            if runners[i] is None:
-                continue
-            if stepped[i]:
-                self._bg_note(core.index, True, done)
-            elif attempted[i] and not elided[i] and not core.halted:
-                # Attempted but never compiled a cycle, and not excused
-                # by quiescence: this core is deopt-bound right now.
-                self._bg_note(core.index, False, done)
-        return done
+        cores = [core for core in self.cores
+                 if core.ctx is not None and not core.halted]
+        runners = [None if core.stop_fetch else self._runner_for(core)
+                   for core in cores]
+        return self._bg_multi.run_window(start, end, cores, runners)
 
     def _ff_flush(self) -> None:
         """Credit outstanding elision windows when run() stops iterating.
@@ -589,8 +396,6 @@ class Machine:
         return {
             "cycle": self.cycle,
             "ff_progress": self._ff_progress,
-            "ff_backoff": self._ff_backoff,
-            "ff_resume_probe": self._ff_resume_probe,
             "stats": self.stats.snapshot_state(),
             "memory": self.memory.snapshot_state(),
             "mem_system": self.mem_system.snapshot_state(),
@@ -629,8 +434,6 @@ class Machine:
                 "snapshot controller count does not match machine")
         self.cycle = state["cycle"]
         self._ff_progress = state["ff_progress"]
-        self._ff_backoff = state["ff_backoff"]
-        self._ff_resume_probe = state["ff_resume_probe"]
         self.stats.restore_state(state["stats"])
         self.memory.restore_state(state["memory"])
         self.mem_system.restore_state(state["mem_system"])

@@ -27,7 +27,8 @@ from repro.common.serialize import (decode_record, encode_record,
 from repro.system.machine import Machine
 
 #: Bump whenever any component's ``snapshot_state`` layout changes.
-SNAPSHOT_SCHEMA_VERSION = 1
+#: Schema 2 dropped the machine's fast-forward probe backoff fields.
+SNAPSHOT_SCHEMA_VERSION = 2
 
 
 def take_snapshot(machine: Machine, request=None) -> Dict:
@@ -58,6 +59,8 @@ def read_snapshot(path) -> Dict:
     """Load and version-check a snapshot file; returns the payload."""
     with open(path) as handle:
         record = json.load(handle)
+    if not isinstance(record, dict):
+        raise ConfigError(f"{path} holds no versioned record")
     return decode_record(record, expect_kind="machine-snapshot")
 
 
@@ -91,6 +94,19 @@ def restore_machine(payload: Dict) -> Tuple[Machine, object]:
     return machine, spec
 
 
+def run_restored(machine: Machine, spec, max_cycles: Optional[int] = None,
+                 check: bool = True) -> int:
+    """Continue a :func:`restore_machine` result to completion; returns
+    the final cycle count, which matches an uninterrupted run of the
+    same spec exactly.  ``check`` verifies the workload's output."""
+    budget = spec.max_cycles if max_cycles is None else max_cycles
+    cycles = machine.run(options=RunOptions(max_cycles=budget))
+    machine.finish_observation()
+    if check and spec.workload.check is not None:
+        spec.workload.check(machine.memory)
+    return cycles
+
+
 def resume_from_file(path, max_cycles: Optional[int] = None,
                      check: bool = True) -> Tuple[Machine, int]:
     """Continue a snapshotted run to completion.
@@ -98,14 +114,8 @@ def resume_from_file(path, max_cycles: Optional[int] = None,
     Returns ``(machine, cycles)`` — the final cycle count matches an
     uninterrupted run of the same spec exactly.
     """
-    payload = read_snapshot(path)
-    machine, spec = restore_machine(payload)
-    budget = spec.max_cycles if max_cycles is None else max_cycles
-    cycles = machine.run(options=RunOptions(max_cycles=budget))
-    machine.finish_observation()
-    if check and spec.workload.check is not None:
-        spec.workload.check(machine.memory)
-    return machine, cycles
+    machine, spec = restore_machine(read_snapshot(path))
+    return machine, run_restored(machine, spec, max_cycles, check)
 
 
 def _decode_payload(payload: Dict) -> Dict:

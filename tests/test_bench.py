@@ -18,7 +18,7 @@ def test_matching_reports_pass():
 
 def test_old_or_unknown_schema_is_refused():
     current = _report(("seq", 1000, 800))
-    for schema in (1, BENCH_SCHEMA_VERSION + 1, None):
+    for schema in (1, 2, BENCH_SCHEMA_VERSION + 1, None):
         other = _report(("seq", 1000, 800), schema=schema)
         for fresh, baseline, label in ((other, current, "fresh"),
                                        (current, other, "baseline")):

@@ -12,7 +12,7 @@ Three properties are enforced:
    (program, core config, instruction fingerprint): same inputs hit, a
    different config or a mutated program must miss.  The same
    invalidation contract holds one layer down for DFG codegen.
-3. **Gating and integration.**  The ``REPRO_NO_BLOCKGEN`` /
+3. **Gating and integration.**  The ``REPRO_NO_FASTFORWARD`` /
    ``REPRO_NO_CODEGEN`` escape hatches and mid-run snapshots preserve the
    simulation exactly; the generated source stays inspectable.
 """
@@ -184,16 +184,14 @@ def _run_small(options=None):
 def test_blockgen_run_matches_interpreter_exactly():
     spec = registry.REGISTRY["g721dec"].variants["seq"](items=4)
     base_cycles, base_retired, base = _run_small(
-        RunOptions(max_cycles=spec.max_cycles, fast_forward=False,
-                   blockgen=False))
+        RunOptions(max_cycles=spec.max_cycles, fast_forward=False))
     fused_cycles, fused_retired, fused = _run_small(
-        RunOptions(max_cycles=spec.max_cycles, fast_forward=True,
-                   blockgen=True))
+        RunOptions(max_cycles=spec.max_cycles, fast_forward=True))
     assert (fused_cycles, fused_retired) == (base_cycles, base_retired)
     assert fused.stats.as_dict() == base.stats.as_dict()
 
 
-@pytest.mark.parametrize("env", ["REPRO_NO_BLOCKGEN", "REPRO_NO_CODEGEN"])
+@pytest.mark.parametrize("env", ["REPRO_NO_FASTFORWARD", "REPRO_NO_CODEGEN"])
 def test_env_gates_preserve_simulation(env, monkeypatch):
     """Each escape hatch alone must not change the simulated results."""
     reference = _run_small()[:2]
@@ -237,11 +235,11 @@ def test_generated_source_is_inspectable():
 # ------------------------------------------------------- multi-core windows
 
 
-def _three_legs(spec_or_workload, system=None, max_cycles=2_000_000):
-    """Run naive / fast-forward / fast-forward+blockgen; return
+def _two_legs(spec_or_workload, system=None, max_cycles=2_000_000):
+    """Run the naive loop and the fast scheduler; return
     [(cycles, stats, machine)] in that order."""
     legs = []
-    for ff, bg in ((False, False), (True, False), (True, True)):
+    for fast in (False, True):
         if system is None:
             machine = Machine(spec_or_workload.system)
             machine.load(spec_or_workload.workload)
@@ -250,8 +248,8 @@ def _three_legs(spec_or_workload, system=None, max_cycles=2_000_000):
             machine = Machine(system)
             machine.load(spec_or_workload)
             limit = max_cycles
-        cycles = machine.run(options=RunOptions(
-            max_cycles=limit, fast_forward=ff, blockgen=bg))
+        cycles = machine.run(options=RunOptions(max_cycles=limit,
+                                                fast_forward=fast))
         legs.append((cycles, machine.stats.as_dict(), machine))
     return legs
 
@@ -260,8 +258,8 @@ def test_multi_core_windows_engage_and_match():
     """Barrier phases with all cores busy run fused multi-core windows,
     cycle- and stats-exact against the interpreter."""
     spec = registry.REGISTRY["ll2"].variants["barrier"](n=32, p=8)
-    naive, ff, fused = _three_legs(spec)
-    assert fused[0] == ff[0] == naive[0]
+    naive, fused = _two_legs(spec)
+    assert fused[0] == naive[0]
     assert fused[1] == naive[1]
     machine = fused[2]
     assert machine._bg_multi.windows > 0
@@ -313,14 +311,14 @@ def test_invalidation_replay_inside_multi_core_window():
     window must resume the victim at the same cycle the interpreter
     would."""
     system = SystemConfig(clusters=[ooo1_cluster(4)])
-    naive, ff, fused = _three_legs(_invalidation_workload(), system=system)
+    naive, fused = _two_legs(_invalidation_workload(), system=system)
 
     def replays(stats):
         return sum(v for k, v in stats.items()
                    if k.endswith("load_replays"))
 
     assert replays(naive[1]) > 0, "workload failed to trigger replays"
-    assert fused[0] == ff[0] == naive[0]
+    assert fused[0] == naive[0]
     assert fused[1] == naive[1]
     assert fused[2]._bg_multi.windows > 0
 
@@ -332,30 +330,31 @@ def test_barrier_arrival_at_window_ceiling(monkeypatch):
     from repro.system import machine as machine_mod
     spec = registry.REGISTRY["ll3"].variants["barrier"](
         n=24, passes=2, p=4)
-    reference = _three_legs(spec)[0]
+    reference = _two_legs(spec)[0]
     monkeypatch.setattr(machine_mod, "_WATCHDOG_STRIDE", 7)
-    naive, ff, fused = _three_legs(spec)
-    assert (naive[0], ff[0], fused[0]) == (reference[0],) * 3
+    naive, fused = _two_legs(spec)
+    assert (naive[0], fused[0]) == (reference[0],) * 2
     assert fused[1] == reference[1]
 
 
 def test_hot_report_identical_across_legs():
     """`profile --hot` per-PC retire tallies must not depend on which
-    execution mode ran the cycles (interpreter, single-core blockgen, or
-    the multi-core window path)."""
+    loop ran the cycles (the naive interpreter loop, or the walk's
+    multi-cycle sends, per-core compiled cycles and interpreted
+    ticks)."""
     spec = registry.REGISTRY["ll3"].variants["barrier"](
         n=24, passes=2, p=4)
     reports = []
-    for ff, bg in ((False, False), (True, False), (True, True)):
+    for fast in (False, True):
         machine = Machine(spec.system)
         machine.load(spec.workload)
         for core in machine.cores:
             core._retire_pcs = {}
         machine.run(options=RunOptions(max_cycles=spec.max_cycles,
-                                       fast_forward=ff, blockgen=bg))
+                                       fast_forward=fast))
         reports.append({core.index: dict(core._retire_pcs)
                         for core in machine.cores})
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1]
     assert any(reports[0].values()), "hot report came back empty"
 
 
@@ -421,15 +420,15 @@ def _flag_workload(delay, spinner_first=True, decoy=False, writer=True):
 
 
 def _spin_legs(workload_fn, system=None, max_cycles=200_000):
-    """Naive / fast-forward / fast-forward+blockgen runs of a fresh
-    workload each: [(cycles, stats, machine)]."""
+    """Naive and fast runs of a fresh workload each:
+    [(cycles, stats, machine)]."""
     system = system or SystemConfig(clusters=[ooo1_cluster(2)])
     legs = []
-    for ff, bg in ((False, False), (True, False), (True, True)):
+    for fast in (False, True):
         machine = Machine(system)
         machine.load(workload_fn())
-        cycles = machine.run(options=RunOptions(
-            max_cycles=max_cycles, fast_forward=ff, blockgen=bg))
+        cycles = machine.run(options=RunOptions(max_cycles=max_cycles,
+                                                fast_forward=fast))
         legs.append((cycles, machine.stats.as_dict(), machine))
     return legs
 
@@ -462,10 +461,10 @@ def test_periodic_wake_at_every_phase(spinner_first, wake_phases):
     step — and every wake rebuilds exactly the naive run's state, with
     the victim both before and after the writer in core order."""
     for delay in (600, 601, 602):
-        naive, ff, fused = _spin_legs(
+        naive, fused = _spin_legs(
             lambda: _flag_workload(delay, spinner_first))
-        assert fused[0] == ff[0] == naive[0]
-        assert fused[1] == ff[1] == naive[1]
+        assert fused[0] == naive[0]
+        assert fused[1] == naive[1]
         assert _periodic(fused[2], "pe_cycles") > 0
     periods = {period for _phase, period in wake_phases}
     assert len(periods) == 1, wake_phases
@@ -478,9 +477,9 @@ def test_periodic_elision_ignores_lines_the_loop_does_not_read():
     invalidates it while the spinner is elided; nothing in the loop
     depends on that line, so the spinner stays elided — only the flag
     store wakes it — and the run stays exact."""
-    naive, ff, fused = _spin_legs(
+    naive, fused = _spin_legs(
         lambda: _flag_workload(600, decoy=True))
-    assert fused[0] == ff[0] == naive[0]
+    assert fused[0] == naive[0]
     assert fused[1] == naive[1]
     assert naive[1]["machine.mem.core0.snoop_invalidations"] == 2
     machine = fused[2]
@@ -505,8 +504,8 @@ def test_snapshot_inside_periodic_elision(monkeypatch):
     system = SystemConfig(clusters=[ooo1_cluster(2)])
     with monkeypatch.context() as patch:
         patch.setattr(OutOfOrderCore, "ff_elide_periodic", spy)
-        naive, _ff, full = _spin_legs(lambda: _flag_workload(600),
-                                      system=system)
+        naive, full = _spin_legs(lambda: _flag_workload(600),
+                                 system=system)
     assert anchors, "periodic elision never engaged"
     anchor, period = anchors[0]
     pause_at = anchor + 20 * period + 1
@@ -535,18 +534,18 @@ def test_livelocked_spinners_end_like_the_naive_loop():
     from repro.common.errors import DeadlockError, SimulationError
     system = SystemConfig(clusters=[ooo1_cluster(2)], deadlock_cycles=3000)
     results = []
-    for ff, bg in ((False, False), (True, False), (True, True)):
+    for fast in (False, True):
         machine = Machine(system)
         machine.load(_flag_workload(0, writer=False))
         with pytest.raises(SimulationError) as info:
             machine.run(options=RunOptions(max_cycles=12_000,
-                                           fast_forward=ff, blockgen=bg))
+                                           fast_forward=fast))
         assert not isinstance(info.value, DeadlockError)
         assert "exceeded" in str(info.value)
         results.append((machine.cycle, machine.stats.as_dict(), machine))
-    naive, ff, fused = results
-    assert fused[0] == ff[0] == naive[0]
-    assert fused[1] == ff[1] == naive[1]
+    naive, fused = results
+    assert fused[0] == naive[0]
+    assert fused[1] == naive[1]
     assert _periodic(fused[2], "pe_cycles") > 12_000
 
 
@@ -559,17 +558,17 @@ def test_hot_report_identical_across_legs_with_periodic_elision():
     retirements an elided spinner is credited with, so they match the
     interpreter's on the software-barrier run."""
     reports = []
-    for ff, bg in ((False, False), (True, False), (True, True)):
+    for fast in (False, True):
         spec = _ll2_sw()
         machine = Machine(spec.system)
         machine.load(spec.workload)
         for core in machine.cores:
             core._retire_pcs = {}
         machine.run(options=RunOptions(max_cycles=spec.max_cycles,
-                                       fast_forward=ff, blockgen=bg))
+                                       fast_forward=fast))
         reports.append({core.index: dict(core._retire_pcs)
                         for core in machine.cores})
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1]
     assert _periodic(machine, "pe_cycles") > 0
 
 
@@ -577,8 +576,8 @@ def test_periodic_elision_engages_on_software_barriers():
     """Engagement guard: on ll2/sw p=8 the sense-loop spinners must be
     elided for a large share of the run (about half of all core-cycles
     when this test was written), cycle- and stats-exact."""
-    naive, ff, fused = _three_legs(_ll2_sw())
-    assert fused[0] == ff[0] == naive[0]
+    naive, fused = _two_legs(_ll2_sw())
+    assert fused[0] == naive[0]
     assert fused[1] == naive[1]
     machine = fused[2]
     core_cycles = fused[0] * len(machine.cores)
@@ -645,7 +644,7 @@ def test_send_never_starts_inside_an_attach_stall():
     """A lone core attached with a stall is the walk's only live core
     from the first cycle: no multi-cycle send may run its stalled
     cycles, which the naive loop does not count."""
-    naive, ff, fused = _spin_legs(lambda: _stalled_workload(700))
+    naive, fused = _spin_legs(lambda: _stalled_workload(700))
     assert naive[0] > 700
-    assert fused[0] == ff[0] == naive[0]
-    assert fused[1] == ff[1] == naive[1]
+    assert fused[0] == naive[0]
+    assert fused[1] == naive[1]

@@ -146,6 +146,17 @@ def test_help_epilog_documents_exit_codes(capsys):
     assert "usage error" in out
 
 
+#: Unusable snapshot files for the ``resume`` cases below.
+_BAD_SNAPSHOTS = {
+    "malformed.json": "{not json",
+    "list.json": "[1, 2]",
+    "other-kind.json": '{"kind": "metrics-snapshot", "schema": 1, '
+                       '"payload": {}}',
+    "old-schema.json": '{"kind": "machine-snapshot", "schema": 1, '
+                       '"payload": {}}',
+}
+
+
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["no-such-command"], "invalid choice", id="unknown-command"),
     pytest.param(["serve"], "invalid choice", id="serve-is-gone"),
@@ -171,10 +182,27 @@ def test_help_epilog_documents_exit_codes(capsys):
     pytest.param(["sample", "g721dec", "seq", "--sample", "0"],
                  "g721dec/seq: ConfigError: need warmup >= 0",
                  id="sample-config-error"),
+    # Snapshots that cannot be read or restored (files from
+    # _BAD_SNAPSHOTS; missing.json is never written).
+    pytest.param(["resume", "missing.json"],
+                 "missing.json: FileNotFoundError:", id="resume-missing"),
+    pytest.param(["resume", "malformed.json"],
+                 "malformed.json: JSONDecodeError:", id="resume-not-json"),
+    pytest.param(["resume", "list.json"],
+                 "list.json holds no versioned record",
+                 id="resume-not-a-record"),
+    pytest.param(["resume", "other-kind.json"],
+                 "expected a 'machine-snapshot' record, got kind "
+                 "'metrics-snapshot'", id="resume-other-kind"),
+    pytest.param(["resume", "old-schema.json"],
+                 "machine-snapshot record has schema v1, this code reads v",
+                 id="resume-other-schema"),
 ])
 def test_usage_errors_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.chdir(tmp_path)
+    for name, text in _BAD_SNAPSHOTS.items():
+        (tmp_path / name).write_text(text)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's own usage errors

@@ -1,7 +1,6 @@
 """Tests of the parallel experiment engine and its persistent cache."""
 
 import dataclasses
-import json
 
 import pytest
 
@@ -284,13 +283,7 @@ class TestBatchErrorPayloads:
         bad = request("wc", "no-such-variant")
         with pytest.raises(ExperimentBatchError) as excinfo:
             engine.run_batch([good, bad])
-        error = excinfo.value
-        assert len(error.payloads) == 1
-        payload = error.payloads[0]
-        assert payload["exception_type"] == "ConfigError"
-        assert payload["request"]["variant"] == "no-such-variant"
-        assert payload["label"] == bad.label
-        assert error.to_dict() == {"errors": error.payloads}
-        # payloads survive JSON and rebuild into live SpecErrors
-        rebuilt = SpecError.from_dict(json.loads(json.dumps(payload)))
-        assert rebuilt.request == bad
+        (error,) = excinfo.value.errors
+        assert isinstance(error, SpecError)
+        assert error.exception_type == "ConfigError"
+        assert error.request == bad

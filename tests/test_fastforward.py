@@ -1,12 +1,14 @@
-"""Cycle-exact equivalence of the quiescence-aware fast-forward scheduler.
+"""Cycle-exact equivalence of the fast scheduler and the naive loop.
 
 The contract (DESIGN.md, "Scheduler contract"): for every workload the
-fast-forward scheduler must produce the *same simulation* as the naive
-per-cycle loop — identical final cycle, identical retired-instruction
-count, identical stats down to every counter, and an identical cycle-
-accounting profile.  These tests sweep the full benchmark registry plus
-the paths with scheduler-visible side effects: migration, the deadlock
-watchdog, and the observability sinks.
+fast scheduler (the compiled walk, with its elision and jumps) must
+produce the *same simulation* as the naive per-cycle loop — identical
+final cycle, identical retired-instruction count, identical stats down
+to every counter, and an identical cycle-accounting profile.  These
+tests sweep the full benchmark registry plus the paths with
+scheduler-visible side effects: migration, the deadlock watchdog, and
+the observability sinks.  The promise the elision rests on,
+``next_event_cycle``, is checked directly against the naive loop.
 """
 
 import pytest
@@ -52,11 +54,9 @@ _BARRIER_CASES = [
     ("dijkstra", "sw", {"n": 16, "p": 4}),
 ]
 
-#: ``(fast_forward, blockgen)`` of the three schedulers every exactness
-#: test compares: the naive per-cycle loop, fast-forward elision around
-#: interpreted ticks, and the default (fast-forward plus the compiled
-#: walk).
-_LEGS = ((False, False), (True, False), (True, True))
+#: ``fast_forward`` of the two schedulers every exactness test compares:
+#: the naive per-cycle loop and the default, the compiled walk.
+_LEGS = (False, True)
 
 
 def _registry_cases():
@@ -84,29 +84,23 @@ def _flat(tree, prefix="", out=None):
     return out
 
 
-def _run(bench, variant, kwargs, fast_forward, blockgen=False):
+def _run(bench, variant, kwargs, fast_forward):
     # Workload images are consumed by execution: build a fresh spec per run.
     spec = registry.REGISTRY[bench].variants[variant](**kwargs)
-    return execute(spec, options=RunOptions(fast_forward=fast_forward,
-                                            blockgen=blockgen))
+    return execute(spec, options=RunOptions(fast_forward=fast_forward))
 
 
 @pytest.mark.parametrize(
     "bench,variant,kwargs", _registry_cases(),
     ids=lambda v: v if isinstance(v, str) else "")
 def test_differential_sweep(bench, variant, kwargs):
-    """Every registry bench x variant: the naive per-cycle loop, the
-    fast-forward scheduler, and fast-forward with trace-cache block
-    compilation on top (the default configuration) are the same
-    simulation — identical final cycle and identical stats tree."""
+    """Every registry bench x variant: the naive per-cycle loop and the
+    fast scheduler (the default configuration) are the same simulation
+    — identical final cycle and identical stats tree."""
     naive = _run(bench, variant, kwargs, fast_forward=False)
-    flat = _flat(naive.stats.as_dict())
     fast = _run(bench, variant, kwargs, fast_forward=True)
     assert fast.cycles == naive.cycles
-    assert _flat(fast.stats.as_dict()) == flat
-    fused = _run(bench, variant, kwargs, fast_forward=True, blockgen=True)
-    assert fused.cycles == naive.cycles
-    assert _flat(fused.stats.as_dict()) == flat
+    assert _flat(fast.stats.as_dict()) == _flat(naive.stats.as_dict())
 
 
 #: SPL-heavy cases for the codegen on/off leg of the sweep (compute-only,
@@ -147,7 +141,7 @@ def test_codegen_off_same_simulation(bench, variant, kwargs, monkeypatch):
 # ---------------------------------------------------------------- profiler
 
 
-def _profiled(bench, variant, kwargs, fast_forward, blockgen):
+def _profiled(bench, variant, kwargs, fast_forward):
     from repro.obs.profile import ProfilerSink
     spec = registry.REGISTRY[bench].variants[variant](**kwargs)
     machine = Machine(spec.system)
@@ -155,8 +149,7 @@ def _profiled(bench, variant, kwargs, fast_forward, blockgen):
     sink = ProfilerSink()
     machine.obs.attach(sink, ProfilerSink.KINDS)
     cycles = machine.run(options=RunOptions(max_cycles=spec.max_cycles,
-                                            fast_forward=fast_forward,
-                                            blockgen=blockgen))
+                                            fast_forward=fast_forward))
     machine.finish_observation()
     accounting = sink.accounting()
     accounting.verify()  # spans exactly tile the ticked cycles
@@ -172,17 +165,15 @@ def _profiled(bench, variant, kwargs, fast_forward, blockgen):
     ("ll3", "sw", {"n": 64, "passes": 2, "p": 16}),
 ])
 def test_profiler_identical_under_fast_forward(bench, variant, kwargs):
-    """Cycle-accounting rows are bit-identical under all three
-    schedulers, and a profiler sink keeps the compiled walk engaged,
-    single-thread (g721dec/seq) or multi-thread alike."""
-    naive, ff, fused = (_profiled(bench, variant, kwargs, *leg)
-                        for leg in _LEGS)
-    assert ff[:2] == naive[:2]
-    assert fused[:2] == naive[:2]
-    assert fused[2] > 0
+    """Cycle-accounting rows are bit-identical under both schedulers,
+    and a profiler sink keeps the compiled walk engaged, single-thread
+    (g721dec/seq) or multi-thread alike."""
+    naive, fast = (_profiled(bench, variant, kwargs, leg) for leg in _LEGS)
+    assert fast[:2] == naive[:2]
+    assert fast[2] > 0
 
 
-def _perfetto(bench, variant, kwargs, fast_forward, blockgen):
+def _perfetto(bench, variant, kwargs, fast_forward):
     import json
 
     from repro.obs.perfetto import PERFETTO_KINDS, PerfettoSink
@@ -192,25 +183,23 @@ def _perfetto(bench, variant, kwargs, fast_forward, blockgen):
     sink = PerfettoSink()
     machine.obs.attach(sink, PERFETTO_KINDS)
     machine.run(options=RunOptions(max_cycles=spec.max_cycles,
-                                   fast_forward=fast_forward,
-                                   blockgen=blockgen))
+                                   fast_forward=fast_forward))
     machine.finish_observation()
     return sorted(json.dumps(event, sort_keys=True)
                   for event in sink.trace_events)
 
 
 def test_perfetto_events_identical_under_fast_forward():
-    """Same Perfetto slices under all three schedulers (order may
-    differ: elided cores close their spans at credit time; 'X' events
-    carry timestamps)."""
+    """Same Perfetto slices under both schedulers (order may differ:
+    elided cores close their spans at credit time; 'X' events carry
+    timestamps)."""
     for bench, variant, kwargs in (
             ("ll3", "barrier", {"n": 64, "passes": 3, "p": 4}),
             ("hmmer", "compcomm", {"M": 48, "R": 2}),
             ("ll2", "sw", {"n": 16, "passes": 2, "p": 4})):
-        naive, ff, fused = (_perfetto(bench, variant, kwargs, *leg)
-                            for leg in _LEGS)
-        assert ff == naive, (bench, variant)
-        assert fused == naive, (bench, variant)
+        naive, fast = (_perfetto(bench, variant, kwargs, leg)
+                       for leg in _LEGS)
+        assert fast == naive, (bench, variant)
 
 
 # --------------------------------------------------------------- migration
@@ -307,19 +296,23 @@ def test_true_deadlock_still_raises_under_fast_forward():
         machine.run(options=RunOptions(max_cycles=100_000, fast_forward=True))
 
 
-def _fence_run(n, fast_forward, blockgen):
-    """Cycles of ``li; addi x n; fence; halt`` on one core."""
+def _fence_workload(n):
+    """``li; addi x n; fence; halt`` on one core."""
     a = Asm(f"fence{n}")
     a.li("r1", 0)
     for _ in range(n):
         a.addi("r1", "r1", 1)
     a.fence()
     a.halt()
+    return Workload("w", MemoryImage(), [ThreadSpec(a.assemble(), 1)],
+                    placement=[0])
+
+
+def _fence_run(n, fast_forward):
     machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
-    machine.load(Workload("w", MemoryImage(),
-                          [ThreadSpec(a.assemble(), 1)], placement=[0]))
-    return machine.run(options=RunOptions(
-        max_cycles=100_000, fast_forward=fast_forward, blockgen=blockgen))
+    machine.load(_fence_workload(n))
+    return machine.run(options=RunOptions(max_cycles=100_000,
+                                          fast_forward=fast_forward))
 
 
 def test_drained_fence_at_head_wakes_next_cycle():
@@ -328,8 +321,95 @@ def test_drained_fence_at_head_wakes_next_cycle():
     it as externally woken: with nothing else pending, an elided core
     would never wake."""
     for n in range(60):
-        naive, ff, fused = (_fence_run(n, *leg) for leg in _LEGS)
-        assert (ff, fused) == (naive, naive), n
+        naive, fast = (_fence_run(n, leg) for leg in _LEGS)
+        assert fast == naive, n
+
+
+# ------------------------------------------------- next_event_cycle contract
+
+
+def _broken_promises(machine, max_cycles, monkeypatch):
+    """Run ``machine`` on the naive loop, checking every promise its
+    cores' ``next_event_cycle`` makes; returns the broken ones as
+    ``(core, cycle promised at, cycle promised until)``.
+
+    At the top of each cycle ``c``, a running core with no promise
+    pending is asked for ``t = next_event_cycle(c - 1)``.  A ``t`` after
+    ``c`` promises that every tick up to ``t`` leaves the core's state
+    unchanged; None promises it until a poke.  A poke voids the promise
+    (the naive loop ignores ``ff_poke`` on live cores, so reading and
+    clearing it here changes nothing).  The state is the core's
+    ``snapshot_state`` without the poke and span fields, plus its
+    context's; the predictor's counter tables stand in by their
+    versions, which every write bumps (copying the tables every cycle
+    would make the check far slower).
+    """
+    from repro.cpu.branch import HybridPredictor
+
+    def predictor_state(predictor):
+        return (predictor.table_versions(), predictor.history,
+                list(predictor.btb), list(predictor.ras))
+
+    monkeypatch.setattr(HybridPredictor, "snapshot_state", predictor_state)
+
+    def state(core):
+        record = core.snapshot_state()
+        for key in ("last_tick", "ff_poke", "span_class", "span_start"):
+            del record[key]
+        return record, core.ctx.snapshot_state()
+
+    promises = {}
+    broken = []
+
+    def check():
+        cycle = machine.cycle
+        for core in machine.cores:
+            if core.ctx is None:
+                continue
+            if core.ff_poke:
+                core.ff_poke = False
+                promises.pop(core.index, None)
+            promise = promises.get(core.index)
+            if promise is not None:
+                saved, made, until = promise
+                if state(core) != saved:
+                    broken.append((core.index, made, until))
+                elif until is None or cycle < until:
+                    continue
+                del promises[core.index]
+            if core.halted:
+                continue
+            until = core.next_event_cycle(cycle - 1)
+            if until is None or until > cycle:
+                promises[core.index] = (state(core), cycle, until)
+        return False
+
+    machine.run(options=RunOptions(max_cycles=max_cycles, until=check))
+    return broken
+
+
+def test_next_event_cycle_promises_hold_on_fences(monkeypatch):
+    """A drained FENCE at the ROB head retires next cycle: no promise
+    may outlast it (``li; addi x n; fence; halt``, n = 0..59)."""
+    for n in range(60):
+        machine = Machine(SystemConfig(clusters=[ooo1_cluster()]))
+        machine.load(_fence_workload(n))
+        assert _broken_promises(machine, 100_000, monkeypatch) == [], n
+
+
+@pytest.mark.parametrize("bench,variant,kwargs", [
+    ("ll2", "sw", {"n": 16, "passes": 2, "p": 4}),
+    ("hmmer", "compcomm", {"M": 48, "R": 2}),
+])
+def test_next_event_cycle_promises_hold(bench, variant, kwargs,
+                                        monkeypatch):
+    """Software barriers (AMOs, FENCEs, sense-loop spins) and SPL
+    streaming (parked ``spl_recv``, deliveries): every quiescence
+    promise holds tick by tick on the naive loop."""
+    spec = registry.REGISTRY[bench].variants[variant](**kwargs)
+    machine = Machine(spec.system)
+    machine.load(spec.workload)
+    assert _broken_promises(machine, spec.max_cycles, monkeypatch) == []
 
 
 # ------------------------------------------------------------ escape hatch
@@ -339,42 +419,27 @@ def test_no_fastforward_env_forces_naive_loop(monkeypatch):
     """REPRO_NO_FASTFORWARD=1 must keep the scheduler off the fast path."""
     monkeypatch.setenv("REPRO_NO_FASTFORWARD", "1")
 
-    def boom(self, now, ceiling):
-        raise AssertionError("fast-forward probe ran despite escape hatch")
+    def boom(self, start, end):
+        raise AssertionError("the walk ran despite the escape hatch")
 
-    monkeypatch.setattr(Machine, "_ff_probe", boom)
+    monkeypatch.setattr(Machine, "_walk", boom)
     result = _run("g721dec", "seq", {"items": 4}, fast_forward=None)
     assert result.cycles > 0
 
 
-def test_no_blockgen_env_forces_interpreter_loop(monkeypatch):
-    """REPRO_NO_BLOCKGEN=1 must keep the run off the compiled windows."""
-    monkeypatch.setenv("REPRO_NO_BLOCKGEN", "1")
-
-    def boom(self, start, ceiling, allow_elide=False):
-        raise AssertionError("block window ran despite escape hatch")
-
-    monkeypatch.setattr(Machine, "_try_block_window", boom)
-    result = _run("g721dec", "seq", {"items": 4},
-                  fast_forward=None, blockgen=None)
-    assert result.cycles > 0
-
-
 def test_blockgen_engages_by_default(monkeypatch):
-    """The compiled hot loop is on by default for compute-bound runs —
-    the window probe must actually be consulted."""
-    probes = [0]
-    original = Machine._try_block_window
+    """The compiled walk is on by default for compute-bound runs."""
+    walks = [0]
+    original = Machine._walk
 
-    def counting(self, start, ceiling, allow_elide=False):
-        probes[0] += 1
-        return original(self, start, ceiling, allow_elide)
+    def counting(self, start, end):
+        walks[0] += 1
+        return original(self, start, end)
 
-    monkeypatch.setattr(Machine, "_try_block_window", counting)
-    result = _run("g721dec", "seq", {"items": 4},
-                  fast_forward=None, blockgen=None)
+    monkeypatch.setattr(Machine, "_walk", counting)
+    result = _run("g721dec", "seq", {"items": 4}, fast_forward=None)
     assert result.cycles > 0
-    assert probes[0] > 0
+    assert walks[0] > 0
 
 
 def test_fast_forward_skips_ticks_on_barrier_wait():

@@ -356,8 +356,7 @@ class TestRunOptions:
     def test_fingerprint_tracks_env(self, monkeypatch):
         monkeypatch.delenv(ENV_NO_FASTFORWARD, raising=False)
         base = RunOptions().resolve().fingerprint()
-        assert base == {"fast_forward": True, "codegen": True,
-                        "blockgen": True}
+        assert base == {"fast_forward": True, "codegen": True}
         monkeypatch.setenv(ENV_NO_FASTFORWARD, "1")
         assert RunOptions().resolve().fingerprint()["fast_forward"] is False
 
