@@ -2,9 +2,10 @@
 
 Randomized multithreaded scenarios (communication rings, producer /
 consumer pairs over fabric and dedicated-comm, barriers, self-loops,
-random compute DFGs) are generated from a seed, statically analyzed by
-:func:`repro.analysis.lint.lint_spec`, and simulated.  Three agreement
-properties are enforced per scenario (``python -m repro fuzz``):
+random compute DFGs, atomics with fences) are generated from a seed,
+statically analyzed by :func:`repro.analysis.lint.lint_spec`, and
+simulated.  Three agreement properties are enforced per scenario
+(``python -m repro fuzz``):
 
 1. **Clean means runs.**  A scenario with no error-severity diagnostics
    must simulate to completion without :exc:`DeadlockError` /
@@ -20,10 +21,11 @@ properties are enforced per scenario (``python -m repro fuzz``):
    (``fast_forward``: the compiled walk, or the naive per-cycle loop);
    cycle counts, every stats counter, and result memory words must be
    identical across the four modes.  The multithreaded scenarios (rings,
-   producer/consumer pairs, barriers) keep several cores live at once,
-   so the fast legs exercise the *multi-core* walk (DESIGN.md section
-   10) — per-core deopt, elision and jumps, and cross-core pokes are all
-   covered by the same agreement contract.
+   producer/consumer pairs, barriers, atomics) keep several cores live
+   at once, so the fast legs exercise the *multi-core* walk (DESIGN.md
+   section 10) — compiled SPL ops, FENCEs and atomics, elision and
+   jumps, and cross-core pokes are all covered by the same agreement
+   contract.
 
 Any violation is a *disagreement*; :func:`run_fuzz` reports them all and
 returns a non-zero exit code if any exist.  Scenario generation is fully
@@ -42,6 +44,7 @@ from repro.analysis.bounds import check_measured, compute_bounds
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.lint import lint_spec
 from repro.baselines.comm_network import attach_comm_network
+from repro.baselines.sw_sync import SwBarrier
 from repro.common.config import (ENV_NO_CODEGEN, RunOptions, SystemConfig,
                                  ooo2_cluster, remap_cluster)
 from repro.common.errors import DeadlockError, ReproError, SplError
@@ -394,6 +397,62 @@ def _scenario_compute(seed: int, rng: random.Random) -> Scenario:
                     result_addrs=(addr,), golden={addr: golden_sum})
 
 
+def _scenario_atomics(seed: int, rng: random.Random) -> Scenario:
+    """2-4 threads, each running ``k`` episodes of random compute and
+    stores, then an ``amo_swap`` test-and-set lock around a shared
+    counter increment, then a software barrier (``amo_add``, FENCE and
+    a sense spin): the serialized ops the other shapes never emit."""
+    n = rng.choice((2, 3, 4))
+    k = rng.randint(1, 3)
+    episodes = [[([(rng.choice(("addi", "xori")), rng.randint(1, 99))
+                   for _ in range(rng.randint(1, 4))],
+                  rng.sample(range(16), rng.randint(0, 4)),
+                  rng.randint(1, 9)) for _ in range(k)] for _ in range(n)]
+    counter, lock = _RESULT_BASE, _RESULT_BASE + 32
+    scratch = [_RESULT_BASE + 64 * (i + 1) for i in range(n)]
+
+    def build() -> RunSpec:
+        image = MemoryImage()
+        barrier = SwBarrier(image, n)
+        threads = []
+        for i in range(n):
+            a = Asm(f"atomics{i}")
+            a.li("r20", 1)  # the barrier's local sense
+            a.li("r8", i)
+            for ops, slots, inc in episodes[i]:
+                for op, imm in ops:
+                    getattr(a, op)("r8", "r8", imm)
+                for slot in slots:
+                    a.li("r9", scratch[i] + 4 * slot)
+                    a.sw("r8", "r9", 0)
+                a.li("r10", lock)
+                a.li("r11", 1)
+                acquire = a.fresh_label("acquire")
+                a.label(acquire)
+                a.amo_swap("r12", "r10", "r11")
+                a.bne("r12", "r0", acquire)
+                a.li("r13", counter)
+                a.lw("r14", "r13", 0)
+                a.addi("r14", "r14", inc)
+                a.sw("r14", "r13", 0)
+                a.fence()
+                a.sw("r0", "r10", 0)  # release
+                barrier.emit(a, "r20", "r21", "r22", "r23")
+            a.halt()
+            threads.append(ThreadSpec(a.assemble(), thread_id=i + 1))
+        workload = Workload(f"fuzz_atomics_{seed}", image, threads,
+                            placement=list(range(n)))
+        return RunSpec(f"fuzz/atomics/{seed}", workload, _ooo2_system(),
+                       max_cycles=_MAX_CYCLES)
+
+    result_addrs = (counter,) + tuple(base + 4 * slot for base in scratch
+                                      for slot in range(16))
+    golden = {counter: sum(inc for thread in episodes
+                           for _ops, _slots, inc in thread)}
+    return Scenario(seed, "atomics", None, (), build,
+                    result_addrs=result_addrs, golden=golden)
+
+
 #: (kind, defect) menu the seed indexes into; clean entries dominate so
 #: the mode-agreement property gets most of the coverage.
 _MENU: Tuple[Tuple[str, Optional[str]], ...] = (
@@ -404,6 +463,7 @@ _MENU: Tuple[Tuple[str, Optional[str]], ...] = (
     ("selfloop", None),
     ("compute", None),
     ("compute", None),
+    ("atomics", None),
     ("ring", "ring_deadlock"),
     ("fabric_pair", "dest_absent"),
     ("comm_pair", "comm_dest_absent"),
@@ -428,6 +488,8 @@ def scenario_for_seed(seed: int) -> Scenario:
     kind, defect = _MENU[seed % len(_MENU)]
     if kind == "compute":
         return _scenario_compute(seed, rng)
+    if kind == "atomics":
+        return _scenario_atomics(seed, rng)
     return _GENERATORS[kind](seed, rng, defect)
 
 

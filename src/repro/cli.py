@@ -336,7 +336,7 @@ def _cmd_profile_hot(args) -> int:
     cycles = machine.run(options=RunOptions(max_cycles=spec.max_cycles))
     runners = list(machine._bg_runners.values())
     walk = machine._bg_multi
-    windows, fused, deopts = walk.windows, walk.fused_cycles, walk.deopts
+    windows, fused = walk.windows, walk.fused_cycles
     # Fused cycles are core-cycles, so their share is of the core-cycles
     # the run simulated, not of the machine's cycle count.
     core_cycles = sum(core.stats.get("cycles") for core in machine.cores)
@@ -373,7 +373,7 @@ def _cmd_profile_hot(args) -> int:
             "total_cycles": cycles,
             "blockgen": {"windows": windows, "fused_cycles": fused,
                          "core_cycles": core_cycles, "fused_share": share,
-                         "deopts": deopts, "block_compiles": compiles,
+                         "block_compiles": compiles,
                          "block_entries": entries, "hit_rate": hit_rate,
                          **periodic},
             "hot_pcs": top,
@@ -381,7 +381,7 @@ def _cmd_profile_hot(args) -> int:
         return EXIT_OK
     print(f"{spec.name}: {cycles} cycles")
     print(f"blockgen: {windows} windows, {fused} fused core-cycles "
-          f"({share:.1%} of {core_cycles} core-cycles), {deopts} deopts")
+          f"({share:.1%} of {core_cycles} core-cycles)")
     print(f"periodic elision: {periodic['periodic_cycles']} core-cycles "
           f"elided, {periodic['periodic_wakes']} wakes, "
           f"{periodic['periodic_attempts']} attempts "
@@ -479,6 +479,16 @@ def cmd_bench(args) -> int:
     cases = list(args.cases or [])
     for group in args.case_list or []:
         cases.extend(name for name in group.split(",") if name)
+    baseline = None
+    if args.check:
+        # Read the baseline first: the report may land on the same path
+        # (a bench run's default --out is the committed baseline).
+        try:
+            with open(args.check, encoding="utf-8") as handle:
+                baseline = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"{args.check}: {type(exc).__name__}: "
+                             f"{exc}") from None
     if args.snapshot_roundtrip:
         report = run_snapshot_roundtrip(cases or None,
                                         snapshot_dir=args.snapshot_dir)
@@ -489,9 +499,7 @@ def cmd_bench(args) -> int:
     write_report(report, out)
     print(format_report(report))
     print(f"report -> {out}")
-    if args.check:
-        with open(args.check, encoding="utf-8") as handle:
-            baseline = json.load(handle)
+    if baseline is not None:
         failures = check_report(report, baseline)
         if failures:
             for failure in failures:

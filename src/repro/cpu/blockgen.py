@@ -29,21 +29,24 @@ decisions out of the loop:
   interleaving): each by one send to its resident generator (a
   sibling's snoop invalidation is *deferred* while the generator holds
   the core's scalars and replayed, bit-exact, at the victim's next
-  cycle slot after a writeback sync) or by an interpreted
-  ``core.tick``.  While exactly one core is live and the controllers
-  are provably quiet, that core gets a *multi-cycle send* instead: the
-  generator runs cycles up to a bound the walk sets and reports where
-  it stopped, with a poke escape so snoop wakes of elided siblings
-  still land on their exact cycle.
-* **Deoptimization**: a *hard* serialized op (atomic, FENCE, HALT)
-  within retire reach of the ROB head hands that one cycle of that
-  one core to the interpreter; the walk continues.  SPL ops compile:
-  a head ``spl_recv``/``spl_store`` that cannot proceed *parks* (the
-  interpreter's failed retry, replayed compiled) and one that can runs
-  the interpreter's own ``_exec_serialize`` in place.  Branch
-  mispredicts, icache misses, and structural stalls are handled inline
-  through the interpreter's own machinery (``_flush_from_seq``, stall
-  counters), not by deopt — they are exactly replicable.
+  cycle slot after a writeback sync).  Only a draining core (no
+  runner) and the multi-cycle send's poke fix-up tick interpret.
+  While exactly one core is live and the controllers are provably
+  quiet, that core gets a *multi-cycle send* instead: the generator
+  runs cycles up to a bound the walk sets and reports where it
+  stopped, with a poke escape so snoop wakes of elided siblings still
+  land on their exact cycle.
+* **Serialized ops compile**: every one — the SPL ops, FENCE, the
+  atomics and HALT — runs the interpreter's own ``_exec_serialize`` at
+  the retire stage's exact point in the cycle.  A head that cannot
+  proceed *parks* (the interpreter's failed retry, replayed
+  compiled): an ``spl_recv``/``spl_store`` waiting on its port, a
+  FENCE waiting for stores to drain, an atomic in flight.  An atomic
+  then completes through the compiled writeback like any other op,
+  and a HALT ends the core's residency.  Branch mispredicts, icache
+  misses, and structural stalls are handled inline through the
+  interpreter's own machinery (``_flush_from_seq``, stall counters) —
+  they are exactly replicable.
 * **Controllers, elision and jumps**: controllers stay un-ticked (the
   §6 event-horizon bound taken at walk entry) until an interpreted tick
   or a compiled SPL op may have touched a port; from then on they tick
@@ -107,16 +110,26 @@ _NAMESPACE = {
 
 _POOL_IDS = {"int": 0, "fp": 1, "branch": 2, "mem": 3}
 
-#: Serialized ops the drive loop executes *compiled*, by
-#: calling the interpreter's own ``_exec_serialize`` at the retire
-#: stage's exact point in the cycle.  They only touch shared structures
-#: (port/controller, memory, pending_stores, the ready heap via
+#: ``BlockRunner.ser_tab`` kinds (0: not serialized).  The drive loop
+#: runs every serialized op by calling the interpreter's own
+#: ``_exec_serialize`` at the retire stage's exact point in the cycle;
+#: it touches only shared structures (port/controller, memory,
+#: ``pending_stores``, ``completing``, the ready heap via
 #: ``_finish_serialize``) plus ``sb_next_free``, which the call site
-#: syncs around the call.  Everything else serialized — HALT (retire-
-#: side halt handling), FENCE (store-buffer purge per retry), atomics
-#: (complete through the writeback queue) — deopts to the interpreter.
-_EXEC_SER_OPS = frozenset((Op.SPL_LOAD, Op.SPL_LOADM, Op.SPL_LOADV,
-                           Op.SPL_INIT, Op.SPL_RECV, Op.SPL_STORE))
+#: syncs around the call.  The kind says when a head *parks* and what
+#: the cycle reports to the walk.  Kinds up to ``_SER_STORE`` touch an
+#: SPL/comm port, so a cycle that runs one keeps the controllers live.
+_SER_SPL = 1       # SPL_LOAD/LOADM/LOADV/INIT: every retry runs
+_SER_RECV = 2      # SPL_RECV: parks while its output queue is empty
+_SER_STORE = 3     # SPL_STORE: also parks while the store buffer is full
+_SER_FENCE = 4     # parks while stores drain
+_SER_AMO = 5       # AMO_ADD/AMO_SWAP: parks while in flight
+_SER_HALT = 6      # retires, halts the core and ends the residency
+_SER_KINDS = {Op.SPL_LOAD: _SER_SPL, Op.SPL_LOADM: _SER_SPL,
+              Op.SPL_LOADV: _SER_SPL, Op.SPL_INIT: _SER_SPL,
+              Op.SPL_RECV: _SER_RECV, Op.SPL_STORE: _SER_STORE,
+              Op.FENCE: _SER_FENCE, Op.AMO_ADD: _SER_AMO,
+              Op.AMO_SWAP: _SER_AMO, Op.HALT: _SER_HALT}
 
 
 def _conv_lb(raw):
@@ -365,9 +378,7 @@ class BlockRunner:
         #   (4, read_fn, size, imm, conv)  load
         # List rows are patched in place when their block compiles.
         self.exec_meta = []
-        self.ser_tab = []      # info.serialize per pc
-        self.park_tab = []     # 1=spl_recv, 2=spl_store: head park compiles
-        self.hard_tab = []     # serialized op the compiled loop deopts for
+        self.ser_tab = []      # serialized-op kind (_SER_*) per pc, or 0
         self.st_tab = []       # retire-time write closure, or None
         self.dest_tab = []     # inst._dest per pc
         self.br_tab = []       # (mode 1=cond/2=JR/0=direct, target) or None
@@ -385,12 +396,7 @@ class BlockRunner:
                    inst.uses_sq, inst._dest, inst.dest_fp, inst.held_mask,
                    rs1, rs2)
             self.disp_tab.append(rows.setdefault(row, row))
-            self.ser_tab.append(info.serialize)
-            op = inst.op
-            self.park_tab.append(
-                1 if op is Op.SPL_RECV else (2 if op is Op.SPL_STORE else 0))
-            self.hard_tab.append(
-                info.serialize and op not in _EXEC_SER_OPS)
+            self.ser_tab.append(_SER_KINDS[inst.op] if info.serialize else 0)
             if info.serialize:
                 meta = None
             elif info.is_load:
@@ -452,25 +458,6 @@ class BlockRunner:
 
     # ---------------------------------------------------------------- drive
 
-    def declines(self) -> bool:
-        """True when :meth:`drive` would deopt on its first cycle: a
-        *hard* serialized op (HALT / FENCE / atomic) within retire
-        reach of the ROB head.  The walk checks this before
-        building a generator, so sustained interpreted stretches never
-        pay the hoist just to decline.  SPL ops do not decline — the
-        drive loop parks or executes them compiled."""
-        rob = self.core.rob
-        if rob:
-            hard_tab = self.hard_tab
-            k = self.core._retire_width
-            for entry in rob:
-                if hard_tab[entry.pc]:
-                    return True
-                k -= 1
-                if not k:
-                    break
-        return False
-
     def drive(self, pend: list, tap: Optional[list] = None):
         """Generator: the compiled core cycle — a faithful
         transliteration of ``OutOfOrderCore.tick`` and the stage
@@ -488,26 +475,24 @@ class BlockRunner:
           ``OutOfOrderCore._on_invalidation``) instead of reading the
           core's now-stale scalar attributes;
         * ``send(cycle)`` runs exactly one compiled cycle and yields
-          True — or 2 when the cycle ran as a parked ``spl_recv`` /
-          ``spl_store`` retry (head waiting on the output queue), a
-          hint that the core may be quiescent and worth an elide
-          probe, or 3 when an SPL op executed.  Cycles need not be
-          consecutive (the walk skips a core's stall window), only
-          monotone;
-        * a *hard* serialized op (HALT / FENCE / atomic) entering
-          retire reach *deopts* a one-cycle send: every hoisted scalar
-          is written back and the generator returns, surfacing as
-          StopIteration from the send — the caller interprets that
-          cycle instead;
+          True — or 2 when the cycle was quiet and either parked (a
+          head ``spl_recv``/``spl_store`` waiting on its port, a FENCE
+          waiting for stores to drain, an atomic in flight) or met a
+          FENCE or an atomic at the head, a hint that the core may be
+          quiescent and worth an elide probe; 3 when an SPL op
+          executed; 4 when a HALT retired (5: after an SPL op in the
+          same cycle), after which the walk ends the residency.
+          Cycles need not be consecutive (the walk skips a core's
+          stall window), only monotone;
         * ``send((start, limit, watch))`` is a *multi-cycle send*: it
           runs cycles ``start, start + 1, ...`` and yields the first
           cycle it did not run, staying resident.  It stops before
           ``limit``, before any cycle with a serialized op of any kind
-          within retire reach (so it never deopts, parks or executes
-          an SPL op), and before the cycle after one of its stores
-          poked a core in ``watch`` (``ff_poke``).  The walk sends one
-          when this is its only live core, so controller ticks, elide
-          probes and SPL cycles all stay on the one-cycle path;
+          within retire reach (so it never parks or executes one), and
+          before the cycle after one of its stores poked a core in
+          ``watch`` (``ff_poke``).  The walk sends one when this is its
+          only live core, so controller ticks, elide probes and
+          serialized ops all stay on the one-cycle path;
         * ``send(-1)`` is the sync sentinel: write back and return;
         * ``send(-2)`` *publishes*: writes the hoisted scalars and the
           deferred counters back and yields None, staying resident, so
@@ -551,8 +536,6 @@ class BlockRunner:
         n_br = 0
         retire_width = core._retire_width
         ser_tab = self.ser_tab
-        park_tab = self.park_tab
-        hard_tab = self.hard_tab
         exec_serialize = core._exec_serialize
         spl_port = core.spl_port
         output_pending = None if spl_port is None \
@@ -698,69 +681,63 @@ class BlockRunner:
                             if serialized:
                                 break
                     else:
-                        parked = 0
-                        ser_ran = False
+                        parked = hint = spl_ran = halted = False
                         if rob:
                             head0 = rob[0]
-                            pc0 = head0.pc
-                            if ser_tab[pc0] and not hard_tab[pc0]:
-                                # SPL op already at the head.  The *park*
-                                # — operands ready, output queue empty
-                                # (or store queue full) — replays exactly
-                                # as the interpreter's failed retry:
-                                # nothing retires and at most the
-                                # spl_recv_stalls counter bumps, so the
-                                # cycle runs compiled and yields a park
-                                # hint the walk can turn into an elide
-                                # probe.  The queue is only filled by
+                            ser = ser_tab[head0.pc]
+                            if ser:
+                                # Serialized op already at the head.  The
+                                # *park* replays exactly the interpreter's
+                                # failed retry: nothing retires and at
+                                # most the spl_recv_stalls counter bumps,
+                                # so the cycle runs compiled and yields a
+                                # park hint the walk can turn into an
+                                # elide probe.  Nothing before the retire
+                                # stage can change the verdict: the SPL
+                                # output queue is only filled by
                                 # controller ticks (end of the walk
-                                # cycle), so this pre-writeback check
-                                # sees the state the retire stage would.
-                                # When not parked — queue pending, or an
-                                # operand still in flight that this
-                                # cycle's writeback could complete — the
-                                # retire stage below executes the op via
-                                # the interpreter's own
-                                # ``_exec_serialize``.
-                                kind = park_tab[pc0]
-                                if kind and head0.remaining == 0 \
+                                # cycle), the store buffer only by
+                                # retirement, and an atomic parks only
+                                # while it completes after this cycle.
+                                # When not parked — an operand still in
+                                # flight that this cycle's writeback
+                                # could complete, say — the retire stage
+                                # below executes the op via the
+                                # interpreter's own ``_exec_serialize``.
+                                if ser == _SER_AMO:
+                                    if head0.state == 1 and \
+                                            head0.completion > cycle:
+                                        parked = True
+                                elif _SER_RECV <= ser <= _SER_FENCE \
                                         and head0.state == 0 \
-                                        and output_pending is not None:
-                                    if kind == 2:
+                                        and head0.remaining == 0:
+                                    if ser != _SER_RECV:
                                         while pending_stores and \
                                                 pending_stores[0] <= cycle:
                                             pending_stores.popleft()
-                                        if len(pending_stores) >= \
+                                    if ser == _SER_FENCE:
+                                        if pending_stores:
+                                            parked = True
+                                    elif output_pending is not None:
+                                        if ser == _SER_STORE and \
+                                                len(pending_stores) >= \
                                                 store_queue:
-                                            parked = 1
+                                            parked = True
                                         elif not output_pending():
-                                            parked = 2
-                                    elif not output_pending():
-                                        parked = 2
-                                if parked == 2:
-                                    n_spl_stalls += 1
-                                if parked:
-                                    # Hint the walk only when this parked
-                                    # cycle is also *quiet* (no frontend
-                                    # or issue progress): during the
-                                    # post-arrival frontend fill the probe
-                                    # would fail anyway and its backoff
-                                    # would delay the real elide by as
-                                    # much as it grew.
+                                            parked = True
+                                            n_spl_stalls += 1
+                                if parked or ser >= _SER_FENCE:
+                                    # A parked head, or a FENCE or an
+                                    # atomic (the core usually waits on it
+                                    # or right after it).  Hint the walk
+                                    # only when the cycle is also *quiet*
+                                    # (no frontend or issue progress):
+                                    # during the post-arrival frontend
+                                    # fill the probe would fail anyway
+                                    # and its backoff would delay the
+                                    # real elide by as much as it grew.
+                                    hint = True
                                     q0 = n_fetched + n_dispatched + n_issued
-                            if not parked:
-                                # A hard serialized op (HALT / FENCE /
-                                # atomic) within retire reach deopts: the
-                                # interpreter runs the whole cycle.  (A
-                                # parked head retires nothing, so nothing
-                                # deeper can reach it.)
-                                k = retire_width
-                                for entry in rob:
-                                    if hard_tab[entry.pc]:
-                                        return
-                                    k -= 1
-                                    if not k:
-                                        break
                     n_cycles += 1
 
                     # ----------------------------------------------- writeback
@@ -830,22 +807,43 @@ class BlockRunner:
                                 # (No serialized op is within reach in a
                                 # multi-cycle send: it stops before one.)
                                 if limit or head.state != 0 or parked \
-                                        or head.remaining != 0 \
-                                        or not ser_tab[head.pc]:
+                                        or head.remaining != 0:
                                     break
-                                # An SPL op reached the head with operands
-                                # ready (hard ops deopted at the cycle top,
-                                # a parked head broke above): run the
-                                # interpreter's own executor at its exact
-                                # point in the cycle.  It reads and writes
-                                # ``sb_next_free`` on the core, so sync the
-                                # hoisted copy around the call, and flag
-                                # the cycle so the walk keeps the
-                                # controllers ticking.
+                                ser = ser_tab[head.pc]
+                                if not ser:
+                                    break
+                                # A serialized op reached the head with
+                                # operands ready (a parked head broke
+                                # above): run the interpreter's own
+                                # executor at its exact point in the
+                                # cycle.  It reads and writes
+                                # ``sb_next_free`` on the core, so sync
+                                # the hoisted copy around the call.  An
+                                # SPL op flags the cycle so the walk
+                                # keeps the controllers ticking; an
+                                # atomic starts here and completes
+                                # through the writeback stage.
                                 core.sb_next_free = sb_next_free
                                 ok = exec_serialize(head, cycle)
                                 sb_next_free = core.sb_next_free
-                                ser_ran = True
+                                if ser <= _SER_STORE:
+                                    spl_ran = True
+                                elif ser != _SER_HALT:
+                                    # A FENCE or an atomic that reached
+                                    # the head this cycle hints as if it
+                                    # had been there at the top.
+                                    hint = True
+                                    q0 = n_fetched + n_dispatched + n_issued
+                                else:
+                                    # HALT retires just below and stops
+                                    # the core, as ``_retire`` does.
+                                    # Fetch stopped dead behind it, so it
+                                    # is the ROB's last entry and the
+                                    # loop ends with it.
+                                    core.halted = True
+                                    ctx.finished = True
+                                    core.stop_fetch = True
+                                    halted = True
                                 if not ok or head.state != 2:
                                     break
                             pc = head.pc
@@ -1108,9 +1106,10 @@ class BlockRunner:
                             n_dispatched += dispatched
 
                     # --------------------------------------------------- fetch
-                    # stop_fetch is constant False while resident: the
-                    # walk builds runners for fetching cores only, and
-                    # the one op that sets it (HALT) deopts first.
+                    # stop_fetch is False while resident: the walk builds
+                    # runners for fetching cores only, and the one op that
+                    # sets it (HALT) ends the residency with this cycle,
+                    # having stopped fetch (fetch_pc = -1) when fetched.
                     if cycle >= fetch_resume and fetch_pc >= 0:
                         fetched = 0
                         while fetched < fetch_width and \
@@ -1177,12 +1176,14 @@ class BlockRunner:
                 if limit:
                     limit = 0
                     cycle = yield cycle
-                elif ser_ran:
+                elif halted:
+                    cycle = yield 5 if spl_ran else 4
+                elif spl_ran:
                     # A serialized SPL op executed this cycle: it may
                     # have started a fabric job or freed queue space,
                     # so the walk must keep the controllers ticking.
                     cycle = yield 3
-                elif parked and q0 == n_fetched + n_dispatched + n_issued:
+                elif hint and q0 == n_fetched + n_dispatched + n_issued:
                     cycle = yield 2
                 else:
                     cycle = yield True
@@ -1268,12 +1269,13 @@ class MultiBlockRunner:
     * **Controller gating.**  The entry bound (min over controllers'
       ``next_event_cycle`` at ``start - 1``) proves skipped controller
       ticks are no-ops until that bound, so the walk skips them —
-      *until* the bound arrives or a core tick interprets (it may
-      execute a serialized op against an SPL/comm port).  From that
-      cycle on, ``controllers_live`` sticks and every cycle ticks the
-      controllers after the cores, in loop order, until a quiet cycle
-      re-proves a bound.  A streaming controller (bound at or before
-      ``start``) therefore runs live from the first cycle.
+      *until* the bound arrives, a compiled cycle executes an SPL op,
+      or a core tick interprets (either may act on an SPL/comm port).
+      FENCE, the atomics and HALT touch no port and leave the gating
+      alone.  From that cycle on, ``controllers_live`` sticks and every
+      cycle ticks the controllers after the cores, in loop order, until
+      a quiet cycle re-proves a bound.  A streaming controller (bound at
+      or before ``start``) therefore runs live from the first cycle.
     * **Poke/elide contract.**  Quiescent cores are elided with the
       standard ``ff_elide`` plan and resumed at their cycle slot (poke
       consumed, skipped span bulk-credited); a delivery or invalidation
@@ -1287,25 +1289,23 @@ class MultiBlockRunner:
       there; a bounded jump raises the watchdog's progress floor
       (``Machine._ff_progress``).
 
-    Per-core deopt: a core whose ROB head nears a hard serialized op
-    falls back to ``core.tick`` for that cycle only; the window
-    continues for the rest.  While exactly one core is live and the
-    controllers are provably quiet, the walk gives that core's resident
-    generator one *multi-cycle send* (see :meth:`BlockRunner.drive`)
-    instead of one send per cycle — the single-core runs, barrier tails
-    and producer/consumer phases — and keeps the residency when the
-    send stops.
+    Every cycle of a core with a runner runs compiled, serialized ops
+    included; only a draining core (no runner) and the multi-cycle
+    send's poke fix-up tick interpret.  While exactly one core is live
+    and the controllers are provably quiet, the walk gives that core's
+    resident generator one *multi-cycle send* (see
+    :meth:`BlockRunner.drive`) instead of one send per cycle — the
+    single-core runs, barrier tails and producer/consumer phases — and
+    keeps the residency when the send stops.
 
-    Telemetry, one set for every walk: ``windows`` (walks opened),
-    ``fused_cycles`` (core-cycles run compiled) and ``deopts`` (compiled
-    stretches a hard serialized op ended).
+    Telemetry, one set for every walk: ``windows`` (walks opened) and
+    ``fused_cycles`` (core-cycles run compiled).
     """
 
     def __init__(self, machine) -> None:
         self.machine = machine
         self.windows = 0
         self.fused_cycles = 0
-        self.deopts = 0
 
     def run_window(self, start: int, end: int, cores, runners) -> int:
         """Advance ``cores`` (index order) through ``[start, end)``.
@@ -1338,8 +1338,7 @@ class MultiBlockRunner:
             spin_tabs = [periodic.spin_table(runner) if runner is not None
                          else None for runner in runners]
         pends = [[0] * 10 for _ in range(n)]
-        fused = deopts = 0
-        was_compiled = [False] * n
+        fused = 0
         probe_at = [start] * n
         probe_backoff = [1] * n
         park_on = [False] * n
@@ -1356,7 +1355,7 @@ class MultiBlockRunner:
         states = [0] * n
         wake_at = [0] * n
         # gens[i] is core i's resident ``drive`` generator, or None when
-        # the core is interpreting / elided / declined.  A live entry
+        # the core is draining / elided / synced.  A live entry
         # means the core's hoisted scalars live in the generator frame:
         # it must be synced (send(-1)) before anything outside the
         # generator reads or writes them — elide probes,
@@ -1371,10 +1370,10 @@ class MultiBlockRunner:
             else:
                 live += 1
         # Controller gating: while live, controllers tick every cycle;
-        # after an interp-free cycle they may re-quiesce by proving a
+        # after a port-quiet cycle they may re-quiesce by proving a
         # bound (next_event_cycle) — ``controllers_resume`` is then the
         # cycle they must come back at, _BG_NEVER when only core
-        # activity (an interpreted tick) can wake them.
+        # activity (an SPL op or an interpreted tick) can wake them.
         controllers_live = False
         controllers_resume = _BG_NEVER
         for controller in controllers:
@@ -1460,51 +1459,48 @@ class MultiBlockRunner:
                         and cycle >= cores[target].stall_until \
                         and not cores[target]._bg_pending_inval:
                     gen = gens[target]
-                    if gen is None and not runner.declines():
+                    if gen is None:
                         gen = runner.drive(pends[target])
                         gen.send(None)
                         gens[target] = gen
-                    if gen is not None:
-                        done = gen.send((cycle, limit, watch))
-                        if done > cycle:
-                            fused += done - cycle
-                            was_compiled[target] = True
-                            # Poke fix-up: a store in the send's *last*
-                            # cycle may have snoop-flushed elided
-                            # siblings.  In core order, a sibling
-                            # *after* the target ticks on that same
-                            # cycle (its slot had not passed yet); one
-                            # *before* it resumes next cycle through the
-                            # per-core path.  The fix-up tick is
-                            # interpreted and may touch an SPL/comm port,
-                            # so controllers go live at that cycle.
-                            fixup_ran = False
-                            last = done - 1
-                            for i, core in enum_cores:
-                                if i <= target or states[i] != 1 \
-                                        or not core.ff_poke:
-                                    continue
-                                core.ff_poke = False
-                                core.credit_fast_forward(
-                                    core.ff_skip_from, last - 1)
-                                core.ff_skip_from = -1
-                                states[i] = 0
-                                live += 1
-                                probe_at[i] = done
-                                probe_backoff[i] = 1
-                                core.tick(last)
-                                fixup_ran = True
-                                if core.halted:
-                                    states[i] = 2
-                                    live -= 1
-                            if fixup_ran:
-                                controllers_live = True
-                                for controller in controllers:
-                                    controller.tick(last)
-                            cycle = done
-                            continue
-                # Declined, or stopped on its first cycle: run this cycle
-                # through the per-core path.
+                    done = gen.send((cycle, limit, watch))
+                    if done > cycle:
+                        fused += done - cycle
+                        # Poke fix-up: a store in the send's *last* cycle
+                        # may have snoop-flushed elided siblings.  In
+                        # core order, a sibling *after* the target ticks
+                        # on that same cycle (its slot had not passed
+                        # yet); one *before* it resumes next cycle
+                        # through the per-core path.  The fix-up tick is
+                        # interpreted and may touch an SPL/comm port, so
+                        # controllers go live at that cycle.
+                        fixup_ran = False
+                        last = done - 1
+                        for i, core in enum_cores:
+                            if i <= target or states[i] != 1 \
+                                    or not core.ff_poke:
+                                continue
+                            core.ff_poke = False
+                            core.credit_fast_forward(
+                                core.ff_skip_from, last - 1)
+                            core.ff_skip_from = -1
+                            states[i] = 0
+                            live += 1
+                            probe_at[i] = done
+                            probe_backoff[i] = 1
+                            core.tick(last)
+                            fixup_ran = True
+                            if core.halted:
+                                states[i] = 2
+                                live -= 1
+                        if fixup_ran:
+                            controllers_live = True
+                            for controller in controllers:
+                                controller.tick(last)
+                        cycle = done
+                        continue
+                # Stopped on its first cycle: run this cycle through the
+                # per-core path.
             interp_ran = False
             ser_exec_ran = False
             for i, core in enum_cores:
@@ -1544,24 +1540,30 @@ class MultiBlockRunner:
                     for line in pending:
                         on_inv(idx, line)
                     del pending[:]
-                deopted_now = False
                 if cycle < core.stall_until:
                     # tick() would return before counting; the elide
                     # probe below may still skip the stall window.  The
                     # stall's controller effects predate the window (or
-                    # set controllers_live when its op interpreted).
+                    # set controllers_live when its op ran).
                     pass
                 else:
                     runner = runners[i]
-                    stepped_now = False
-                    if runner is not None:
+                    if runner is None:
+                        # Draining: interpret.
+                        core.tick(cycle)
+                        interp_ran = True
+                        if core.halted:
+                            states[i] = 2
+                            live -= 1
+                            continue
+                    else:
                         gen = gens[i]
-                        if gen is None and not runner.declines():
+                        if gen is None:
                             gen = runner.drive(pends[i])
                             gen.send(None)
                             gens[i] = gen
                         stalled = False
-                        if gen is not None and cycle >= pe_at[i]:
+                        if cycle >= pe_at[i]:
                             att = attempts[i]
                             rob = core.rob
                             if (att is None or att.gen is None) and (
@@ -1593,76 +1595,57 @@ class MultiBlockRunner:
                                     gen = runner.drive(pends[i])
                                     gen.send(None)
                                     gens[i] = gen
-                        if gen is not None:
-                            res = None
-                            try:
-                                res = gen.send(cycle)
-                            except StopIteration:
-                                gens[i] = None
-                            if res is not None:
-                                fused += 1
-                                was_compiled[i] = True
-                                if res is True:
-                                    park_on[i] = False
-                                    # A stalled spin candidate with work
-                                    # left to issue is not quiescent.
-                                    if not stalled or core.ready \
-                                            or core.blocked_loads:
-                                        continue
-                                elif res == 3:
-                                    # A serialized SPL op executed
-                                    # compiled: controllers must tick
-                                    # this cycle (fabric job started /
-                                    # queue space freed), exactly as
-                                    # if the core had interpreted.
-                                    park_on[i] = False
-                                    ser_exec_ran = True
-                                    continue
-                                else:
-                                    # Park hint: the head is an spl_recv
-                                    # / spl_store waiting on the fabric,
-                                    # and the cycle ran compiled as a
-                                    # no-op retry.  On the first parked
-                                    # cycle of an episode probe eagerly
-                                    # (the episode usually ends in a
-                                    # long idle wait); afterwards on the
-                                    # normal backoff.
-                                    if not park_on[i]:
-                                        park_on[i] = True
-                                        probe_at[i] = cycle
-                                        probe_backoff[i] = 1
-                                    if cycle < probe_at[i]:
-                                        continue
-                                # Sync the residency so the elide probe
-                                # below reads authoritative scalars; a
-                                # failed probe re-hoists next cycle
-                                # (declines() accepts a parked head).
-                                gens[i] = None
-                                try:
-                                    gen.send(-1)
-                                except StopIteration:
-                                    pass
-                                stepped_now = True
-                        if not stepped_now:
+                        res = gen.send(cycle)
+                        fused += 1
+                        if res is True:
                             park_on[i] = False
-                            deopted_now = True
-                            if was_compiled[i]:
-                                was_compiled[i] = False
-                                deopts += 1
-                                # A fresh deopt usually means the core
-                                # just parked on a serialized op
-                                # (barrier / SPL recv): probe for
-                                # elision right after this tick instead
-                                # of waiting out the backoff.
+                            # A stalled spin candidate with work left to
+                            # issue is not quiescent.
+                            if not stalled or core.ready \
+                                    or core.blocked_loads:
+                                continue
+                        elif res == 3:
+                            # A serialized SPL op executed compiled:
+                            # controllers must tick this cycle (fabric
+                            # job started / queue space freed).
+                            park_on[i] = False
+                            ser_exec_ran = True
+                            continue
+                        elif res == 2:
+                            # Park hint: the head waits on the fabric, on
+                            # draining stores or on its own atomic, and
+                            # the cycle ran compiled as a no-op retry.
+                            # On the first parked cycle of an episode
+                            # probe eagerly (the episode usually ends in
+                            # a long idle wait); afterwards on the
+                            # normal backoff.
+                            if not park_on[i]:
+                                park_on[i] = True
                                 probe_at[i] = cycle
                                 probe_backoff[i] = 1
-                    if not stepped_now:
-                        core.tick(cycle)
-                        interp_ran = True
-                        if core.halted:
+                            if cycle < probe_at[i]:
+                                continue
+                        else:
+                            # HALT retired (5: after an SPL op in the
+                            # same cycle): end the residency.
+                            if res == 5:
+                                ser_exec_ran = True
+                            gens[i] = None
+                            try:
+                                gen.send(-1)
+                            except StopIteration:
+                                pass
                             states[i] = 2
                             live -= 1
                             continue
+                        # Sync the residency so the elide probe below
+                        # reads authoritative scalars; a failed probe
+                        # re-hoists next cycle.
+                        gens[i] = None
+                        try:
+                            gen.send(-1)
+                        except StopIteration:
+                            pass
                 if cycle >= probe_at[i]:
                     if core.ff_poke:
                         core.ff_poke = False
@@ -1680,18 +1663,10 @@ class MultiBlockRunner:
                             wake_at[i] = t
                             live -= 1
                             continue
-                    if deopted_now:
-                        # Deopted cores are interpreting anyway (a
-                        # serialized op is draining toward the ROB head);
-                        # the moment that settles, next_event_cycle goes
-                        # unbounded — keep probing every cycle so the
-                        # park is elided as soon as it begins.
-                        probe_at[i] = cycle + 1
-                    else:
-                        backoff = probe_backoff[i]
-                        if backoff < _BG_PROBE_CAP:
-                            probe_backoff[i] = backoff * 2
-                        probe_at[i] = cycle + backoff
+                    backoff = probe_backoff[i]
+                    if backoff < _BG_PROBE_CAP:
+                        probe_backoff[i] = backoff * 2
+                    probe_at[i] = cycle + backoff
             if interp_ran or ser_exec_ran or cycle >= controllers_resume:
                 controllers_live = True
                 ctl_probe_at = cycle
@@ -1748,5 +1723,4 @@ class MultiBlockRunner:
                         cnt[key] += value
         self.windows += 1
         self.fused_cycles += fused
-        self.deopts += deopts
         return cycle

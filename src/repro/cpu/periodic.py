@@ -685,8 +685,8 @@ def probe(i, core, runner, cycle, gens, pends, attempts, pe_at,
         runner.pe_attempts += 1
         verdict = att.observe(core, runner, cycle, pends[i])
     elif att.gen is not gen or core.ff_poke:
-        # The residency was retired under the attempt (a deopt or a
-        # deferred snoop) or an event poked the core.
+        # The residency was retired under the attempt (a park probe's
+        # sync or a deferred snoop) or an event poked the core.
         verdict = False
     else:
         verdict = att.observe(core, runner, cycle, pends[i])

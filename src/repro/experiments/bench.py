@@ -126,7 +126,6 @@ def run_case(name: str) -> Dict:
                 engagement = {
                     "windows": walk.windows,
                     "fused_cycles": walk.fused_cycles,
-                    "deopts": walk.deopts,
                     "periodic_cycles": sum(r.pe_cycles for r in runners),
                     "periodic_wakes": sum(r.pe_wakes for r in runners),
                     "periodic_attempts": sum(r.pe_attempts
@@ -158,9 +157,8 @@ def run_case(name: str) -> Dict:
         row[leg] = _leg_stats(cycles, walls[leg])
     if engagement:
         # Informational (never gated): how many core-cycles of the fast
-        # leg the walk ran compiled, how often a hard serialized op ended
-        # a compiled stretch, and how many core-cycles it elided as
-        # periodic spins.
+        # leg the walk ran compiled, and how many it elided as periodic
+        # spins.
         row["fast"]["engagement"] = engagement
     row["speedup"] = row["naive"]["wall_s"] / row["fast"]["wall_s"]
     return row

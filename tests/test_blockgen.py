@@ -648,3 +648,159 @@ def test_send_never_starts_inside_an_attach_stall():
     assert naive[0] > 700
     assert fused[0] == naive[0]
     assert fused[1] == naive[1]
+
+
+# ------------------------------------------------- compiled serialized ops
+
+
+def _serialized_program(shape, k=0):
+    """One core's program around FENCE, the atomics or HALT; ``k``
+    sizes the shape.  Data sits at 0x1000 and 32 lines up from it."""
+    from repro.isa import Asm
+
+    a = Asm(shape)
+    a.li("r1", 0x1000)
+    a.li("r2", 5)
+    if shape == "fence_drain":
+        # A FENCE behind ``k`` stores to cold lines, twice: the first
+        # time they miss and drain slowly, the second time they hit.
+        for rep in range(2):
+            for j in range(k):
+                a.sw("r2", "r1", 32 * j + 4 * rep)
+            a.fence()
+            a.addi("r3", "r3", 1)
+    elif shape == "amo_consumers":
+        # AMO_ADD and AMO_SWAP whose results feed the next op at once,
+        # including the next atomic's operand.
+        for _ in range(k):
+            a.amo_add("r3", "r1", "r2")
+            a.add("r4", "r3", "r3")
+            a.amo_swap("r5", "r1", "r4")
+            a.addi("r2", "r5", 1)
+            a.sw("r2", "r1", 4)
+    elif shape == "amo_blocked_load":
+        # The store's address waits on the AMO's result, so the load
+        # behind it is blocked when the AMO retires.
+        for j in range(k):
+            a.amo_add("r3", "r1", "r2")
+            a.slli("r6", "r3", 2)
+            a.add("r6", "r1", "r6")
+            a.sw("r2", "r6", 64 + 4 * j)
+            a.lw("r7", "r1", 8 + 4 * j)
+            a.add("r8", "r8", "r7")
+    elif shape == "fence_halt":
+        a.sw("r2", "r1", 0)
+        a.fence()
+    elif shape == "amo_halt":
+        a.amo_swap("r3", "r1", "r2")
+    a.halt()
+    return a.assemble()
+
+
+def _lock_program(name, counter, lock, rounds):
+    """``rounds`` increments of ``counter`` under an AMO_SWAP
+    test-and-set spin lock at ``lock``."""
+    from repro.isa import Asm
+
+    a = Asm(name)
+    a.li("r1", lock)
+    a.li("r2", 1)
+    a.li("r3", counter)
+    for _ in range(rounds):
+        acquire = a.fresh_label("acquire")
+        a.label(acquire)
+        a.amo_swap("r4", "r1", "r2")
+        a.bne("r4", "r0", acquire)
+        a.lw("r5", "r3", 0)
+        a.addi("r5", "r5", 1)
+        a.sw("r5", "r3", 0)
+        a.fence()
+        a.sw("r0", "r1", 0)
+    a.halt()
+    return a.assemble()
+
+
+def _serialized_legs(programs, cluster, monkeypatch):
+    """Naive and fast runs of one thread per core of ``cluster``,
+    unobserved and under a ProfilerSink: the naive observed leg's
+    ``(cycles, stats, profiler rows, memory words)``, asserted equal
+    across legs, plus the fast legs' ``OutOfOrderCore.tick`` calls."""
+    from repro.cpu.pipeline import OutOfOrderCore
+    from repro.isa.program import MemoryImage, ThreadSpec
+    from repro.obs.profile import ProfilerSink
+    from repro.system.workload import Workload
+
+    ticks = [0]
+    tick = OutOfOrderCore.tick
+
+    def counting(core, cycle):
+        ticks[0] += 1
+        return tick(core, cycle)
+
+    monkeypatch.setattr(OutOfOrderCore, "tick", counting)
+    legs = {}
+    fast_ticks = 0
+    for fast in (False, True):
+        for observe in (False, True):
+            machine = Machine(SystemConfig(
+                clusters=[cluster(len(programs))]))
+            machine.load(Workload("serialized", MemoryImage(), [
+                ThreadSpec(program, i) for i, program in enumerate(programs)]))
+            sink = None
+            if observe:
+                sink = ProfilerSink()
+                machine.obs.attach(sink, ProfilerSink.KINDS)
+            ticks[0] = 0
+            cycles = machine.run(options=RunOptions(max_cycles=200_000,
+                                                    fast_forward=fast))
+            if fast:
+                fast_ticks += ticks[0]
+            rows = None
+            if observe:
+                machine.finish_observation()
+                rows = sink.accounting().rows()
+            words = [machine.memory.read_word(0x1000 + 4 * w)
+                     for w in range(64)]
+            legs[fast, observe] = (cycles, machine.stats.as_dict(), rows,
+                                   words)
+    for observe in (False, True):
+        assert legs[True, observe] == legs[False, observe], observe
+    return legs[False, True], fast_ticks
+
+
+#: One- and two-wide cores: at retire width 2 a serialized op can
+#: retire in the same cycle as the op before it.
+_SERIALIZED_CLUSTERS = pytest.mark.parametrize(
+    "cluster", [ooo1_cluster, ooo2_cluster], ids=["ooo1", "ooo2"])
+
+
+@_SERIALIZED_CLUSTERS
+@pytest.mark.parametrize("shape,k", [
+    ("fence_drain", k) for k in range(5)] + [
+    ("amo_consumers", 1), ("amo_consumers", 4),
+    ("amo_blocked_load", 1), ("amo_blocked_load", 3),
+    ("fence_halt", 0), ("amo_halt", 0)])
+def test_serialized_ops_run_compiled_and_exact(shape, k, cluster,
+                                               monkeypatch):
+    """FENCE, AMO_ADD/AMO_SWAP and HALT run inside the compiled walk:
+    a lone core is never interpreted, and cycles, every counter, the
+    profiler rows and memory match the naive loop."""
+    naive, fast_ticks = _serialized_legs([_serialized_program(shape, k)],
+                                         cluster, monkeypatch)
+    assert naive[0] > 0
+    assert fast_ticks == 0
+
+
+@_SERIALIZED_CLUSTERS
+def test_two_core_amo_swap_spin_lock(cluster, monkeypatch):
+    """Two cores contend for an AMO_SWAP spin lock on one line, around
+    a counter on the next: the walk matches the naive loop and no
+    increment is lost."""
+    rounds = 6
+    programs = [_lock_program(f"locker{i}", 0x1020, 0x1000, rounds)
+                for i in range(2)]
+    naive, _ = _serialized_legs(programs, cluster, monkeypatch)
+    assert naive[3][8] == 2 * rounds
+    stats = naive[1]
+    assert stats["machine.cpu0.atomics"] + stats["machine.cpu1.atomics"] \
+        > 2 * rounds  # the lock was contended

@@ -90,12 +90,11 @@ def test_profile_hot_fused_share_is_of_core_cycles(capsys):
                 if line.startswith("blockgen:"))
     match = re.fullmatch(
         r"blockgen: (\d+) windows, (\d+) fused core-cycles "
-        r"\(([\d.]+)% of (\d+) core-cycles\), (\d+) deopts", line)
+        r"\(([\d.]+)% of (\d+) core-cycles\)", line)
     assert match, line
-    windows, fused, share, core_cycles, deopts = match.groups()
-    assert (int(windows), int(fused), int(core_cycles), int(deopts)) == (
-        report["windows"], report["fused_cycles"], report["core_cycles"],
-        report["deopts"])
+    windows, fused, share, core_cycles = match.groups()
+    assert (int(windows), int(fused), int(core_cycles)) == (
+        report["windows"], report["fused_cycles"], report["core_cycles"])
     assert f"{share}%" == f"{report['fused_share']:.1%}"
 
 
@@ -197,6 +196,13 @@ _BAD_SNAPSHOTS = {
     pytest.param(["resume", "old-schema.json"],
                  "machine-snapshot record has schema v1, this code reads v",
                  id="resume-other-schema"),
+    # A bench baseline that cannot be read fails before any case runs.
+    pytest.param(["bench", "--check", "missing.json"],
+                 "missing.json: FileNotFoundError:",
+                 id="bench-check-missing"),
+    pytest.param(["bench", "--check", "malformed.json"],
+                 "malformed.json: JSONDecodeError:",
+                 id="bench-check-not-json"),
 ])
 def test_usage_errors_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.analysis.fuzz import (run_fuzz, scenario_for_seed,
+from repro.analysis.fuzz import (_MENU, run_fuzz, scenario_for_seed,
                                  write_fuzz_json)
 from repro.cli import main
 
@@ -27,8 +27,15 @@ def test_thirty_seeds_agree():
             assert record["dynamic"] != "completed"
 
 
+def test_ci_seed_range_covers_the_whole_menu():
+    """The CI fuzz-smoke job runs seeds 0..24: every (shape, defect)
+    entry of the menu, the atomics shape included, is among them."""
+    seen = {(s.kind, s.defect) for s in map(scenario_for_seed, range(25))}
+    assert seen == set(_MENU)
+
+
 def test_defect_records_name_the_rules():
-    report = run_fuzz(range(14))
+    report = run_fuzz(range(len(_MENU)))
     for record in report["records"]:
         if record["defect"] is not None:
             assert record["error_rules"], record
