@@ -313,16 +313,16 @@ def cmd_trace(args) -> int:
 
 
 def _cmd_profile_hot(args) -> int:
-    """Hot-path report: per-PC retire counts plus block-cache statistics.
+    """Hot-path report: per-PC retire counts plus compiled-walk
+    statistics.
 
     Runs WITHOUT observation sinks: an attached sink keeps the compiled
     walk but turns off its periodic spin elision (DESIGN.md section
     10), and the point of ``--hot`` is to profile the run exactly as
     the default configuration executes it — fused windows, periodic
-    elision, trace-cache hits and all.
+    elision and all.
     """
     import json
-    import os
     from repro.common.config import RunOptions
     from repro.system.machine import Machine
     spec = _resolve_observed_spec(args)
@@ -341,9 +341,6 @@ def _cmd_profile_hot(args) -> int:
     # the run simulated, not of the machine's cycle count.
     core_cycles = sum(core.stats.get("cycles") for core in machine.cores)
     share = fused / core_cycles if core_cycles else 0.0
-    compiles = sum(r.bp.compiles for r in runners)
-    entries = sum(r.bp.entries for r in runners)
-    hit_rate = (1.0 - compiles / entries) if entries else 0.0
     periodic = {"periodic_cycles": sum(r.pe_cycles for r in runners),
                 "periodic_wakes": sum(r.pe_wakes for r in runners),
                 "periodic_attempts": sum(r.pe_attempts for r in runners),
@@ -357,24 +354,12 @@ def _cmd_profile_hot(args) -> int:
                          "retired": count, "instruction": text})
     rows.sort(key=lambda row: -row["retired"])
     top = rows[:args.top]
-    if args.dump_blocks:
-        parent = os.path.dirname(args.dump_blocks)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        chunks = []
-        for index in sorted(machine._bg_runners):
-            runner = machine._bg_runners[index]
-            chunks.append(f"# core {index}\n{runner.bp.source_dump()}")
-        with open(args.dump_blocks, "w", encoding="utf-8") as handle:
-            handle.write("\n\n".join(chunks) + "\n")
     if args.json:
         print(json.dumps({
             "name": spec.name,
             "total_cycles": cycles,
             "blockgen": {"windows": windows, "fused_cycles": fused,
                          "core_cycles": core_cycles, "fused_share": share,
-                         "block_compiles": compiles,
-                         "block_entries": entries, "hit_rate": hit_rate,
                          **periodic},
             "hot_pcs": top,
         }, indent=2))
@@ -386,14 +371,10 @@ def _cmd_profile_hot(args) -> int:
           f"elided, {periodic['periodic_wakes']} wakes, "
           f"{periodic['periodic_attempts']} attempts "
           f"({periodic['periodic_failures']} failed)")
-    print(f"block cache: {compiles} compiles, {entries} entries, "
-          f"hit rate {hit_rate:.1%}")
     print(f"hot PCs (top {len(top)} by retire count):")
     for row in top:
         print(f"  core {row['core']:>2d}  pc {row['pc']:>5d}  "
               f"{row['retired']:>9d}  {row['instruction']}")
-    if args.dump_blocks:
-        print(f"generated block source -> {args.dump_blocks}")
     return EXIT_OK
 
 
@@ -619,14 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--json", action="store_true",
                         help="emit the breakdown as JSON")
     p_prof.add_argument("--hot", action="store_true",
-                        help="per-PC retire counts and trace-cache block "
+                        help="per-PC retire counts and compiled-walk "
                              "statistics instead of cycle accounting "
                              "(runs unobserved: periodic elision engages)")
     p_prof.add_argument("--top", type=int, default=20,
                         help="rows in the --hot per-PC table (default 20)")
-    p_prof.add_argument("--dump-blocks", default=None,
-                        help="with --hot: write the generated block "
-                             "source to this file")
     p_prof.set_defaults(func=cmd_profile)
 
     p_sample = sub.add_parser(

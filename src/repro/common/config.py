@@ -232,9 +232,11 @@ class SystemConfig:
 
 # -- run options ---------------------------------------------------------------
 
-#: The escape-hatch environment variables, resolved in exactly one place
-#: (:meth:`RunOptions.resolve`).  Setting a variable to any non-empty
-#: value disables the corresponding feature.
+#: The escape-hatch environment variables.  Setting a variable to any
+#: non-empty value disables the corresponding feature.
+#: :meth:`RunOptions.resolve` reads the scheduler and lint switches;
+#: ``REPRO_NO_CODEGEN`` is sampled by each SPL function at construction
+#: (repro.core.function).
 ENV_NO_FASTFORWARD = "REPRO_NO_FASTFORWARD"
 ENV_NO_CODEGEN = "REPRO_NO_CODEGEN"
 ENV_NO_LINT = "REPRO_NO_LINT"
@@ -252,11 +254,12 @@ class RunOptions:
     ``Machine.run(options=)`` takes nothing else, and ``execute``
     passes its ``options=`` through: construct a ``RunOptions``, resolve
     it once, and pass it around.  The tri-state fields (``fast_forward``,
-    ``codegen``, ``lint``) default to ``None`` = "consult the
-    environment"; :meth:`resolve` pins them to booleans using the
-    ``REPRO_NO_FASTFORWARD`` / ``REPRO_NO_CODEGEN`` / ``REPRO_NO_LINT``
-    escape hatches.  That resolution step is the *only* sanctioned env
-    read for run behaviour.
+    ``lint``) default to ``None`` = "consult the environment";
+    :meth:`resolve` pins them to booleans using the
+    ``REPRO_NO_FASTFORWARD`` / ``REPRO_NO_LINT`` escape hatches.  The
+    one other env read for run behaviour is ``REPRO_NO_CODEGEN``, which
+    each SPL function samples when it is built; :meth:`fingerprint`
+    reports it too, so cache keys still tell the two modes apart.
 
     ``fast_forward`` is the one scheduler switch: the compiled walk,
     with its elision and jumps, or the naive per-cycle reference loop
@@ -280,8 +283,6 @@ class RunOptions:
     #: The fast scheduler, the compiled walk with its elision and jumps
     #: (None: env-resolved); False runs the naive per-cycle loop.
     fast_forward: Optional[bool] = None
-    #: Compiled DFG closures for SPL functions (None: env-resolved).
-    codegen: Optional[bool] = None
     #: Static-verifier pre-flight in the experiment engine (None: env).
     lint: Optional[bool] = None
 
@@ -291,8 +292,6 @@ class RunOptions:
             self,
             fast_forward=(env_enabled(ENV_NO_FASTFORWARD)
                           if self.fast_forward is None else self.fast_forward),
-            codegen=(env_enabled(ENV_NO_CODEGEN)
-                     if self.codegen is None else self.codegen),
             lint=(env_enabled(ENV_NO_LINT)
                   if self.lint is None else self.lint),
         )
@@ -308,7 +307,7 @@ class RunOptions:
         """
         resolved = self.resolve()
         return {"fast_forward": bool(resolved.fast_forward),
-                "codegen": bool(resolved.codegen)}
+                "codegen": env_enabled(ENV_NO_CODEGEN)}
 
     def validate(self) -> None:
         if self.max_cycles < 0:

@@ -1,18 +1,17 @@
-"""Trace-cache block compilation of the OOO core hot loop (DESIGN.md §10).
+"""The compiled walk: the OOO core hot loop, specialized (DESIGN.md §10).
 
 The cycle-level interpreter in :mod:`repro.cpu.pipeline` pays per-cycle
 Python dispatch for every stage of every instruction.  On compute-bound
 runs (no SPL traffic, caches warm) almost all of that work is decided by
-the static program text: which ALU expression runs, which registers
-rename, which resources an instruction holds.  This module folds those
+the static program text: which evaluator runs, which registers rename,
+which resources an instruction holds.  This module folds those
 decisions out of the loop:
 
-* The program is partitioned into **basic blocks** (leaders: entry 0,
-  branch targets, and the successor of every branch or serialized op).
-  On first fetch of a block's entry PC, one Python function per
-  value-producing instruction is code-generated from the source templates
-  in :mod:`repro.cpu.exec` (``ALU_EXPR``/``FP_EXPR``/``BRANCH_EXPR``)
-  with immediates and branch targets folded in as literals.
+* Per-PC tables, built once per :class:`BlockRunner`, hold each
+  instruction's static decisions.  Its evaluator comes from
+  :mod:`repro.cpu.exec`'s ``ALU_TABLE``/``FP_TABLE``/``BRANCH_TABLE``,
+  the same functions ``tick`` and the golden interpreter call, so the
+  ISA's semantics have one copy.
 * :meth:`BlockRunner.drive` is the one compiled core cycle: a
   specialized re-implementation of ``OutOfOrderCore.tick`` for runs
   with no pipeline-kind sink, written as a generator so one core's
@@ -63,29 +62,18 @@ decisions out of the loop:
   the wake cycle's phase.  Runs with a sink attached skip it: a
   periodic plan has no per-phase accounting class.
 
-Compiled blocks are memoized per machine, keyed by the program, the
-core config, and a content fingerprint of the instruction stream, so
-mutating a program or changing the config misses the memo.  The walk is
-``Machine.run``'s fast scheduler, switched by ``RunOptions.fast_forward``
-/ ``REPRO_NO_FASTFORWARD`` (see repro.common.config).
-
-Purity constraint: generated closures bind **no machine state** — only
-the pure helpers in ``_NAMESPACE`` — because the compiled artifact is
-shared by every runner of the machine's memo.  Anything touching
-memory (load reads, store writes) lives in per-:class:`BlockRunner`
-tables built in plain Python against the owning machine's memory.
+The walk is ``Machine.run``'s fast scheduler, switched by
+``RunOptions.fast_forward`` / ``REPRO_NO_FASTFORWARD`` (see
+repro.common.config).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.common.errors import SimulationError
-from repro.cpu.exec import (ALU_EXPR, BRANCH_EXPR, FP_EXPR, _div, _rem,
-                            _wrap)
-from repro.common.utils import to_unsigned
+from repro.cpu.exec import ALU_TABLE, BRANCH_TABLE, FP_TABLE
 from repro.cpu.pipeline import (FRONTEND_DELAY, _LOAD_OPS, _STORE_OPS,
                                 HOLD_FP_IQ, HOLD_INT_IQ, HOLD_LQ,
                                 HOLD_REN_FP, HOLD_REN_INT, HOLD_SQ,
@@ -93,20 +81,6 @@ from repro.cpu.pipeline import (FRONTEND_DELAY, _LOAD_OPS, _STORE_OPS,
 from repro.isa.opcodes import FuClass, Op
 
 _BY_SEQ = attrgetter("seq")
-
-#: Pure helper bindings available to generated block source.  Builtins
-#: are withheld: the templates compile to closed expressions over these
-#: names and the ``a``/``b`` source-value parameters only.
-_NAMESPACE = {
-    "_w": _wrap,
-    "_u": to_unsigned,
-    "_div": _div,
-    "_rem": _rem,
-    "_inf": float("inf"),
-    "_ninf": float("-inf"),
-    "_nan": float("nan"),
-    "__builtins__": {},
-}
 
 _POOL_IDS = {"int": 0, "fp": 1, "branch": 2, "mem": 3}
 
@@ -156,189 +130,20 @@ _CONV = {Op.LW: None, Op.FLW: None, Op.LB: _conv_lb, Op.LBU: _conv_lbu,
          Op.LH: _conv_lh, Op.LHU: _conv_lhu}
 
 
-class Block:
-    """One basic block: a leader PC and the straight-line PCs behind it.
-
-    ``fns`` is None until the block is first entered (the compile is the
-    trace-cache "miss"); afterwards it maps each value-producing PC to
-    its generated closure.
-    """
-
-    __slots__ = ("bid", "entry", "pcs", "fns", "hits")
-
-    def __init__(self, bid: int, entry: int, pcs: range) -> None:
-        self.bid = bid
-        self.entry = entry
-        self.pcs = pcs
-        self.fns: Optional[Dict[int, object]] = None
-        self.hits = 0
-
-
-class BlockProgram:
-    """The block partition of one program plus its compiled closures."""
-
-    def __init__(self, instructions) -> None:
-        self._instructions = instructions
-        # Every block execs into this one namespace: its functions are
-        # named by PC, so blocks cannot collide.
-        self._namespace = dict(_NAMESPACE)
-        n = len(instructions)
-        leaders = {0} if n else set()
-        for pc, inst in enumerate(instructions):
-            info = inst.info
-            if info.is_branch or info.serialize:
-                if pc + 1 < n:
-                    leaders.add(pc + 1)
-                # Only branch targets are PCs; e.g. SPL_LOADM reuses
-                # ``target`` as a staging byte offset.
-                if info.is_branch:
-                    target = inst.target
-                    if isinstance(target, int) and 0 <= target < n:
-                        leaders.add(target)
-        order = sorted(leaders)
-        self.blocks: List[Block] = []
-        self.block_of: List[Optional[Block]] = [None] * n
-        for bid, start in enumerate(order):
-            end = order[bid + 1] if bid + 1 < len(order) else n
-            block = Block(bid, start, range(start, end))
-            self.blocks.append(block)
-            for pc in block.pcs:
-                self.block_of[pc] = block
-        self.compiles = 0
-
-    # -- code generation ----------------------------------------------------
-
-    def _expr_for(self, pc: int, inst) -> Optional[str]:
-        """The generated expression over ``(a, b)`` for ``inst``, or None
-        when the instruction has no pure evaluator (memory/serialized)."""
-        info = inst.info
-        op = inst.op
-        if info.serialize or info.is_load or info.is_store:
-            return None
-        if info.is_branch:
-            if op is Op.JR:
-                return "a"
-            if op is Op.J or op is Op.JAL:
-                return repr(inst.target)
-            cond = BRANCH_EXPR.get(op)
-            if cond is None:
-                return None
-            return f"({inst.target}) if {cond} else ({pc + 1})"
-        if info.fu is FuClass.FP:
-            return FP_EXPR.get(op)
-        template = ALU_EXPR.get(op)
-        if template is None:
-            return None
-        return template.format(imm=f"({inst.imm})",
-                               imm5=repr(inst.imm & 31),
-                               imm_wrapped=f"({_wrap(inst.imm)})")
-
-    def generate_source(self, block: Block) -> str:
-        lines = [f"# block {block.bid} @ pc {block.entry} "
-                 f"({len(block.pcs)} instructions)"]
-        for pc in block.pcs:
-            inst = self._instructions[pc]
-            expr = self._expr_for(pc, inst)
-            if expr is None:
-                lines.append(f"# {pc}: {inst!r}  (interpreted)")
-                continue
-            lines.append(f"def _pc{pc}(a, b):  # {pc}: {inst!r}")
-            lines.append(f"    return {expr}")
-        lines.append("")
-        return "\n".join(lines)
-
-    def compile_block(self, block: Block,
-                      code_memo: Optional[Dict[str, object]] = None) -> None:
-        """Generate and install ``block``'s closures (idempotent).
-
-        ``code_memo`` maps generated source to its code object.  A
-        machine running several threads passes one memo to all its
-        runners: the threads of a spec run programs that differ only in
-        a few immediates, so most of their blocks generate identical
-        source.  Code objects are immutable and each program still
-        ``exec``s them into its own namespace, so sharing them changes
-        nothing but the ``compile()`` calls; ``compiles`` keeps counting
-        this program's block installs.
-        """
-        if block.fns is not None:
-            return
-        source = self.generate_source(block)
-        code = None if code_memo is None else code_memo.get(source)
-        if code is None:
-            code = compile(source, f"<blockgen:block{block.bid}"
-                                   f"@{block.entry}>", "exec")
-            if code_memo is not None:
-                code_memo[source] = code
-        namespace = self._namespace
-        exec(code, namespace)
-        block.fns = {pc: namespace[f"_pc{pc}"] for pc in block.pcs
-                     if f"_pc{pc}" in namespace}
-        self.compiles += 1
-
-    # -- reporting ------------------------------------------------------------
-
-    @property
-    def entries(self) -> int:
-        """Total block-entry fetches across all runners of this memo."""
-        return sum(block.hits for block in self.blocks)
-
-    def hit_rate(self) -> float:
-        entries = self.entries
-        if not entries:
-            return 0.0
-        return 1.0 - self.compiles / entries
-
-    def source_dump(self) -> str:
-        """Generated source of every block (compiling any not yet hot)."""
-        for block in self.blocks:
-            self.compile_block(block)
-        return "\n".join(self.generate_source(block)
-                         for block in self.blocks)
-
-
-def compiled_blocks(program, config, memo: dict) -> BlockProgram:
-    """The :class:`BlockProgram` for ``(program, config)`` in ``memo``.
-
-    The key carries the program, the core config, and a content
-    fingerprint of the instruction stream, so a mutated program or a
-    different configuration misses and recompiles.  ``memo`` belongs to
-    one machine: finished results keep their programs alive, and the
-    compiled closures should not outlive the run.
-    """
-    key = (program, config, _fingerprint(program.instructions))
-    block_program = memo.get(key)
-    if block_program is None:
-        block_program = memo[key] = BlockProgram(program.instructions)
-    return block_program
-
-
-def _fingerprint(instructions) -> tuple:
-    return tuple((inst.op, inst.rd, inst.rs1, inst.rs2, inst.imm,
-                  inst.target) for inst in instructions)
-
-
 class BlockRunner:
     """Per-(machine core, context) specialized executor.
 
-    Holds the dense per-PC tables (fetch, dispatch, execute, retire) and
-    the machine-bound memory accessors that the memoized pure closures
-    must not capture.  Rebuilt by the machine whenever the core's
-    context changes.  ``programs`` is the machine's
-    :func:`compiled_blocks` memo; ``code_memo`` (generated source ->
-    code object) and ``row_memo`` (an immutable table row -> its one
-    shared copy) are shared by the machine's runners when it runs more
-    than one thread.
+    Holds the dense per-PC tables (fetch, dispatch, execute, retire),
+    built once against the owning machine's memory.  Rebuilt by the
+    machine whenever the core's context changes.  ``rows`` (a dispatch
+    or FU-pool row -> its one shared copy) is shared by the machine's
+    runners.
     """
 
-    def __init__(self, core: OutOfOrderCore, programs: dict,
-                 code_memo: Optional[Dict[str, object]] = None,
-                 row_memo: Optional[dict] = None) -> None:
+    def __init__(self, core: OutOfOrderCore, rows: dict) -> None:
         self.core = core
         self.ctx = core.ctx
         program = core.ctx.program
-        self.bp = compiled_blocks(program, core.config, programs)
-        self.code_memo = code_memo
-        rows = {} if row_memo is None else row_memo
         memory = core.memory
 
         def _read_lb(addr, _rb=memory.read_byte):
@@ -363,20 +168,20 @@ class BlockRunner:
 
         instructions = program.instructions
         n = len(instructions)
-        block_of = self.bp.block_of
-        # fetch_tab[pc] = (inst, fetch_kind, target, block-if-leader)
+        # fetch_tab[pc] = (inst, fetch_kind, target)
         self.fetch_tab = []
         # disp_tab[pc] = (needs_fp_iq, needs_int_iq, uses_lq, uses_sq,
         #                 dest, dest_fp, held_mask, rs1, rs2) with the
         # source registers normalized to None when absent or r0.
         self.disp_tab = []
         # exec_meta[pc]: None for serialized ops;
-        #   [0, fn, latency]               int ALU (fn lazily installed)
-        #   [1, fn, latency]               FP
-        #   [2, fn, link_value]            branch (fn -> actual_next)
-        #   (3, None, size, imm)           store
-        #   (4, read_fn, size, imm, conv)  load
-        # List rows are patched in place when their block compiles.
+        #   (0, ALU_TABLE[op], latency, imm)          int ALU
+        #   (1, FP_TABLE[op], latency)                FP
+        #   (2, taken_fn, link_value, target, fall)   branch
+        #   (3, None, size, imm)                      store
+        #   (4, read_fn, size, imm, conv)             load
+        # A branch row's taken_fn is BRANCH_TABLE[op], or None for J/JAL
+        # (always ``target``) and JR (target None: the source value).
         self.exec_meta = []
         self.ser_tab = []      # serialized-op kind (_SER_*) per pc, or 0
         self.st_tab = []       # retire-time write closure, or None
@@ -386,10 +191,7 @@ class BlockRunner:
         for pc in range(n):
             inst = instructions[pc]
             info = inst.info
-            block = block_of[pc]
-            self.fetch_tab.append(
-                (inst, inst.fetch_kind, inst.target,
-                 block if block is not None and block.entry == pc else None))
+            self.fetch_tab.append((inst, inst.fetch_kind, inst.target))
             rs1 = inst.rs1 if inst.rs1 else None
             rs2 = inst.rs2 if inst.rs2 else None
             row = (inst.needs_fp_iq, inst.needs_int_iq, inst.uses_lq,
@@ -407,11 +209,12 @@ class BlockRunner:
                 meta = (3, None, _STORE_OPS[inst.op], inst.imm)
             elif info.is_branch:
                 link = pc + 1 if inst.op is Op.JAL else None
-                meta = [2, None, link]
+                target = None if inst.op is Op.JR else inst.target
+                meta = (2, BRANCH_TABLE.get(inst.op), link, target, pc + 1)
             elif info.fu is FuClass.FP:
-                meta = [1, None, info.latency]
+                meta = (1, FP_TABLE[inst.op], info.latency)
             else:
-                meta = [0, None, info.latency]
+                meta = (0, ALU_TABLE[inst.op], info.latency, inst.imm)
             self.exec_meta.append(meta)
             self.st_tab.append(
                 write_map[inst.op]
@@ -428,7 +231,6 @@ class BlockRunner:
             pool_name, limit = core._fu_pool[info.fu]
             row = (_POOL_IDS[pool_name], limit)
             self.pool_tab.append(rows.setdefault(row, row))
-        self.installed = bytearray(len(self.bp.blocks))
         # Periodic elision (repro.cpu.periodic): its per-runner tables,
         # built when the runner first joins a walk that may elide, and
         # its telemetry — core-cycles elided, resumes, detection
@@ -438,23 +240,6 @@ class BlockRunner:
         self.pe_wakes = 0
         self.pe_attempts = 0
         self.pe_failures = 0
-
-    def _install(self, block: Block) -> None:
-        """Compile ``block`` if needed and patch its closures into this
-        runner's exec table (idempotent)."""
-        self.bp.compile_block(block, self.code_memo)
-        fns = block.fns
-        exec_meta = self.exec_meta
-        for pc in block.pcs:
-            meta = exec_meta[pc]
-            if meta is not None and meta.__class__ is list \
-                    and meta[1] is None:
-                fn = fns.get(pc)
-                if fn is None:
-                    raise SimulationError(
-                        f"blockgen: no evaluator generated for pc {pc}")
-                meta[1] = fn
-        self.installed[block.bid] = 1
 
     # ---------------------------------------------------------------- drive
 
@@ -549,8 +334,6 @@ class BlockRunner:
         dest_tab = self.dest_tab
         br_tab = self.br_tab
         pool_tab = self.pool_tab
-        installed = self.installed
-        block_of = self.bp.block_of
 
         ready = core.ready
         fetch_queue = core.fetch_queue
@@ -924,11 +707,8 @@ class BlockRunner:
                             kind = meta[0]
                             srcs = entry.srcs
                             if kind == 0:
-                                fn = meta[1]
-                                if fn is None:
-                                    self._install(block_of[pc])
-                                    fn = meta[1]
-                                entry.value = fn(srcs[0], srcs[1])
+                                entry.value = meta[1](srcs[0], srcs[1],
+                                                      meta[3])
                                 entry.state = 1
                                 done = cycle + meta[2]
                                 n_int += 1
@@ -971,11 +751,15 @@ class BlockRunner:
                                                        cycle)
                                 n_loads += 1
                             elif kind == 2:
-                                fn = meta[1]
-                                if fn is None:
-                                    self._install(block_of[pc])
-                                    fn = meta[1]
-                                entry.actual_next = fn(srcs[0], srcs[1])
+                                taken = meta[1]
+                                if taken is not None:
+                                    entry.actual_next = meta[3] \
+                                        if taken(srcs[0], srcs[1]) \
+                                        else meta[4]
+                                else:
+                                    target = meta[3]
+                                    entry.actual_next = srcs[0] \
+                                        if target is None else target
                                 link = meta[2]
                                 if link is not None:
                                     entry.value = link
@@ -993,11 +777,7 @@ class BlockRunner:
                                             heappush(ready, (load.seq, load))
                                     blocked_loads.clear()
                             else:  # kind == 1: FP
-                                fn = meta[1]
-                                if fn is None:
-                                    self._install(block_of[pc])
-                                    fn = meta[1]
-                                entry.value = fn(srcs[0], srcs[1])
+                                entry.value = meta[1](srcs[0], srcs[1])
                                 entry.state = 1
                                 done = cycle + meta[2]
                                 n_fp += 1
@@ -1149,11 +929,6 @@ class BlockRunner:
                                 if target is None:
                                     target = btb_lookup(pc)
                                 pred_next = -1 if target is None else target
-                            block = fetch_meta[3]
-                            if block is not None:
-                                block.hits += 1
-                                if not installed[block.bid]:
-                                    self._install(block)
                             fetch_queue.append(
                                 (fetch_meta[0], pc, pred_next, cycle))
                             fetched += 1

@@ -8,7 +8,7 @@ treats them as IEEE single precision only when stored to memory).
 from __future__ import annotations
 
 from repro.common.errors import SimulationError
-from repro.common.utils import to_signed, to_unsigned
+from repro.common.utils import to_unsigned
 from repro.isa.opcodes import Op
 
 
@@ -32,9 +32,11 @@ def _rem(a: int, b: int) -> int:
 
 
 #: Per-op evaluators: one dict probe replaces the former if-chain, whose
-#: average depth dominated the issue stage on ALU-heavy workloads.  The
-#: pipeline's execute stage indexes this table directly; :func:`alu` is
-#: the checked wrapper for everything else.
+#: average depth dominated the issue stage on ALU-heavy workloads.  These
+#: tables are the one copy of the ISA's semantics: the pipeline's execute
+#: stage and the compiled walk (repro.cpu.blockgen) index them directly,
+#: and :func:`alu`, :func:`fp` and :func:`branch_taken` are the checked
+#: wrappers for everything else.
 ALU_TABLE = {
     Op.ADD: lambda a, b, imm: _wrap(a + b),
     Op.SUB: lambda a, b, imm: _wrap(a - b),
@@ -63,62 +65,31 @@ ALU_TABLE = {
 }
 
 
-#: Source templates mirroring ``ALU_TABLE`` for the trace-cache block
-#: compiler (repro.cpu.blockgen): each entry is a Python expression over
-#: the source values ``a``/``b`` with ``{imm}`` folded in as a literal at
-#: generation time.  The helper names (``_w``/``_u``/``_div``/``_rem``)
-#: are bound into the generated module's namespace to this module's
-#: ``_wrap``/``to_unsigned``/``_div``/``_rem``, so every template is
-#: definitionally equivalent to the lambda above it.  Any change to
-#: ``ALU_TABLE`` must be mirrored here (tests/test_blockgen.py sweeps the
-#: two tables against each other on randomized operands).
-ALU_EXPR = {
-    Op.ADD: "_w(a + b)",
-    Op.SUB: "_w(a - b)",
-    Op.AND: "_w(a & b)",
-    Op.OR: "_w(a | b)",
-    Op.XOR: "_w(a ^ b)",
-    Op.NOR: "_w(~(a | b))",
-    Op.SLL: "_w(a << (b & 31))",
-    Op.SRL: "_w(_u(a) >> (b & 31))",
-    Op.SRA: "_w(a >> (b & 31))",
-    Op.SLT: "1 if a < b else 0",
-    Op.SLTU: "1 if _u(a) < _u(b) else 0",
-    Op.ADDI: "_w(a + {imm})",
-    Op.ANDI: "_w(a & {imm})",
-    Op.ORI: "_w(a | {imm})",
-    Op.XORI: "_w(a ^ {imm})",
-    Op.SLLI: "_w(a << {imm5})",
-    Op.SRLI: "_w(_u(a) >> {imm5})",
-    Op.SRAI: "_w(a >> {imm5})",
-    Op.SLTI: "1 if a < {imm} else 0",
-    Op.LI: "{imm_wrapped}",
-    Op.MUL: "_w(a * b)",
-    Op.DIV: "_div(a, b)",
-    Op.REM: "_rem(a, b)",
-    Op.NOP: "0",
+def _fdiv(a: float, b: float) -> float:
+    if b == 0.0:
+        return float("inf") if a > 0 else float("-inf") if a < 0 \
+            else float("nan")
+    return a / b
+
+
+#: Per-op floating-point evaluators, indexed like ``ALU_TABLE``.
+FP_TABLE = {
+    Op.FADD: lambda a, b: a + b,
+    Op.FSUB: lambda a, b: a - b,
+    Op.FMUL: lambda a, b: a * b,
+    Op.FDIV: _fdiv,
+    Op.FSLT: lambda a, b: 1 if a < b else 0,
 }
 
-#: Same idea for :func:`fp`: per-op expressions over ``a``/``b`` with the
-#: non-finite division results bound as ``_inf``/``_ninf``/``_nan``.
-FP_EXPR = {
-    Op.FADD: "a + b",
-    Op.FSUB: "a - b",
-    Op.FMUL: "a * b",
-    Op.FDIV: "(_inf if a > 0 else _ninf if a < 0 else _nan) "
-             "if b == 0.0 else a / b",
-    Op.FSLT: "1 if a < b else 0",
-}
-
-#: Conditional-branch direction expressions mirroring :func:`branch_taken`
-#: (the block compiler folds the taken/fall-through targets around them).
-BRANCH_EXPR = {
-    Op.BEQ: "a == b",
-    Op.BNE: "a != b",
-    Op.BLT: "a < b",
-    Op.BGE: "a >= b",
-    Op.BLTU: "_u(a) < _u(b)",
-    Op.BGEU: "_u(a) >= _u(b)",
+#: Conditional-branch direction functions: taken or not, from the two
+#: source values.
+BRANCH_TABLE = {
+    Op.BEQ: lambda a, b: a == b,
+    Op.BNE: lambda a, b: a != b,
+    Op.BLT: lambda a, b: a < b,
+    Op.BGE: lambda a, b: a >= b,
+    Op.BLTU: lambda a, b: to_unsigned(a) < to_unsigned(b),
+    Op.BGEU: lambda a, b: to_unsigned(a) >= to_unsigned(b),
 }
 
 
@@ -136,33 +107,15 @@ def alu(op: Op, a: int, b: int, imm: int) -> int:
 
 def fp(op: Op, a: float, b: float):
     """Evaluate a floating-point operation."""
-    if op is Op.FADD:
-        return a + b
-    if op is Op.FSUB:
-        return a - b
-    if op is Op.FMUL:
-        return a * b
-    if op is Op.FDIV:
-        if b == 0.0:
-            return float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
-        return a / b
-    if op is Op.FSLT:
-        return 1 if a < b else 0
-    raise SimulationError(f"fp cannot evaluate {op}")
+    fn = FP_TABLE.get(op)
+    if fn is None:
+        raise SimulationError(f"fp cannot evaluate {op}")
+    return fn(a, b)
 
 
 def branch_taken(op: Op, a: int, b: int) -> bool:
     """Resolve a conditional branch direction."""
-    if op is Op.BEQ:
-        return a == b
-    if op is Op.BNE:
-        return a != b
-    if op is Op.BLT:
-        return a < b
-    if op is Op.BGE:
-        return a >= b
-    if op is Op.BLTU:
-        return to_unsigned(a) < to_unsigned(b)
-    if op is Op.BGEU:
-        return to_unsigned(a) >= to_unsigned(b)
-    raise SimulationError(f"{op} is not a conditional branch")
+    fn = BRANCH_TABLE.get(op)
+    if fn is None:
+        raise SimulationError(f"{op} is not a conditional branch")
+    return fn(a, b)

@@ -31,8 +31,8 @@ HOLD_REN_FP = 32
 
 #: ``Instruction.fetch_kind`` values — the fetch-stage classification the
 #: pipeline's ``_predict_next`` switches on, precomputed at decode so the
-#: trace-cache block compiler (repro.cpu.blockgen) can drive its fetch
-#: table off one small int per instruction.
+#: compiled walk (repro.cpu.blockgen) can drive its fetch table off one
+#: small int per instruction.
 FETCH_SEQ = 0      # straight-line: next pc is pc + 1, no predictor access
 FETCH_COND = 1     # conditional branch: direction predictor vs pc + 1
 FETCH_JUMP = 2     # J: unconditional direct target

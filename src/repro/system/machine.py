@@ -17,7 +17,7 @@ from repro.common.stats import Stats
 from repro.core.controller import SplClusterController
 from repro.core.function import SplFunction
 from repro.core.tables import BarrierBus
-from repro.cpu.blockgen import BlockProgram, BlockRunner, MultiBlockRunner
+from repro.cpu.blockgen import BlockRunner, MultiBlockRunner
 from repro.cpu.context import ThreadContext
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.mem.hierarchy import CoherentMemorySystem
@@ -105,18 +105,14 @@ class Machine:
         #: (some event is scheduled), so the watchdog measures staleness
         #: from max(last retire, this floor).
         self._ff_progress = 0
-        #: Trace-cache block compilation (repro.cpu.blockgen): per-core
-        #: specialized executors.  Deliberately *not* snapshotted — these
+        #: The compiled walk's per-core specialized executors
+        #: (repro.cpu.blockgen).  Deliberately *not* snapshotted — these
         #: are performance hints only; a restored machine re-derives them
         #: and produces identical cycles and stats either way.
         self._bg_runners: Dict[int, BlockRunner] = {}
-        #: Compiled programs (``blockgen.compiled_blocks``), and, shared
-        #: by this machine's runners when it runs more than one thread
-        #: (see ``_runner_for``), generated block source -> code object
-        #: and the runners' immutable per-PC table rows.  Per machine,
-        #: not per process, so the sources die with the run.
-        self._bg_programs: Dict[tuple, BlockProgram] = {}
-        self._bg_code: Dict[str, object] = {}
+        #: The runners' dispatch and FU-pool rows, one shared copy of
+        #: each for every runner of this machine.  Per machine, not per
+        #: process, so the rows die with the run.
         self._bg_rows: Dict[tuple, tuple] = {}
         #: The walk (DESIGN.md §10), which also keeps the blockgen
         #: telemetry.  Not snapshotted, like every other ``_bg_*`` hint.
@@ -304,15 +300,7 @@ class Machine:
         the core's bound context has changed since the last window."""
         runner = self._bg_runners.get(core.index)
         if runner is None or runner.ctx is not core.ctx:
-            # Threads of one spec repeat most of their block source; a
-            # lone thread's blocks rarely repeat, so a memo would only
-            # hold its code objects (about 2% more peak memory on the
-            # perf/ seq_compute workload, no time saved).
-            if len(self.contexts) > 1:
-                runner = BlockRunner(core, self._bg_programs,
-                                     self._bg_code, self._bg_rows)
-            else:
-                runner = BlockRunner(core, self._bg_programs)
+            runner = BlockRunner(core, self._bg_rows)
             self._bg_runners[core.index] = runner
         return runner
 

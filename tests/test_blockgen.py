@@ -1,154 +1,117 @@
-"""Trace-cache block compilation (repro.cpu.blockgen).
+"""The compiled walk (repro.cpu.blockgen).
 
-Three properties are enforced:
+Two properties are enforced:
 
-1. **Template fidelity.**  The source templates the block compiler folds
-   into generated closures (``ALU_EXPR``/``FP_EXPR``/``BRANCH_EXPR``) are
-   swept against the authoritative evaluators (``ALU_TABLE``,
-   :func:`repro.cpu.exec.fp`, :func:`repro.cpu.exec.branch_taken`) on
-   randomized operands — any divergence is a silent wrong-result bug in
-   the fused loop.
-2. **Cache keying.**  Compiled blocks are memoized per machine keyed by
-   (program, core config, instruction fingerprint): same inputs hit, a
-   different config or a mutated program must miss.  The same
-   invalidation contract holds one layer down for DFG codegen.
-3. **Gating and integration.**  The ``REPRO_NO_FASTFORWARD`` /
+1. **One copy of the semantics.**  ``tick``, the walk's ``drive`` and the
+   golden interpreter all evaluate through the tables in
+   :mod:`repro.cpu.exec`.  Every evaluated op has exactly one table
+   entry (or is J/JAL/JR), every entry gives pinned results on edge
+   operands, and one program runs every such op on both schedulers with
+   equal cycles, stats, registers and memory.  The golden interpreter
+   shares the tables, so only the pinned literals catch a table bug.
+2. **Gating and integration.**  The ``REPRO_NO_FASTFORWARD`` /
    ``REPRO_NO_CODEGEN`` escape hatches and mid-run snapshots preserve the
-   simulation exactly; the generated source stays inspectable.
+   simulation exactly; a mutated DFG recompiles its closures.
 """
-
-import math
-import random
 
 import pytest
 
 from repro.common.config import RunOptions, SystemConfig, ooo1_cluster, \
     ooo2_cluster
-from repro.common.utils import to_unsigned
 from repro.cpu import exec as exec_mod
-from repro.cpu.blockgen import compiled_blocks
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import Fmt, FuClass, Op, info
 from repro.system import Machine
 from repro.workloads import registry
 
-_EXPR_NAMESPACE = {
-    "_w": exec_mod._wrap,
-    "_u": to_unsigned,
-    "_div": exec_mod._div,
-    "_rem": exec_mod._rem,
-    "_inf": float("inf"),
-    "_ninf": float("-inf"),
-    "_nan": float("nan"),
+INT_MIN, INT_MAX = -2**31, 2**31 - 1
+NAN, INF = float("nan"), float("inf")
+
+#: op -> [(operands, result)] for every table entry: ALU operands are
+#: ``(a, b, imm)``, FP and branch operands ``(a, b)``, and a branch's
+#: result is whether it is taken.
+_EDGE_CASES = {
+    Op.ADD: [((INT_MAX, 1, 0), INT_MIN), ((-1, 1, 0), 0)],
+    Op.SUB: [((INT_MIN, 1, 0), INT_MAX), ((0, INT_MIN, 0), INT_MIN)],
+    Op.AND: [((-1, INT_MIN, 0), INT_MIN), ((INT_MAX, INT_MIN, 0), 0)],
+    Op.OR: [((INT_MAX, INT_MIN, 0), -1), ((0, 0, 0), 0)],
+    Op.XOR: [((-1, INT_MAX, 0), INT_MIN), ((1, 1, 0), 0)],
+    Op.NOR: [((0, 0, 0), -1), ((INT_MAX, 0, 0), INT_MIN)],
+    Op.SLL: [((1, 31, 0), INT_MIN), ((1, 32, 0), 1), ((1, 33, 0), 2)],
+    Op.SRL: [((-1, 31, 0), 1), ((-1, 32, 0), -1),
+             ((INT_MIN, 33, 0), 2**30)],
+    Op.SRA: [((INT_MIN, 31, 0), -1), ((INT_MIN, 32, 0), INT_MIN),
+             ((INT_MIN, 33, 0), -2**30)],
+    Op.SLT: [((-1, 1, 0), 1), ((INT_MAX, INT_MIN, 0), 0)],
+    Op.SLTU: [((-1, 1, 0), 0), ((0, INT_MIN, 0), 1)],
+    Op.ADDI: [((INT_MAX, 0, 1), INT_MIN), ((0, 0, -1), -1)],
+    Op.ANDI: [((-1, 0, -2048), -2048), ((INT_MIN, 0, 2047), 0)],
+    Op.ORI: [((INT_MIN, 0, 1), INT_MIN + 1), ((0, 0, -1), -1)],
+    Op.XORI: [((-1, 0, -1), 0), ((INT_MAX, 0, -1), INT_MIN)],
+    Op.SLLI: [((1, 0, 31), INT_MIN), ((1, 0, 33), 2)],
+    Op.SRLI: [((-1, 0, 31), 1), ((INT_MIN, 0, 33), 2**30)],
+    Op.SRAI: [((INT_MIN, 0, 31), -1), ((INT_MIN, 0, 33), -2**30)],
+    Op.SLTI: [((-1, 0, 0), 1), ((INT_MAX, 0, -1), 0)],
+    Op.LI: [((0, 0, INT_MIN), INT_MIN), ((0, 0, 2**32 - 1), -1)],
+    Op.MUL: [((INT_MIN, -1, 0), INT_MIN), ((65536, 65536, 0), 0),
+             ((INT_MAX, 2, 0), -2)],
+    Op.DIV: [((7, 0, 0), -1), ((INT_MIN, -1, 0), INT_MIN),
+             ((-7, 2, 0), -3)],
+    Op.REM: [((7, 0, 0), 7), ((INT_MIN, -1, 0), 0), ((-7, 2, 0), -1)],
+    Op.NOP: [((5, 6, 7), 0)],
+    Op.FADD: [((0.5, 0.25), 0.75), ((1.0, -1.0), 0.0)],
+    Op.FSUB: [((0.5, 0.25), 0.25), ((0.0, 1.0), -1.0)],
+    Op.FMUL: [((0.5, -1.0), -0.5), ((-1.0, 0.0), -0.0)],
+    Op.FDIV: [((1.0, 0.0), INF), ((-1.0, 0.0), -INF), ((0.0, 0.0), NAN),
+              ((0.25, 0.5), 0.5)],
+    Op.FSLT: [((-1.0, 1.0), 1), ((1.0, 1.0), 0), ((NAN, 1.0), 0)],
+    Op.BEQ: [((INT_MIN, INT_MIN), True), ((1, -1), False)],
+    Op.BNE: [((1, -1), True), ((0, 0), False)],
+    Op.BLT: [((-1, 1), True), ((INT_MAX, INT_MIN), False)],
+    Op.BGE: [((0, 0), True), ((INT_MIN, INT_MAX), False)],
+    Op.BLTU: [((-1, 1), False), ((1, -1), True)],
+    Op.BGEU: [((-1, 1), True), ((0, INT_MIN), False)],
 }
 
-
-def _fold(template, imm):
-    """Fold an immediate into a template like the block compiler does."""
-    return template.format(imm=f"({imm})", imm5=repr(imm & 31),
-                           imm_wrapped=f"({exec_mod._wrap(imm)})")
+#: Evaluated ops that no table holds: J and JAL take their target, JR
+#: its source value.
+_JUMPS = (Op.J, Op.JAL, Op.JR)
 
 
-def test_alu_expr_covers_alu_table():
-    assert set(exec_mod.ALU_EXPR) == set(exec_mod.ALU_TABLE)
+def _evaluator(op):
+    for table in (exec_mod.ALU_TABLE, exec_mod.FP_TABLE,
+                  exec_mod.BRANCH_TABLE):
+        if op in table:
+            return table[op]
+    raise KeyError(op)
 
 
-@pytest.mark.parametrize("op", sorted(exec_mod.ALU_EXPR,
-                                      key=lambda op: op.name))
-def test_alu_expr_matches_table(op):
-    rng = random.Random(f"alu-{op.name}")
-    edge = [0, 1, -1, 31, 32, 2**31 - 1, -2**31, -2048, 2047]
-    for trial in range(200):
-        if trial < len(edge) ** 2:
-            a = edge[trial % len(edge)]
-            b = edge[trial // len(edge) % len(edge)]
+def test_exec_tables_cover_every_evaluated_op():
+    """Each op ``drive`` evaluates has exactly one entry, in the table
+    its op class picks, and pinned edge results below."""
+    tables = {"alu": exec_mod.ALU_TABLE, "fp": exec_mod.FP_TABLE,
+              "branch": exec_mod.BRANCH_TABLE}
+    for op in Op:
+        op_info = info(op)
+        homes = [name for name, table in tables.items() if op in table]
+        if op_info.is_load or op_info.is_store or op_info.serialize \
+                or op in _JUMPS:
+            assert homes == [], op
+        elif op_info.is_branch:
+            assert homes == ["branch"], op
+        elif op_info.fu is FuClass.FP:
+            assert homes == ["fp"], op
         else:
-            a = rng.randint(-2**31, 2**31 - 1)
-            b = rng.randint(-2**31, 2**31 - 1)
-        imm = rng.randint(-2048, 2047)
-        got = eval(_fold(exec_mod.ALU_EXPR[op], imm),
-                   dict(_EXPR_NAMESPACE), {"a": a, "b": b})
-        assert got == exec_mod.ALU_TABLE[op](a, b, imm), \
-            f"{op.name}(a={a}, b={b}, imm={imm})"
+            assert homes == ["alu"], op
+    assert set(_EDGE_CASES) == {op for table in tables.values()
+                                for op in table}
 
 
-@pytest.mark.parametrize("op", sorted(exec_mod.FP_EXPR,
-                                      key=lambda op: op.name))
-def test_fp_expr_matches_fp(op):
-    rng = random.Random(f"fp-{op.name}")
-    values = [0.0, -0.0, 1.0, -1.0, 0.5, 1e30, -1e30]
-    for trial in range(200):
-        if trial < len(values) ** 2:
-            a = values[trial % len(values)]
-            b = values[trial // len(values) % len(values)]
-        else:
-            a = rng.uniform(-1e6, 1e6)
-            b = rng.uniform(-1e6, 1e6)
-        got = eval(exec_mod.FP_EXPR[op], dict(_EXPR_NAMESPACE),
-                   {"a": a, "b": b})
-        want = exec_mod.fp(op, a, b)
-        if isinstance(want, float) and math.isnan(want):
-            assert isinstance(got, float) and math.isnan(got)
-        else:
-            assert got == want, f"{op.name}(a={a}, b={b})"
-
-
-@pytest.mark.parametrize("op", sorted(exec_mod.BRANCH_EXPR,
-                                      key=lambda op: op.name))
-def test_branch_expr_matches_branch_taken(op):
-    rng = random.Random(f"br-{op.name}")
-    edge = [0, 1, -1, 2**31 - 1, -2**31]
-    for trial in range(200):
-        if trial < len(edge) ** 2:
-            a = edge[trial % len(edge)]
-            b = edge[trial // len(edge) % len(edge)]
-        else:
-            a = rng.randint(-2**31, 2**31 - 1)
-            b = rng.randint(-2**31, 2**31 - 1)
-        got = bool(eval(exec_mod.BRANCH_EXPR[op], dict(_EXPR_NAMESPACE),
-                        {"a": a, "b": b}))
-        assert got == exec_mod.branch_taken(op, a, b), \
-            f"{op.name}(a={a}, b={b})"
-
-
-# ------------------------------------------------------------- cache keying
-
-
-def _program():
-    from repro.isa import Asm
-    a = Asm("loop")
-    a.li("r1", 0)
-    a.li("r2", 10)
-    a.label("loop")
-    a.addi("r1", "r1", 1)
-    a.blt("r1", "r2", "loop")
-    a.halt()
-    return a.assemble()
-
-
-def _core_configs():
-    machine = Machine(SystemConfig(clusters=[ooo1_cluster(n_cores=1),
-                                             ooo2_cluster(n_cores=1)]))
-    return machine.cores[0].config, machine.cores[-1].config
-
-
-def test_compiled_blocks_memoized_per_program_and_config():
-    prog = _program()
-    cfg1, cfg2 = _core_configs()
-    assert cfg1 != cfg2
-    memo = {}
-    bp = compiled_blocks(prog, cfg1, memo)
-    assert compiled_blocks(prog, cfg1, memo) is bp
-    assert compiled_blocks(prog, cfg2, memo) is not bp
-    assert compiled_blocks(_program(), cfg1, memo) is not bp
-
-
-def test_compiled_blocks_miss_on_program_mutation():
-    prog = _program()
-    cfg, _ = _core_configs()
-    memo = {}
-    bp = compiled_blocks(prog, cfg, memo)
-    prog.instructions[0].imm = 7  # li r1, 0 -> li r1, 7
-    assert compiled_blocks(prog, cfg, memo) is not bp
+@pytest.mark.parametrize("op", sorted(_EDGE_CASES, key=lambda op: op.name))
+def test_exec_table_pins_edge_results(op):
+    """``repr`` compares NaN, the sign of zero and int/bool/float."""
+    evaluate = _evaluator(op)
+    for args, want in _EDGE_CASES[op]:
+        assert repr(evaluate(*args)) == repr(want), f"{op.name}{args}"
 
 
 def test_dfg_mutation_invalidates_compiled_closures():
@@ -220,16 +183,13 @@ def test_snapshot_roundtrip_with_blockgen(tmp_path):
     assert (cycles, restored.total_retired()) == (total, retired)
 
 
-def test_generated_source_is_inspectable():
-    """A compute-bound run leaves fused windows and readable source."""
+def test_compute_bound_run_engages_the_walk():
+    """A compute-bound run builds runners and runs fused windows."""
     _, _, machine = _run_small()
-    runners = list(machine._bg_runners.values())
-    assert runners, "blockgen never engaged on a compute-bound run"
+    assert machine._bg_runners, "the walk never engaged on a " \
+                                "compute-bound run"
     assert machine._bg_multi.windows > 0
     assert machine._bg_multi.fused_cycles > 0
-    dump = runners[0].bp.source_dump()
-    assert "def _pc" in dump
-    assert runners[0].bp.hit_rate() > 0.5
 
 
 # ------------------------------------------------------- multi-core windows
@@ -586,29 +546,6 @@ def test_periodic_elision_engages_on_software_barriers():
     assert _periodic(machine, "pe_attempts") > 0
 
 
-def test_block_code_shared_within_a_machine():
-    """Threads of one spec generate mostly identical block source: a
-    machine compiles each distinct source once, while every program's
-    ``compiles`` still counts its own block installs.  A single-thread
-    machine keeps no memo."""
-    spec = _ll2_sw()
-    machine = Machine(spec.system)
-    machine.load(spec.workload)
-    machine.run(options=RunOptions(max_cycles=spec.max_cycles))
-    programs = {id(runner.bp): runner.bp
-                for runner in machine._bg_runners.values()}
-    installs = sum(bp.compiles for bp in programs.values())
-    assert installs == sum(block.fns is not None
-                           for bp in programs.values() for block in bp.blocks)
-    assert 0 < len(machine._bg_code) < installs
-
-    spec = registry.REGISTRY["g721dec"].variants["seq"](items=4)
-    machine = Machine(spec.system)
-    machine.load(spec.workload)
-    machine.run(options=RunOptions(max_cycles=spec.max_cycles))
-    assert machine._bg_runners and not machine._bg_code
-
-
 # ----------------------------------------------------- multi-cycle sends
 
 
@@ -720,11 +657,13 @@ def _lock_program(name, counter, lock, rounds):
     return a.assemble()
 
 
-def _serialized_legs(programs, cluster, monkeypatch):
+def _exact_legs(programs, cluster, monkeypatch, fp_regs=None, words=64):
     """Naive and fast runs of one thread per core of ``cluster``,
     unobserved and under a ProfilerSink: the naive observed leg's
-    ``(cycles, stats, profiler rows, memory words)``, asserted equal
-    across legs, plus the fast legs' ``OutOfOrderCore.tick`` calls."""
+    ``(cycles, stats, profiler rows, memory words, registers)``,
+    asserted equal across legs, plus the fast legs'
+    ``OutOfOrderCore.tick`` calls.  Every thread starts with
+    ``fp_regs``; FP registers compare by ``repr``, so NaN equals NaN."""
     from repro.cpu.pipeline import OutOfOrderCore
     from repro.isa.program import MemoryImage, ThreadSpec
     from repro.obs.profile import ProfilerSink
@@ -745,7 +684,8 @@ def _serialized_legs(programs, cluster, monkeypatch):
             machine = Machine(SystemConfig(
                 clusters=[cluster(len(programs))]))
             machine.load(Workload("serialized", MemoryImage(), [
-                ThreadSpec(program, i) for i, program in enumerate(programs)]))
+                ThreadSpec(program, i, fp_regs=fp_regs)
+                for i, program in enumerate(programs)]))
             sink = None
             if observe:
                 sink = ProfilerSink()
@@ -759,10 +699,12 @@ def _serialized_legs(programs, cluster, monkeypatch):
             if observe:
                 machine.finish_observation()
                 rows = sink.accounting().rows()
-            words = [machine.memory.read_word(0x1000 + 4 * w)
-                     for w in range(64)]
+            memory = [machine.memory.read_word(0x1000 + 4 * w)
+                      for w in range(words)]
+            regs = [(ctx.int_regs, [repr(v) for v in ctx.fp_regs])
+                    for ctx in machine.contexts]
             legs[fast, observe] = (cycles, machine.stats.as_dict(), rows,
-                                   words)
+                                   memory, regs)
     for observe in (False, True):
         assert legs[True, observe] == legs[False, observe], observe
     return legs[False, True], fast_ticks
@@ -770,11 +712,11 @@ def _serialized_legs(programs, cluster, monkeypatch):
 
 #: One- and two-wide cores: at retire width 2 a serialized op can
 #: retire in the same cycle as the op before it.
-_SERIALIZED_CLUSTERS = pytest.mark.parametrize(
+_CLUSTERS = pytest.mark.parametrize(
     "cluster", [ooo1_cluster, ooo2_cluster], ids=["ooo1", "ooo2"])
 
 
-@_SERIALIZED_CLUSTERS
+@_CLUSTERS
 @pytest.mark.parametrize("shape,k", [
     ("fence_drain", k) for k in range(5)] + [
     ("amo_consumers", 1), ("amo_consumers", 4),
@@ -785,13 +727,13 @@ def test_serialized_ops_run_compiled_and_exact(shape, k, cluster,
     """FENCE, AMO_ADD/AMO_SWAP and HALT run inside the compiled walk:
     a lone core is never interpreted, and cycles, every counter, the
     profiler rows and memory match the naive loop."""
-    naive, fast_ticks = _serialized_legs([_serialized_program(shape, k)],
+    naive, fast_ticks = _exact_legs([_serialized_program(shape, k)],
                                          cluster, monkeypatch)
     assert naive[0] > 0
     assert fast_ticks == 0
 
 
-@_SERIALIZED_CLUSTERS
+@_CLUSTERS
 def test_two_core_amo_swap_spin_lock(cluster, monkeypatch):
     """Two cores contend for an AMO_SWAP spin lock on one line, around
     a counter on the next: the walk matches the naive loop and no
@@ -799,8 +741,99 @@ def test_two_core_amo_swap_spin_lock(cluster, monkeypatch):
     rounds = 6
     programs = [_lock_program(f"locker{i}", 0x1020, 0x1000, rounds)
                 for i in range(2)]
-    naive, _ = _serialized_legs(programs, cluster, monkeypatch)
+    naive, _ = _exact_legs(programs, cluster, monkeypatch)
     assert naive[3][8] == 2 * rounds
     stats = naive[1]
     assert stats["machine.cpu0.atomics"] + stats["machine.cpu1.atomics"] \
         > 2 * rounds  # the lock was contended
+
+
+# ------------------------------------ every evaluated op on both schedulers
+
+
+def _edge_program():
+    """One program that runs every ``_EDGE_CASES`` row, then J and a
+    JAL/JR call: integer results and branch outcomes (1: taken) land in
+    words from 0x1000 on, FP results in f8 upward.  Returns the program,
+    the FP operand registers, and the expected words and FP registers."""
+    from repro.isa import Asm
+
+    a = Asm("edge_ops")
+    a.li("r10", 0x1000)
+    fp_regs, words, results = {}, [], {}
+
+    def fp_operand(value):
+        for name, held in fp_regs.items():
+            if repr(held) == repr(value):
+                return name
+        name = f"f{len(fp_regs) + 1}"
+        fp_regs[name] = value
+        return name
+
+    def store(reg, value):
+        a.sw(reg, "r10", 4 * len(words))
+        words.append(value & 0xFFFFFFFF)
+
+    for op in sorted(_EDGE_CASES, key=lambda op: op.name):
+        op_info = info(op)
+        for args, want in _EDGE_CASES[op]:
+            if op_info.is_branch:
+                taken = a.fresh_label("taken")
+                a.li("r1", args[0])
+                a.li("r2", args[1])
+                a.li("r3", 1)
+                getattr(a, op.value)("r1", "r2", taken)
+                a.li("r3", 0)
+                a.label(taken)
+                store("r3", int(want))
+            elif op_info.fu is FuClass.FP:
+                x, y = fp_operand(args[0]), fp_operand(args[1])
+                if op is Op.FSLT:
+                    a.fslt("r3", x, y)
+                    store("r3", want)
+                else:
+                    dest = f"f{8 + len(results)}"
+                    getattr(a, op.value)(dest, x, y)
+                    results[dest] = want
+            elif op is Op.NOP:
+                a.nop()
+            else:
+                x, y, imm = args
+                a.li("r1", x)
+                a.li("r2", y)
+                if op is Op.LI:
+                    a.li("r3", imm)
+                elif op_info.fmt is Fmt.RRI:
+                    getattr(a, op.value)("r3", "r1", imm)
+                else:
+                    getattr(a, op.value)("r3", "r1", "r2")
+                store("r3", want)
+    a.jal("r31", "callee")
+    store("r11", 7)
+    a.j("done")
+    a.label("callee")
+    a.li("r11", 7)
+    a.jr("r31")
+    a.label("done")
+    a.halt()
+    return a.assemble(), fp_regs, words, results
+
+
+@_CLUSTERS
+def test_every_evaluated_op_runs_exact_on_both_schedulers(cluster,
+                                                          monkeypatch):
+    """Every op the exec tables evaluate, plus J, JAL and JR, runs on
+    edge operands under the naive loop and the walk: cycles, stats,
+    registers and memory agree, a lone core is never interpreted, and
+    every result is the pinned literal."""
+    from repro.isa.instruction import FP_BASE, reg_index
+
+    program, fp_regs, words, results = _edge_program()
+    assert 0 < len(fp_regs) < 8 and 8 + len(results) <= 32
+    naive, fast_ticks = _exact_legs([program], cluster, monkeypatch,
+                                    fp_regs=fp_regs, words=len(words))
+    assert fast_ticks == 0
+    assert naive[3] == words
+    fp_file = naive[4][0][1]
+    for name, want in results.items():
+        assert fp_file[reg_index(name) - FP_BASE] == repr(want), name

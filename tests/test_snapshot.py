@@ -346,7 +346,6 @@ class TestRunOptions:
         monkeypatch.delenv(ENV_NO_CODEGEN, raising=False)
         resolved = RunOptions().resolve()
         assert resolved.fast_forward is True
-        assert resolved.codegen is True
         monkeypatch.setenv(ENV_NO_FASTFORWARD, "1")
         assert RunOptions().resolve().fast_forward is False
         assert env_enabled(ENV_NO_FASTFORWARD) is False
