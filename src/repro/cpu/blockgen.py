@@ -13,12 +13,12 @@ decisions out of the loop:
   the same functions ``tick`` and the golden interpreter call, so the
   ISA's semantics have one copy.
 * :meth:`BlockRunner.drive` is the one compiled core cycle: a
-  specialized re-implementation of ``OutOfOrderCore.tick`` for runs
-  with no pipeline-kind sink, written as a generator so one core's
-  hoisted scalars live in locals for a whole *residency*; per-PC
-  metadata lives in dense tables, and hot counters accumulate locally
-  and flush once per walk.  Under any other sink it classifies each
-  cycle into the cycle-accounting spans, as ``tick`` does.  **Every
+  specialized re-implementation of ``OutOfOrderCore.tick``, written
+  as a generator so one core's hoisted scalars live in locals for a
+  whole *residency*; per-PC metadata lives in dense tables, and hot
+  counters accumulate locally and flush once per walk.  Under a sink
+  it classifies each cycle into the cycle-accounting spans, as
+  ``tick`` does.  **Every
   architectural effect is cycle- and stats-exact against the
   interpreter** — tests/test_fastforward.py sweeps the two against
   each other, and ``repro bench --check`` gates on identical cycles.
@@ -304,8 +304,7 @@ class BlockRunner:
         flushed once per walk.
 
         The caller guarantees: ctx is bound, core not halted, not
-        elided, and not stalled (``stall_until``) on any cycle it sends,
-        and no pipeline-kind sink attached (no per-instruction events).
+        elided, and not stalled (``stall_until``) on any cycle it sends.
         """
         core = self.core
         n_cycles = 0
@@ -1094,9 +1093,8 @@ class MultiBlockRunner:
         first cycle.  Returns the first cycle not run: ``end``, or
         earlier only when every core has halted.  The caller
         guarantees: ``cores`` are every core with a bound context that
-        has not halted, no pipeline-kind sink is attached, every
-        controller has ``next_event_cycle``, and ``end`` respects the
-        watchdog/pause ceiling.
+        has not halted, every controller has ``next_event_cycle``, and
+        ``end`` respects the watchdog/pause ceiling.
         """
         machine = self.machine
         controllers = machine._controllers
@@ -1138,7 +1136,6 @@ class MultiBlockRunner:
         gens = [None] * n
         live = 0
         for i, core in enumerate(cores):
-            core._obs_pipe = False
             if core.ff_skip_from >= 0:
                 states[i] = 1
                 wake_at[i] = core.ff_wake

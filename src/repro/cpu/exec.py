@@ -7,6 +7,8 @@ treats them as IEEE single precision only when stored to memory).
 
 from __future__ import annotations
 
+import math
+
 from repro.common.errors import SimulationError
 from repro.common.utils import to_unsigned
 from repro.isa.opcodes import Op
@@ -66,9 +68,10 @@ ALU_TABLE = {
 
 
 def _fdiv(a: float, b: float) -> float:
-    if b == 0.0:
-        return float("inf") if a > 0 else float("-inf") if a < 0 \
-            else float("nan")
+    if b == 0.0:  # also -0.0: the infinity takes the sign of a XOR b
+        if a == 0.0 or a != a:
+            return float("nan")
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
     return a / b
 
 

@@ -192,9 +192,6 @@ class OutOfOrderCore:
         #: machine attaches a sink, in which case emissions light up.
         self.obs = obs if obs is not None else EventBus()
         self._src = f"cpu{index}"
-        # Per-tick cache of ``obs.pipeline_active`` so the per-instruction
-        # emission guards are a single attribute read.
-        self._obs_pipe = False
         #: When set to a dict (``repro profile --hot``), retirement
         #: tallies per-PC counts into it — in both this interpreter and
         #: the blockgen fused loop.  None keeps the hot path untouched.
@@ -478,10 +475,6 @@ class OutOfOrderCore:
             return
         self._cnt["cycles"] += 1
         observed = self.obs.active
-        if observed:
-            self._obs_pipe = self.obs.pipeline_active
-        elif self._obs_pipe:
-            self._obs_pipe = False
         # Stage guards: each skipped call is provably a no-op (writeback
         # pops ``completing[cycle]``; retire only purges/pops when the ROB
         # or store buffer holds entries; issue drains ``ready``; dispatch
@@ -769,7 +762,6 @@ class OutOfOrderCore:
         if not entries:
             return
         entries.sort(key=_BY_SEQ)
-        obs_pipe = self._obs_pipe
         ready = self.ready
         for entry in entries:
             if entry.flushed or entry.state == DONE:
@@ -777,9 +769,6 @@ class OutOfOrderCore:
             # _complete(entry, cycle), inlined into the per-cycle bucket
             # walk (hot: once per completing instruction).
             entry.state = DONE
-            if obs_pipe:
-                self.obs.emit(cycle, self._src, ev.COMPLETE, seq=entry.seq,
-                              pc=entry.pc, text=repr(entry.inst))
             for consumer, slot in entry.consumers:
                 if consumer.flushed:
                     continue
@@ -812,9 +801,6 @@ class OutOfOrderCore:
 
     def _flush_from_seq(self, first_seq: int, cycle: int, new_pc: int) -> None:
         self.stats.bump("flushes")
-        if self._obs_pipe:
-            self.obs.emit(cycle, self._src, ev.FLUSH, seq=first_seq,
-                          pc=new_pc, text=f"redirect -> {new_pc}")
         keep: List[RobEntry] = []
         for candidate in self.rob:
             if candidate.seq >= first_seq:
@@ -909,7 +895,6 @@ class OutOfOrderCore:
         rob = self.rob
         ctx = self.ctx
         rat = self.rat
-        obs_pipe = self._obs_pipe
         retire_width = self._retire_width
         retire_pcs = self._retire_pcs
         last_next = 0
@@ -936,9 +921,6 @@ class OutOfOrderCore:
                 if rat.get(dest) is head:
                     del rat[dest]
             rob.popleft()
-            if obs_pipe:
-                self.obs.emit(cycle, self._src, ev.RETIRE, seq=head.seq,
-                              pc=head.pc, text=repr(inst))
             if info.is_store:
                 if head in self.store_entries:
                     self.store_entries.remove(head)
@@ -1135,7 +1117,6 @@ class OutOfOrderCore:
         ready = self.ready
         fu_pool = self._fu_pool
         cnt = self._cnt
-        obs_pipe = self._obs_pipe
         issued = 0
         # Queue-occupancy deltas accumulate in locals (written back once
         # below); nothing called inside the loop reads the counters.
@@ -1159,9 +1140,6 @@ class OutOfOrderCore:
                 self._execute(entry, cycle)
             fu_used[pool] = fu_used.get(pool, 0) + 1
             budget -= 1
-            if obs_pipe:
-                self.obs.emit(cycle, self._src, ev.ISSUE, seq=entry.seq,
-                              pc=entry.pc, text=repr(entry.inst))
             held = entry.held
             if held & HOLD_INT_IQ:
                 int_iq_freed += 1
@@ -1307,7 +1285,6 @@ class OutOfOrderCore:
         fetch_queue = self.fetch_queue
         rob = self.rob
         rat = self.rat
-        obs_pipe = self._obs_pipe
         decode_width = self._decode_width
         rob_entries = self._rob_entries
         ready = self.ready
@@ -1315,7 +1292,7 @@ class OutOfOrderCore:
         ctx_read = self.ctx.read
         # The occupancy counters and ``seq`` live in locals for the loop
         # and are written back once below; nothing called inside the loop
-        # reads them through ``self`` (obs sinks only record events).
+        # reads them through ``self``.
         seq = self.seq
         fp_iq_used = self.fp_iq_used
         int_iq_used = self.int_iq_used
@@ -1408,9 +1385,6 @@ class OutOfOrderCore:
                     rename_int_used += 1
                 rat[dest] = entry
             rob.append(entry)
-            if obs_pipe:
-                self.obs.emit(cycle, self._src, ev.DISPATCH, seq=entry.seq,
-                              pc=entry.pc, text=repr(inst))
             # Serialized ops set neither queue flag, so (needs_fp_iq or
             # needs_int_iq) is exactly ``not info.serialize``.
             if entry.remaining == 0 and (needs_fp_iq or needs_int_iq):
@@ -1435,7 +1409,6 @@ class OutOfOrderCore:
         end = self._program_end
         fetch_queue = self.fetch_queue
         cnt = self._cnt
-        obs_pipe = self._obs_pipe
         fetch_width = self._fetch_width
         queue_cap = self._fetch_queue_cap
         fetched = 0
@@ -1462,9 +1435,6 @@ class OutOfOrderCore:
             pred_next = self._predict_next(inst, pc) \
                 if inst.info.is_branch else pc + 1
             fetch_queue.append((inst, pc, pred_next, cycle))
-            if obs_pipe:
-                self.obs.emit(cycle, self._src, ev.FETCH, seq=self.seq,
-                              pc=pc, text=repr(inst))
             fetched += 1
             if inst.op is Op.HALT:
                 fetch_pc = -1

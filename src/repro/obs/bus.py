@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import (Any, Callable, FrozenSet, Iterable, List, Optional,
                     Tuple)
 
-from repro.obs.events import PIPELINE_KINDS, Event
+from repro.obs.events import Event
 
 
 class Sink:
@@ -42,18 +42,13 @@ class EventBus:
 
     ``active`` is the publisher-side fast-path guard: it is True iff at
     least one sink is attached.  Publishers must check it before building
-    event payloads.  ``pipeline_active`` additionally gates the
-    per-instruction cpu kinds (fetch/dispatch/issue/complete/retire/
-    flush), which are orders of magnitude more frequent than everything
-    else: it is True only when some sink's filter can match them, so a
-    Perfetto or profiler sink does not force per-instruction payloads.
+    event payloads.
     """
 
-    __slots__ = ("active", "pipeline_active", "_routes")
+    __slots__ = ("active", "_routes")
 
     def __init__(self) -> None:
         self.active = False
-        self.pipeline_active = False
         # (sink, kinds-or-None, sources-or-None) triples.
         self._routes: List[Tuple[Sink, Optional[FrozenSet[str]],
                                  Optional[FrozenSet[str]]]] = []
@@ -71,19 +66,13 @@ class EventBus:
         kind_set = None if kinds is None else frozenset(kinds)
         source_set = None if sources is None else frozenset(sources)
         self._routes.append((sink, kind_set, source_set))
-        self._recompute()
+        self.active = True
         return sink
 
     def detach(self, sink: Sink) -> None:
         self._routes = [route for route in self._routes
                         if route[0] is not sink]
-        self._recompute()
-
-    def _recompute(self) -> None:
         self.active = bool(self._routes)
-        self.pipeline_active = any(
-            kinds is None or kinds & PIPELINE_KINDS
-            for _sink, kinds, _sources in self._routes)
 
     @property
     def sinks(self) -> List[Sink]:

@@ -16,12 +16,6 @@ The taxonomy (see docs/OBSERVABILITY.md for payload details):
 =================  ==========================================================
 kind               meaning
 =================  ==========================================================
-``fetch``          cpu: one instruction entered the fetch queue
-``dispatch``       cpu: one instruction renamed into the ROB
-``issue``          cpu: one instruction issued to a functional unit
-``complete``       cpu: one instruction wrote back
-``retire``         cpu: one instruction retired in program order
-``flush``          cpu: pipeline flush (mispredict / load replay) + redirect
 ``cycle_span``     cpu: a run of consecutive cycles with one stall class
 ``spl_stage``      core: ``spl_load`` wrote a word into the staging entry
 ``queue_push``     core: entry appended to an SPL input/output queue
@@ -46,19 +40,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-# -- cpu (fetch -> retire, flushes) -------------------------------------------
-FETCH = "fetch"
-DISPATCH = "dispatch"
-ISSUE = "issue"
-COMPLETE = "complete"
-RETIRE = "retire"
-FLUSH = "flush"
+# -- cpu ----------------------------------------------------------------------
 CYCLE_SPAN = "cycle_span"
-
-#: Per-instruction pipeline kinds (the classic pipe-trace stream).  High
-#: volume: sinks should subscribe to these explicitly.
-PIPELINE_KINDS = frozenset(
-    (FETCH, DISPATCH, ISSUE, COMPLETE, RETIRE, FLUSH))
 
 # -- core (SPL fabric, queues, tables) ----------------------------------------
 SPL_STAGE = "spl_stage"

@@ -29,10 +29,9 @@ from repro.obs import events as ev
 from repro.obs.bus import Sink
 from repro.obs.events import Event
 
-#: Everything the exporter draws.  Per-instruction pipeline kinds are
-#: deliberately absent: core activity is rendered from the run-length
-#: ``cycle_span`` stream, which keeps traces small and keeps the cores'
-#: per-instruction fast path dark while exporting.
+#: Everything the exporter draws: every kind :mod:`repro.obs.events`
+#: declares.  Core activity is rendered from the run-length
+#: ``cycle_span`` stream, which keeps traces small.
 PERFETTO_KINDS = (frozenset((ev.CYCLE_SPAN,)) | ev.SPL_KINDS
                   | ev.MEM_KINDS | ev.SYSTEM_KINDS)
 
@@ -77,14 +76,10 @@ class PerfettoSink(Sink):
     # -- per-source translation --------------------------------------------
 
     def _accept_core(self, index: int, event: Event) -> None:
-        tid = index
-        self._track(_PID_CORES, "cores", tid, f"core {index}")
-        if event.kind == ev.CYCLE_SPAN:
-            self._slice(_PID_CORES, tid, event.cycle, event.get("dur", 1),
-                        event.get("cls", "?"))
-        else:  # pipeline instants (flush), if a caller widens the filter
-            self._instant(_PID_CORES, tid, event.cycle, event.kind,
-                          dict(event.args))
+        # A core publishes only its cycle-accounting spans.
+        self._track(_PID_CORES, "cores", index, f"core {index}")
+        self._slice(_PID_CORES, index, event.cycle, event.get("dur", 1),
+                    event.get("cls", "?"))
 
     def _accept_spl(self, cluster: int, event: Event) -> None:
         pid = _PID_SPL_BASE + cluster

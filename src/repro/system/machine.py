@@ -202,11 +202,10 @@ class Machine:
         ``options.fast_forward`` is False (or resolves False through the
         ``REPRO_NO_FASTFORWARD`` environment variable), while an ``until``
         predicate is supplied (it may read arbitrary machine state between
-        cycles), while a pipeline-level observability sink is attached
-        (per-instruction events), or when a controller lacks the
-        ``next_event_cycle`` contract.  Any other sink keeps the walk,
-        which classifies its compiled cycles for the cycle-accounting
-        spans, but turns off its periodic spin elision.  Both loops are
+        cycles), or when a controller lacks the ``next_event_cycle``
+        contract.  An attached observability sink keeps the walk, which
+        classifies its compiled cycles for the cycle-accounting spans,
+        but turns off its periodic spin elision.  Both loops are
         cycle-exact: final cycle counts, retired-instruction counts, stats
         totals and cycle-accounting spans are identical (see DESIGN.md and
         tests/test_fastforward.py).
@@ -228,11 +227,10 @@ class Machine:
         limit = self.cycle + options.max_cycles
         stop = limit if pause_at is None else min(limit, pause_at)
         next_watchdog = self.cycle + _WATCHDOG_STRIDE
-        # Unknown hardware (a controller without the next_event_cycle
-        # contract) keeps the naive loop: the walk could neither bound its
-        # events nor trust it to poke elided cores.
+        # A controller without the next_event_cycle contract (today only
+        # repro.core.manager.FabricManager) keeps the naive loop: the walk
+        # could neither bound its events nor trust it to poke elided cores.
         if (options.fast_forward and until is None
-                and not self.obs.pipeline_active
                 and all(hasattr(c, "next_event_cycle")
                         for c in self._controllers)):
             while self.cycle < stop:

@@ -23,10 +23,6 @@ class TestCompatShims:
         import inspect
         assert "fast_forward" not in inspect.signature(execute).parameters
 
-    def test_trace_module_no_longer_exports_attach_tracer(self):
-        import repro.cpu.trace as trace
-        assert not hasattr(trace, "attach_tracer")
-
 
 class TestFacadeSurface:
     def test_surface_is_the_synchronous_verbs(self):

@@ -62,7 +62,7 @@ _EDGE_CASES = {
     Op.FSUB: [((0.5, 0.25), 0.25), ((0.0, 1.0), -1.0)],
     Op.FMUL: [((0.5, -1.0), -0.5), ((-1.0, 0.0), -0.0)],
     Op.FDIV: [((1.0, 0.0), INF), ((-1.0, 0.0), -INF), ((0.0, 0.0), NAN),
-              ((0.25, 0.5), 0.5)],
+              ((0.25, 0.5), 0.5), ((1.0, -0.0), -INF), ((-1.0, -0.0), INF)],
     Op.FSLT: [((-1.0, 1.0), 1), ((1.0, 1.0), 0), ((NAN, 1.0), 0)],
     Op.BEQ: [((INT_MIN, INT_MIN), True), ((1, -1), False)],
     Op.BNE: [((1, -1), True), ((0, 0), False)],

@@ -173,33 +173,38 @@ def test_profiler_identical_under_fast_forward(bench, variant, kwargs):
     assert fast[2] > 0
 
 
-def _perfetto(bench, variant, kwargs, fast_forward):
+def _perfetto(bench, variant, kwargs, kinds, fast_forward):
     import json
 
-    from repro.obs.perfetto import PERFETTO_KINDS, PerfettoSink
+    from repro.obs.perfetto import PerfettoSink
     spec = registry.REGISTRY[bench].variants[variant](**kwargs)
     machine = Machine(spec.system)
     machine.load(spec.workload)
     sink = PerfettoSink()
-    machine.obs.attach(sink, PERFETTO_KINDS)
+    machine.obs.attach(sink, kinds)
     machine.run(options=RunOptions(max_cycles=spec.max_cycles,
                                    fast_forward=fast_forward))
     machine.finish_observation()
-    return sorted(json.dumps(event, sort_keys=True)
-                  for event in sink.trace_events)
+    events = sorted(json.dumps(event, sort_keys=True)
+                    for event in sink.trace_events)
+    return events, machine._bg_multi.fused_cycles
 
 
 def test_perfetto_events_identical_under_fast_forward():
     """Same Perfetto slices under both schedulers (order may differ:
     elided cores close their spans at credit time; 'X' events carry
-    timestamps)."""
-    for bench, variant, kwargs in (
-            ("ll3", "barrier", {"n": 64, "passes": 3, "p": 4}),
-            ("hmmer", "compcomm", {"M": 48, "R": 2}),
-            ("ll2", "sw", {"n": 16, "passes": 2, "p": 4})):
-        naive, fast = (_perfetto(bench, variant, kwargs, leg)
-                       for leg in _LEGS)
-        assert fast == naive, (bench, variant)
+    timestamps), and the sink keeps the compiled walk engaged whether
+    it subscribes to the exporter's declared kinds or to everything."""
+    from repro.obs.perfetto import PERFETTO_KINDS
+    for kinds in (PERFETTO_KINDS, None):
+        for bench, variant, kwargs in (
+                ("ll3", "barrier", {"n": 64, "passes": 3, "p": 4}),
+                ("hmmer", "compcomm", {"M": 48, "R": 2}),
+                ("ll2", "sw", {"n": 16, "passes": 2, "p": 4})):
+            naive, fast = (_perfetto(bench, variant, kwargs, kinds, leg)
+                           for leg in _LEGS)
+            assert fast[0] == naive[0], (bench, variant, kinds)
+            assert fast[1] > 0, (bench, variant, kinds)
 
 
 # --------------------------------------------------------------- migration

@@ -74,12 +74,11 @@ def test_tracks_cover_cores_fabric_queues_and_mem():
                in shape["processes"]["mem"])
 
 
-def test_pipeline_kinds_not_drawn():
-    """The exporter subscribes only to non-pipeline kinds, so attaching it
-    must keep the per-instruction fast path dark."""
+def test_every_declared_kind_is_drawn():
+    """The exporter's declared set is the whole taxonomy, so a trace
+    attached with ``PERFETTO_KINDS`` misses no event."""
     from repro.obs import events as ev
-    assert not (PERFETTO_KINDS & ev.PIPELINE_KINDS)
-    from repro.obs.bus import EventBus
-    bus = EventBus()
-    bus.attach(PerfettoSink(), kinds=PERFETTO_KINDS)
-    assert bus.active and not bus.pipeline_active
+    declared = {value for name, value in vars(ev).items()
+                if name.isupper() and not name.startswith("CLS_")
+                and isinstance(value, str)}
+    assert PERFETTO_KINDS == declared
