@@ -316,11 +316,11 @@ def _cmd_profile_hot(args) -> int:
     """Hot-path report: per-PC retire counts plus compiled-walk
     statistics.
 
-    Runs WITHOUT observation sinks: an attached sink keeps the compiled
-    walk but turns off its periodic spin elision (DESIGN.md section
-    10), and the point of ``--hot`` is to profile the run exactly as
-    the default configuration executes it — fused windows, periodic
-    elision and all.
+    Runs without observation sinks, because it needs none: its per-PC
+    tallies and walk counters are read from the machine after the run.
+    A sink would change no scheduling decision either (DESIGN.md
+    section 10), so the run is the default configuration's — fused
+    windows, periodic elision and all.
     """
     import json
     from repro.common.config import RunOptions
@@ -602,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--hot", action="store_true",
                         help="per-PC retire counts and compiled-walk "
                              "statistics instead of cycle accounting "
-                             "(runs unobserved: periodic elision engages)")
+                             "(runs with no sink attached)")
     p_prof.add_argument("--top", type=int, default=20,
                         help="rows in the --hot per-PC table (default 20)")
     p_prof.set_defaults(func=cmd_profile)

@@ -59,8 +59,8 @@ decisions out of the loop:
   elided too, once its whole shift-normalized state repeats with a
   fixed period: the walk keeps one period's per-phase records and a
   snoop of a line the loop reads wakes the core into the exact state of
-  the wake cycle's phase.  Runs with a sink attached skip it: a
-  periodic plan has no per-phase accounting class.
+  the wake cycle's phase.  Under a sink the plan also keeps each
+  phase's accounting class, so observed runs elide the same cycles.
 
 The walk is ``Machine.run``'s fast scheduler, switched by
 ``RunOptions.fast_forward`` / ``REPRO_NO_FASTFORWARD`` (see
@@ -288,10 +288,10 @@ class BlockRunner:
         ``(False, addr)`` per data access, ``(True, pc)`` per
         instruction-line fetch — for the periodic-elision record.
 
-        With a sink attached (``core.obs.active``), every cycle the
-        generator runs is classified into the core's cycle-accounting
-        span where ``tick`` does it, after fetch, by the interpreter's
-        own ``_observe_cycle``.
+        With a sink attached (tested once per residency), every cycle
+        the generator runs is classified into the core's
+        cycle-accounting span where ``tick`` does it, after fetch, by
+        the interpreter's own ``_observe_cycle``.
 
         While resident, the core's deque/dict structures stay shared in
         place (flush paths rebind them, and the body re-fetches before
@@ -1101,12 +1101,10 @@ class MultiBlockRunner:
         n = len(cores)
         periodic = None
         spin_tabs = [None] * n
-        if n > 1 and not machine.obs.active:
+        if n > 1:
             # With one thread no other core can write a line a store-free
             # loop reads (the wake invariant, DESIGN.md section 10), so a
             # lone spinner never wakes: nothing to elide periodically.
-            # Under a sink neither: a periodic plan has no per-phase
-            # accounting class to credit its spans with.
             from repro.cpu import periodic
             spin_tabs = [periodic.spin_table(runner) if runner is not None
                          else None for runner in runners]
@@ -1410,29 +1408,27 @@ class MultiBlockRunner:
                             states[i] = 2
                             live -= 1
                             continue
-                        # Sync the residency so the elide probe below
-                        # reads authoritative scalars; a failed probe
-                        # re-hoists next cycle.
-                        gens[i] = None
-                        try:
-                            gen.send(-1)
-                        except StopIteration:
-                            pass
+                        # Publish the residency so the elide probe
+                        # below reads authoritative scalars; it stays
+                        # resident unless the probe elides.
+                        gen.send(-2)
                 if cycle >= probe_at[i]:
                     if core.ff_poke:
                         core.ff_poke = False
                     else:
                         t = core.next_event_cycle(cycle)
-                        if t is None:
-                            core.ff_elide(cycle + 1, _BG_NEVER)
+                        if t is None or t > cycle + 1:
+                            gen = gens[i]
+                            if gen is not None:
+                                gens[i] = None
+                                try:
+                                    gen.send(-1)
+                                except StopIteration:
+                                    pass
+                            wake = _BG_NEVER if t is None else t
+                            core.ff_elide(cycle + 1, wake)
                             states[i] = 1
-                            wake_at[i] = _BG_NEVER
-                            live -= 1
-                            continue
-                        if t > cycle + 1:
-                            core.ff_elide(cycle + 1, t)
-                            states[i] = 1
-                            wake_at[i] = t
+                            wake_at[i] = wake
                             live -= 1
                             continue
                     backoff = probe_backoff[i]

@@ -9,7 +9,9 @@ period.  :func:`probe`, called by
 :meth:`repro.cpu.blockgen.MultiBlockRunner.run_window`, detects such a
 core (:class:`_SpinAttempt`), records one period phase by phase, and
 elides the core under a :class:`PeriodicPlan`, which
-``OutOfOrderCore.credit_fast_forward`` hands every resume to.
+``OutOfOrderCore.credit_fast_forward`` hands every resume to.  Under a
+sink the record also keeps each phase's cycle-accounting class, and a
+resume credits the elided cycles' spans with them.
 
 The walk imports this module only when it may elide (fast-forward on)
 and runs more than one core, so single-thread runs never load it.
@@ -228,10 +230,14 @@ class PeriodicPlan:
     ``anchor + n`` of the elided core is phase ``n % period`` of the
     recorded period, moved by ``n // period + 1`` periods; every resume
     path reaches :meth:`resume` through ``credit_fast_forward``.
+    ``classes`` holds the accounting class of each phase's cycle (cycle
+    ``anchor + n`` has class ``classes[n % period]``), or is None when
+    no sink was attached.
     """
 
     __slots__ = ("runner", "anchor", "period", "dseq", "records", "moving",
-                 "credits", "retired", "rp_credits", "touches", "watch")
+                 "credits", "retired", "rp_credits", "touches", "watch",
+                 "classes")
 
     def last_retire(self, now: int) -> int:
         """The naive loop's ``last_retire_cycle`` at the top of ``now``."""
@@ -252,6 +258,10 @@ class PeriodicPlan:
         never "move whole periods, then tick the rest": a writer's store
         reaches memory before its snoop, so re-executed cycles would
         load the new value where the naive run loaded the old one.
+        Under a sink the elided cycles' accounting spans are credited
+        through ``_credit_span``, one call per run of equal phase
+        classes (a one-class plan makes one call per resume), which
+        extends the open span when the class continues it.
         """
         now = end + 1
         period = self.period
@@ -277,6 +287,20 @@ class PeriodicPlan:
                 entries = array.sets.get(line & array.set_mask)
                 if entries is not None and line in entries:
                     entries.move_to_end(line)
+        classes = self.classes
+        if classes is not None:
+            credit = core._credit_span
+            phase = (start - self.anchor) % period
+            t = start
+            while t <= end:
+                cls = classes[phase]
+                run = 1
+                while run < period and classes[(phase + run) % period] == cls:
+                    run += 1
+                last = end if run == period else min(t + run - 1, end)
+                credit(cls, t, last)
+                t = last + 1
+                phase = (phase + run) % period
         runner = self.runner
         runner.pe_cycles += now - self.anchor
         runner.pe_wakes += 1
@@ -302,8 +326,9 @@ class _SpinAttempt:
     ``P`` cycles *twice*, with equal counter deltas over both periods,
     the predictor tables untouched (``table_versions``), no L1 miss and
     no load replay.  The second period runs on a tapped residency (every
-    cache access logged); its records become the plan's phases and
-    elision starts at its end.  A state that is not periodic *yet* (the
+    cache access logged); its records become the plan's phases, under a
+    sink with the accounting class of each of its cycles, and elision
+    starts at its end.  A state that is not periodic *yet* (the
     pipeline still filling, the predictor still training) sends the
     attempt back to looking for a period; leaving the loop, stalling,
     or changing registers more than a spin does ends it.
@@ -312,7 +337,7 @@ class _SpinAttempt:
     __slots__ = ("gen", "tap", "tapping", "tapped", "start", "last", "regs",
                  "retired", "changes", "high", "keys", "seen", "period",
                  "t0", "first", "v0", "moving", "records", "vecs", "marks",
-                 "rps", "versions")
+                 "rps", "versions", "classes")
 
     def __init__(self, core) -> None:
         self.gen = None
@@ -354,6 +379,7 @@ class _SpinAttempt:
         self.marks: list = []
         self.rps: list = []
         self.versions = None
+        self.classes: list = []
 
     def observe(self, core, runner, cycle: int, pend: list):
         """Feed the state at the top of ``cycle``: None to go on, False
@@ -420,6 +446,13 @@ class _SpinAttempt:
         u = cycle - self.t0
         if u < period:
             return None
+        if u > period and core.obs.active:
+            # The accounting class of the record period's previous
+            # cycle, by the classifier ``tick`` and ``drive`` call.  Its
+            # inputs repeat with the period: the head's state is in the
+            # record, its two stamps move with the period or rest in the
+            # past, and a spin loop holds no serialized op.
+            self.classes.append(core._classify_cycle(cycle - 1))
         record = _spin_record(core, cycle)
         if record is None:
             self._restart()
@@ -487,6 +520,7 @@ class _SpinAttempt:
         plan.dseq = record[3] - records[0][3]
         plan.records = records
         plan.moving = self.moving
+        plan.classes = tuple(self.classes) if self.classes else None
         vecs = self.vecs
         credits = []
         for pos, (counters, key) in enumerate(tables.slots):

@@ -203,12 +203,13 @@ class Machine:
         ``REPRO_NO_FASTFORWARD`` environment variable), while an ``until``
         predicate is supplied (it may read arbitrary machine state between
         cycles), or when a controller lacks the ``next_event_cycle``
-        contract.  An attached observability sink keeps the walk, which
-        classifies its compiled cycles for the cycle-accounting spans,
-        but turns off its periodic spin elision.  Both loops are
-        cycle-exact: final cycle counts, retired-instruction counts, stats
-        totals and cycle-accounting spans are identical (see DESIGN.md and
-        tests/test_fastforward.py).
+        contract.  An attached observability sink keeps the walk and
+        changes none of its scheduling decisions: the walk classifies
+        its compiled cycles for the cycle-accounting spans, and its
+        periodic plans credit the spans of the cycles they elide.  Both
+        loops are cycle-exact: final cycle counts, retired-instruction
+        counts, stats totals and cycle-accounting spans are identical
+        (see DESIGN.md and tests/test_fastforward.py).
 
         ``options.pause_at`` stops the loop at exactly that absolute cycle
         *without* flushing fast-forward elision windows and without the

@@ -379,17 +379,39 @@ def _flag_workload(delay, spinner_first=True, decoy=False, writer=True):
                      for i, program in enumerate(programs)])
 
 
-def _spin_legs(workload_fn, system=None, max_cycles=200_000):
+def _spin_legs(workload_fn, system=None, max_cycles=200_000,
+               observe=False):
     """Naive and fast runs of a fresh workload each:
-    [(cycles, stats, machine)]."""
+    [(cycles, stats, machine, observed)].  With ``observe`` both run
+    under a ProfilerSink and an unfiltered PerfettoSink, and
+    ``observed`` is the profiler rows and the sorted trace events
+    (None otherwise)."""
+    import json
+
+    from repro.obs.perfetto import PerfettoSink
+    from repro.obs.profile import ProfilerSink
+
     system = system or SystemConfig(clusters=[ooo1_cluster(2)])
     legs = []
     for fast in (False, True):
         machine = Machine(system)
         machine.load(workload_fn())
+        if observe:
+            profiler = ProfilerSink()
+            machine.obs.attach(profiler, ProfilerSink.KINDS)
+            tracer = PerfettoSink()
+            machine.obs.attach(tracer)
         cycles = machine.run(options=RunOptions(max_cycles=max_cycles,
                                                 fast_forward=fast))
-        legs.append((cycles, machine.stats.as_dict(), machine))
+        observed = None
+        if observe:
+            machine.finish_observation()
+            accounting = profiler.accounting()
+            accounting.verify()
+            observed = (accounting.rows(),
+                        sorted(json.dumps(event, sort_keys=True)
+                               for event in tracer.trace_events))
+        legs.append((cycles, machine.stats.as_dict(), machine, observed))
     return legs
 
 
@@ -400,13 +422,15 @@ def _periodic(machine, name):
 
 @pytest.fixture
 def wake_phases(monkeypatch):
-    """Spy on periodic resumes: (phase, period) of every wake."""
+    """Spy on periodic resumes: (phase, period, per-phase accounting
+    classes) of every wake."""
     from repro.cpu import periodic
     seen = []
     resume = periodic.PeriodicPlan.resume
 
     def spy(plan, core, start, end):
-        seen.append(((end + 1 - plan.anchor) % plan.period, plan.period))
+        seen.append(((end + 1 - plan.anchor) % plan.period, plan.period,
+                     plan.classes))
         return resume(plan, core, start, end)
 
     monkeypatch.setattr(periodic.PeriodicPlan, "resume", spy)
@@ -419,16 +443,80 @@ def test_periodic_wake_at_every_phase(spinner_first, wake_phases):
     """The flag store wakes the elided spinner at each phase offset of
     its period — the writer's countdown moves the store two cycles per
     step — and every wake rebuilds exactly the naive run's state, with
-    the victim both before and after the writer in core order."""
-    for delay in (600, 601, 602):
+    the victim both before and after the writer in core order, and
+    once under sinks too (same profiler rows and trace events)."""
+    for delay, observe in ((600, False), (601, False), (602, False),
+                           (600, True)):
         naive, fused = _spin_legs(
-            lambda: _flag_workload(delay, spinner_first))
+            lambda: _flag_workload(delay, spinner_first), observe=observe)
         assert fused[0] == naive[0]
         assert fused[1] == naive[1]
+        assert fused[3] == naive[3]
         assert _periodic(fused[2], "pe_cycles") > 0
-    periods = {period for _phase, period in wake_phases}
+    periods = {period for _phase, period, _classes in wake_phases}
     assert len(periods) == 1, wake_phases
-    assert {phase for phase, _period in wake_phases} == \
+    assert {phase for phase, _period, _classes in wake_phases} == \
+        set(range(periods.pop()))
+
+
+def _chase_workload(delay):
+    """A spinner that chases a pointer to itself twice (``lw r3,
+    0(r3)``) before it polls the flag on the pointer's line; a writer
+    counts down ``delay`` and sets the flag.  The chained loads leave a
+    load in flight at the ROB head on some cycles of each period, so
+    the period mixes the compute and mem_stall accounting classes."""
+    from repro.isa import Asm
+    from repro.isa.program import MemoryImage, ThreadSpec
+    from repro.system.workload import Workload
+
+    image = MemoryImage()
+    ptr = image.alloc(8, align=32)
+    image.alloc(24)
+    image.write_word(ptr, ptr)
+    image.write_word(ptr + 4, 0)
+    a = Asm("chaser")
+    a.li("r6", 1)
+    a.li("r3", ptr)
+    a.label("spin")
+    a.lw("r3", "r3", 0)
+    a.lw("r3", "r3", 0)
+    a.lw("r4", "r3", 4)
+    a.bne("r4", "r6", "spin")
+    a.halt()
+    w = Asm("writer")
+    w.li("r5", delay)
+    w.label("wait")
+    w.addi("r5", "r5", -1)
+    w.bne("r5", "r0", "wait")
+    w.li("r3", ptr)
+    w.li("r4", 1)
+    w.sw("r4", "r3", 4)
+    w.halt()
+    return Workload("chase_spin", image,
+                    [ThreadSpec(a.assemble(), 0), ThreadSpec(w.assemble(), 1)])
+
+
+@pytest.mark.parametrize("cluster", [ooo1_cluster, ooo2_cluster],
+                         ids=["ooo1", "ooo2"])
+def test_periodic_plan_with_mixed_classes(cluster, wake_phases):
+    """A spinner whose period mixes accounting classes, under a
+    ProfilerSink and an unfiltered PerfettoSink: each elided cycle is
+    credited with its phase's class, so cycles, stats, profiler rows
+    and trace events equal the naive run's whichever phase the flag
+    store wakes it at."""
+    system = SystemConfig(clusters=[cluster(2)])
+    for delay in range(600, 606):
+        naive, fused = _spin_legs(lambda: _chase_workload(delay),
+                                  system=system, observe=True)
+        assert fused[0] == naive[0]
+        assert fused[1] == naive[1]
+        assert fused[3] == naive[3]
+        assert _periodic(fused[2], "pe_cycles") > 0
+    assert any(len(set(classes)) > 1
+               for _phase, _period, classes in wake_phases), wake_phases
+    periods = {period for _phase, period, _classes in wake_phases}
+    assert len(periods) == 1, wake_phases
+    assert {phase for phase, _period, _classes in wake_phases} == \
         set(range(periods.pop()))
 
 

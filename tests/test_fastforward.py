@@ -141,19 +141,33 @@ def test_codegen_off_same_simulation(bench, variant, kwargs, monkeypatch):
 # ---------------------------------------------------------------- profiler
 
 
-def _profiled(bench, variant, kwargs, fast_forward):
+def _pe_cycles(machine):
+    """Core-cycles the walk elided under periodic plans."""
+    return sum(runner.pe_cycles for runner in machine._bg_runners.values())
+
+
+def _profiled(bench, variant, kwargs, fast_forward, observe=True):
+    """``(cycles, profiler rows, fused core-cycles, periodically elided
+    core-cycles)`` of one run, under a ProfilerSink when ``observe``
+    (rows None otherwise)."""
     from repro.obs.profile import ProfilerSink
     spec = registry.REGISTRY[bench].variants[variant](**kwargs)
     machine = Machine(spec.system)
     machine.load(spec.workload)
-    sink = ProfilerSink()
-    machine.obs.attach(sink, ProfilerSink.KINDS)
+    sink = None
+    if observe:
+        sink = ProfilerSink()
+        machine.obs.attach(sink, ProfilerSink.KINDS)
     cycles = machine.run(options=RunOptions(max_cycles=spec.max_cycles,
                                             fast_forward=fast_forward))
-    machine.finish_observation()
-    accounting = sink.accounting()
-    accounting.verify()  # spans exactly tile the ticked cycles
-    return cycles, accounting.rows(), machine._bg_multi.fused_cycles
+    rows = None
+    if sink is not None:
+        machine.finish_observation()
+        accounting = sink.accounting()
+        accounting.verify()  # spans exactly tile the ticked cycles
+        rows = accounting.rows()
+    return (cycles, rows, machine._bg_multi.fused_cycles,
+            _pe_cycles(machine))
 
 
 @pytest.mark.parametrize("bench,variant,kwargs", [
@@ -166,11 +180,17 @@ def _profiled(bench, variant, kwargs, fast_forward):
 ])
 def test_profiler_identical_under_fast_forward(bench, variant, kwargs):
     """Cycle-accounting rows are bit-identical under both schedulers,
-    and a profiler sink keeps the compiled walk engaged, single-thread
-    (g721dec/seq) or multi-thread alike."""
+    and a profiler sink changes no scheduling decision of the walk: it
+    fuses and periodically elides the same core-cycles as an unobserved
+    run, single-thread (g721dec/seq) or multi-thread alike, and the
+    software barriers' spinners (sw) are elided periodically."""
     naive, fast = (_profiled(bench, variant, kwargs, leg) for leg in _LEGS)
     assert fast[:2] == naive[:2]
     assert fast[2] > 0
+    unobserved = _profiled(bench, variant, kwargs, True, observe=False)
+    assert fast[2:] == unobserved[2:]
+    if variant == "sw":
+        assert fast[3] > 0
 
 
 def _perfetto(bench, variant, kwargs, kinds, fast_forward):
@@ -187,14 +207,15 @@ def _perfetto(bench, variant, kwargs, kinds, fast_forward):
     machine.finish_observation()
     events = sorted(json.dumps(event, sort_keys=True)
                     for event in sink.trace_events)
-    return events, machine._bg_multi.fused_cycles
+    return events, machine._bg_multi.fused_cycles, _pe_cycles(machine)
 
 
 def test_perfetto_events_identical_under_fast_forward():
     """Same Perfetto slices under both schedulers (order may differ:
     elided cores close their spans at credit time; 'X' events carry
     timestamps), and the sink keeps the compiled walk engaged whether
-    it subscribes to the exporter's declared kinds or to everything."""
+    it subscribes to the exporter's declared kinds or to everything,
+    periodic spin elision (ll2/sw) included."""
     from repro.obs.perfetto import PERFETTO_KINDS
     for kinds in (PERFETTO_KINDS, None):
         for bench, variant, kwargs in (
@@ -205,6 +226,8 @@ def test_perfetto_events_identical_under_fast_forward():
                            for leg in _LEGS)
             assert fast[0] == naive[0], (bench, variant, kinds)
             assert fast[1] > 0, (bench, variant, kinds)
+            if variant == "sw":
+                assert fast[2] > 0, (bench, variant, kinds)
 
 
 # --------------------------------------------------------------- migration
