@@ -265,11 +265,11 @@ class RunOptions:
     with its elision and jumps, or the naive per-cycle reference loop
     (see :meth:`Machine.run`).
 
-    ``pause_at`` stops :meth:`Machine.run` at exactly that cycle without
-    flushing fast-forward elision windows — the machine is left in the
-    precise mid-run state the naive loop would inspect at the top of that
-    cycle, which is what makes mid-run snapshots deterministic (see
-    DESIGN.md §8).
+    ``pause_at`` stops :meth:`Machine.run` at exactly that cycle, with
+    every elided window credited — the machine is left in the precise
+    mid-run state, counters included, the naive loop would inspect at
+    the top of that cycle, which is what makes mid-run snapshots
+    deterministic (see DESIGN.md §8).
 
     ``until`` is a host-side predicate closure; it cannot be serialized
     and therefore never participates in :meth:`fingerprint`.
@@ -278,7 +278,7 @@ class RunOptions:
     max_cycles: int = 1_000_000_000
     #: Stop when this predicate returns True (checked between cycles).
     until: Optional[Callable[[], bool]] = None
-    #: Stop at exactly this absolute cycle, preserving elision windows.
+    #: Stop at exactly this absolute cycle, in the naive loop's state.
     pause_at: Optional[int] = None
     #: The fast scheduler, the compiled walk with its elision and jumps
     #: (None: env-resolved); False runs the naive per-cycle loop.

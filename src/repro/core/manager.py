@@ -42,6 +42,11 @@ class FabricManager:
 
     # -- machine hook -------------------------------------------------------------
 
+    def next_event_cycle(self, now: int) -> int:
+        """The next decision cycle: every tick before it is a no-op."""
+        return self._next_decision if self._next_decision > now \
+            else now + 1
+
     def tick(self, cycle: int) -> None:
         if cycle < self._next_decision:
             return
@@ -59,6 +64,19 @@ class FabricManager:
             return
         self._current_plan = plan
         self.stats.bump("repartitions")
+
+    # -- snapshot contract (DESIGN.md §8) ------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {"next_decision": self._next_decision,
+                "current_plan": self._current_plan}
+
+    def restore_state(self, state: dict) -> None:
+        self._next_decision = state["next_decision"]
+        plan = state["current_plan"]
+        # JSON gives lists back; ``tick`` compares plans as tuples.
+        self._current_plan = tuple(tuple(part) for part in plan) \
+            if plan is not None else None
 
     # -- policy ---------------------------------------------------------------------
 

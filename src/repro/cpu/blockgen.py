@@ -50,10 +50,10 @@ decisions out of the loop:
   §6 event-horizon bound taken at walk entry) until an interpreted tick
   or a compiled SPL op may have touched a port; from then on they tick
   every cycle until a quiet cycle re-proves a bound.  Quiescent cores
-  are elided inside the walk (``ff_elide``/``credit_fast_forward`` —
-  the same plans the naive loop resumes after a pause), and when every
-  running core is elided and the controllers are quiet the walk jumps
-  to the earliest wake or controller event.
+  are elided inside the walk (``ff_elide``/``ff_resume``), and when
+  every running core is elided and the controllers are quiet the walk
+  jumps to the earliest wake or controller event.  No elision outlives
+  the walk: it resumes every elided core when it returns.
 * **Periodic elision** (:mod:`repro.cpu.periodic`): a compiled core
   spinning in a store-free loop (a software barrier's sense loop) is
   elided too, once its whole shift-normalized state repeats with a
@@ -1007,8 +1007,8 @@ def _tapped(data_access, inst_fetch, tap: list):
 _CNT_KEYS = ("cycles", "fetched", "dispatched", "issued", "retired",
              "int_ops", "fp_ops", "loads", "stores", "branches_resolved")
 
-#: The ``ff_wake`` sentinel for an elided core that only an event poke
-#: can resume (and the controllers' bound when none is scheduled).
+#: The wake cycle of an elided core that only an event poke can
+#: resume (and the controllers' bound when none is scheduled).
 _BG_NEVER = 1 << 62
 
 #: In-window elide-probe backoff ceiling: probing a busy core's
@@ -1061,7 +1061,10 @@ class MultiBlockRunner:
       core is poked and the controllers are quiet, nothing runs before
       the earliest elided wake or controller bound, so the walk jumps
       there; a bounded jump raises the watchdog's progress floor
-      (``Machine._ff_progress``).
+      (``Machine._ff_progress``).  The walk resumes every core still
+      elided when it returns (``ff_resume``, as a wake at that cycle),
+      so a pause, a snapshot, the naive loop and the watchdog never
+      see an elided core.
 
     Every cycle of a core with a runner runs compiled, serialized ops
     included; only a draining core (no runner) and the multi-cycle
@@ -1091,10 +1094,12 @@ class MultiBlockRunner:
         the walk goes controller-live at that cycle, so a streaming
         controller (bound at or before ``start``) runs live from the
         first cycle.  Returns the first cycle not run: ``end``, or
-        earlier only when every core has halted.  The caller
-        guarantees: ``cores`` are every core with a bound context that
-        has not halted, every controller has ``next_event_cycle``, and
-        ``end`` respects the watchdog/pause ceiling.
+        earlier only when every core has halted; a core still elided
+        then is resumed first, as a wake at that cycle would.  The
+        caller guarantees: ``cores`` are every core with a bound
+        context that has not halted (none elided), and ``end`` respects
+        the watchdog/pause ceiling.  Every controller has
+        ``next_event_cycle``.
         """
         machine = self.machine
         controllers = machine._controllers
@@ -1119,10 +1124,9 @@ class MultiBlockRunner:
         attempts = [None] * n
         pe_at = [start if periodic is not None else _BG_NEVER] * n
         pe_backoff = [1] * n
-        # states[i]: 0 = live, 1 = elided, 2 = halted.  Mirrors
-        # ``core.halted`` and the in-window elide plan so the per-cycle
-        # scan reads one list slot instead of three core attributes;
-        # ``wake_at[i]`` mirrors ``core.ff_wake`` while elided.
+        # states[i]: 0 = live, 1 = elided, 2 = halted; ``wake_at[i]`` is
+        # an elided core's wake cycle.  The one copy of both: every core
+        # arrives live, and none leaves elided.
         states = [0] * n
         wake_at = [0] * n
         # gens[i] is core i's resident ``drive`` generator, or None when
@@ -1132,13 +1136,7 @@ class MultiBlockRunner:
         # generator reads or writes them — elide probes,
         # deferred-invalidation replay, and window exit.
         gens = [None] * n
-        live = 0
-        for i, core in enumerate(cores):
-            if core.ff_skip_from >= 0:
-                states[i] = 1
-                wake_at[i] = core.ff_wake
-            else:
-                live += 1
+        live = n
         # Controller gating: while live, controllers tick every cycle;
         # after a port-quiet cycle they may re-quiesce by proving a
         # bound (next_event_cycle) — ``controllers_resume`` is then the
@@ -1250,10 +1248,7 @@ class MultiBlockRunner:
                             if i <= target or states[i] != 1 \
                                     or not core.ff_poke:
                                 continue
-                            core.ff_poke = False
-                            core.credit_fast_forward(
-                                core.ff_skip_from, last - 1)
-                            core.ff_skip_from = -1
+                            core.ff_resume(last - 1)
                             states[i] = 0
                             live += 1
                             probe_at[i] = done
@@ -1280,9 +1275,7 @@ class MultiBlockRunner:
                         continue
                     if cycle < wake_at[i] and not core.ff_poke:
                         continue
-                    core.ff_poke = False
-                    core.credit_fast_forward(core.ff_skip_from, cycle - 1)
-                    core.ff_skip_from = -1
+                    core.ff_resume(cycle - 1)
                     states[i] = 0
                     live += 1
                     probe_at[i] = cycle
@@ -1425,10 +1418,9 @@ class MultiBlockRunner:
                                     gen.send(-1)
                                 except StopIteration:
                                     pass
-                            wake = _BG_NEVER if t is None else t
-                            core.ff_elide(cycle + 1, wake)
+                            core.ff_elide(cycle + 1)
                             states[i] = 1
-                            wake_at[i] = wake
+                            wake_at[i] = _BG_NEVER if t is None else t
                             live -= 1
                             continue
                     backoff = probe_backoff[i]
@@ -1461,10 +1453,13 @@ class MultiBlockRunner:
                         ctl_probe_at = cycle + ctl_backoff
             cycle += 1
 
-        # Retire every residency: write the hoisted scalars back, then
-        # replay invalidations deferred during the final cycle (the
-        # victim has not run since the snoop, so the replay is the state
-        # the next walk, or a snapshot, must see at ``cycle``).
+        # Retire every residency (write the hoisted scalars back) and
+        # resume every elided core as a wake at ``cycle`` would (it holds
+        # no residency; a periodic plan replays its own deferred
+        # snoops), then replay invalidations deferred during the final
+        # cycle: the victim has not run since the snoop, so the replay
+        # is the state the next walk, a pause or the naive loop must see
+        # at ``cycle``.
         for i, core in enum_cores:
             gen = gens[i]
             if gen is not None:
@@ -1473,6 +1468,8 @@ class MultiBlockRunner:
                     gen.send(-1)
                 except StopIteration:
                     pass
+            elif states[i] == 1:
+                core.ff_resume(cycle - 1)
             pending = core._bg_pending_inval
             if pending:
                 on_inv = core._on_invalidation

@@ -9,7 +9,7 @@ period.  :func:`probe`, called by
 :meth:`repro.cpu.blockgen.MultiBlockRunner.run_window`, detects such a
 core (:class:`_SpinAttempt`), records one period phase by phase, and
 elides the core under a :class:`PeriodicPlan`, which
-``OutOfOrderCore.credit_fast_forward`` hands every resume to.  Under a
+``OutOfOrderCore.ff_resume`` hands every resume to.  Under a
 sink the record also keeps each phase's cycle-accounting class, and a
 resume credits the elided cycles' spans with them.
 
@@ -23,7 +23,7 @@ from collections import deque
 from operator import attrgetter
 from typing import Dict, Optional
 
-from repro.cpu.blockgen import (_BG_NEVER, _BG_PROBE_CAP, _BY_SEQ, _CNT_KEYS,
+from repro.cpu.blockgen import (_BG_PROBE_CAP, _BY_SEQ, _CNT_KEYS,
                                 _PE_RECHECK as _RECHECK)
 from repro.cpu.pipeline import RobEntry
 from repro.isa.opcodes import Op
@@ -226,10 +226,11 @@ class PeriodicPlan:
 
     Built by the multi-core walk when a compiled core's shift-normalized
     record repeats (see :class:`_SpinAttempt`), and installed as the
-    core's elision plan (``OutOfOrderCore.ff_elide_periodic``).  Cycle
-    ``anchor + n`` of the elided core is phase ``n % period`` of the
-    recorded period, moved by ``n // period + 1`` periods; every resume
-    path reaches :meth:`resume` through ``credit_fast_forward``.
+    core's elision plan (``OutOfOrderCore.ff_elide_periodic``) at cycle
+    ``anchor``, the first it elides.  Cycle ``anchor + n`` of the elided
+    core is phase ``n % period`` of the recorded period, moved by
+    ``n // period + 1`` periods; every resume path reaches
+    :meth:`resume` through ``ff_resume``.
     ``classes`` holds the accounting class of each phase's cycle (cycle
     ``anchor + n`` has class ``classes[n % period]``), or is None when
     no sink was attached.
@@ -239,18 +240,10 @@ class PeriodicPlan:
                  "credits", "retired", "rp_credits", "touches", "watch",
                  "classes")
 
-    def last_retire(self, now: int) -> int:
-        """The naive loop's ``last_retire_cycle`` at the top of ``now``."""
-        periods, phase = divmod(now - self.anchor, self.period)
-        last = self.records[phase][1][1]
-        if self.moving[1]:
-            last += (periods + 1) * self.period
-        return last
-
-    def resume(self, core, start: int, end: int) -> None:
+    def resume(self, core, end: int) -> None:
         """Put ``core`` in the state the naive loop reaches at the top of
-        ``end + 1``, credit the elided cycles, then replay the snoops
-        deferred meanwhile.
+        ``end + 1``, credit the elided cycles ``[anchor, end]``, then
+        replay the snoops deferred meanwhile.
 
         Counters are *added* (``k`` whole periods plus the partial
         period up to the phase), so bumps that snoops made to the same
@@ -290,8 +283,8 @@ class PeriodicPlan:
         classes = self.classes
         if classes is not None:
             credit = core._credit_span
-            phase = (start - self.anchor) % period
-            t = start
+            phase = 0
+            t = self.anchor
             while t <= end:
                 cls = classes[phase]
                 run = 1
@@ -742,5 +735,5 @@ def probe(i, core, runner, cycle, gens, pends, attempts, pe_at,
         _back_off(i, cycle, pe_at, pe_backoff)
         return None
     pe_backoff[i] = 1
-    core.ff_elide_periodic(cycle, _BG_NEVER, verdict)
+    core.ff_elide_periodic(verdict)
     return ELIDED

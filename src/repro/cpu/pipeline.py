@@ -135,16 +135,14 @@ class OutOfOrderCore:
         self.halted = True
         self.stop_fetch = True
         self.stall_until = 0  # migration / startup stall
-        # Fast-forward elision state (owned by Machine.run, see DESIGN.md):
-        # while ``ff_skip_from >= 0`` the machine has stopped ticking this
-        # core; it resumes at ``ff_wake`` (or earlier if ``ff_poke`` is set
-        # by an external event: an SPL/comm delivery, a barrier release or
-        # input-queue pop that re-classifies the wait, or a snoop
-        # invalidation replay) and lazily replays the skipped window
-        # through ``credit_fast_forward`` using the classification plan
-        # snapshotted by ``ff_elide``.
-        self.ff_wake = 0
-        self.ff_skip_from = -1
+        # Elision state (owned by the walk, MultiBlockRunner, see
+        # DESIGN.md): while ``_ff_plan`` is set the walk has stopped
+        # ticking this core, which resumes at its wake cycle, earlier if
+        # ``ff_poke`` is set by an external event (an SPL/comm delivery,
+        # a barrier release or input-queue pop that re-classifies the
+        # wait, or a snoop invalidation replay), and at the latest when
+        # the walk returns; ``ff_resume`` replays the skipped window from
+        # the plan ``ff_elide`` or ``ff_elide_periodic`` installed.
         self.ff_poke = False
         self._ff_plan: Optional[Tuple] = None
         # Blockgen residency (owned by MultiBlockRunner): while True, a
@@ -175,9 +173,8 @@ class OutOfOrderCore:
         self._issue_width = config.issue_width
         self._fetch_width = config.fetch_width
         self._fetch_queue_cap = config.fetch_queue
-        #: FuClass -> (pool name, per-cycle limit), built once; replaces
-        #: the per-issue ``_fu_limit`` branch cascade.
         self._l1i_hit = config.l1i.hit_latency
+        #: FuClass -> (pool name, per-cycle limit), built once.
         self._fu_pool: Dict[FuClass, Tuple[str, int]] = {}
         for fu in FuClass:
             if fu in (FuClass.INT, FuClass.MUL, FuClass.DIV):
@@ -247,8 +244,6 @@ class OutOfOrderCore:
         self.halted = False
         self.stop_fetch = False
         self.stall_until = cycle + stall
-        self.ff_wake = 0
-        self.ff_skip_from = -1
         self.ff_poke = False
         self._ff_plan = None
         self._bg_watch = None
@@ -385,13 +380,8 @@ class OutOfOrderCore:
             "sb_next_free": self.sb_next_free,
             "pending_stores": list(self.pending_stores),
             "last_retire_cycle": self.last_retire_cycle,
-            "ff_wake": self.ff_wake,
-            "ff_skip_from": self.ff_skip_from,
+            # No elision outlives a walk, so a snapshot holds no plan.
             "ff_poke": self.ff_poke,
-            # A periodic plan never survives a run() exit (pause and the
-            # end-of-run flush resume it), so only quiescent plans appear.
-            "ff_plan": list(self._ff_plan)
-            if self._ff_plan is not None else None,
             "span_class": self._span_class,
             "span_start": self._span_start,
             "last_tick": self._last_tick,
@@ -456,11 +446,8 @@ class OutOfOrderCore:
         self.sb_next_free = state["sb_next_free"]
         self.pending_stores = deque(state["pending_stores"])
         self.last_retire_cycle = state["last_retire_cycle"]
-        self.ff_wake = state["ff_wake"]
-        self.ff_skip_from = state["ff_skip_from"]
         self.ff_poke = state["ff_poke"]
-        self._ff_plan = tuple(state["ff_plan"]) \
-            if state["ff_plan"] is not None else None
+        self._ff_plan = None
         self._bg_watch = None
         self._span_class = state["span_class"]
         self._span_start = state["span_start"]
@@ -504,7 +491,7 @@ class OutOfOrderCore:
         the core is fully event-driven — only another tickable (SPL or
         comm controller delivery) can wake it.  Any larger value is a
         promise that every cycle in between is a no-op apart from the
-        counters replayed by :meth:`credit_fast_forward`.
+        counters replayed by :meth:`ff_resume`.
         """
         if now + 1 < self.stall_until:
             return self.stall_until  # migration / startup stall window
@@ -544,7 +531,7 @@ class OutOfOrderCore:
                 candidates.append(t0)
             # resource-blocked: the freeing event is one of the candidates
             # above (or an external delivery), and the per-cycle stall
-            # counter is replayed by credit_fast_forward.
+            # counter is replayed by ff_resume.
         if (not self.stop_fetch and 0 <= self.fetch_pc < len(self.ctx.program)
                 and len(self.fetch_queue) < self.config.fetch_queue):
             if self.fetch_resume <= now:
@@ -578,20 +565,20 @@ class OutOfOrderCore:
                 return "rename_stalls"
         return None
 
-    def ff_elide(self, start: int, wake: int) -> None:
-        """Stop-ticking handshake from the fast-forward scheduler.
+    def ff_elide(self, start: int) -> None:
+        """Stop-ticking handshake from the walk.
 
-        Marks the core elided from cycle ``start`` until ``wake`` (or an
-        event poke) and snapshots the per-cycle counter/classification
-        plan while the pipeline state is still provably frozen: each
-        skipped tick adds one to ``cycles``, the stall counter named by
-        the ROB head or dispatch cascade, and one accounting class.
-        ``credit_fast_forward`` replays from this snapshot, never from
-        live state: an external event (an invalidation replay, a barrier
-        release) may mutate the pipeline or its wait classification after
-        elision, but its poke ends the window on exactly the cycle live
-        state starts to differ, so the naive loop counted every credited
-        cycle against the frozen pre-event state.
+        Marks the core elided from cycle ``start`` and snapshots the
+        per-cycle counter/classification plan while the pipeline state
+        is still provably frozen: each skipped tick adds one to
+        ``cycles``, the stall counter named by the ROB head or dispatch
+        cascade, and one accounting class.  ``ff_resume`` replays from
+        this snapshot, never from live state: an external event (an
+        invalidation replay, a barrier release) may mutate the pipeline
+        or its wait classification after elision, but its poke ends the
+        window on exactly the cycle live state starts to differ, so the
+        naive loop counted every credited cycle against the frozen
+        pre-event state.
         """
         recv_key = None
         cls_head = None
@@ -617,42 +604,27 @@ class OutOfOrderCore:
         if self.fetch_queue:
             t0 = self.fetch_queue[0][3] + FRONTEND_DELAY
             dkey = self._dispatch_stall_key()
-        self._ff_plan = (recv_key, t0, dkey, cls_head, self.fetch_resume)
-        self.ff_skip_from = start
-        self.ff_wake = wake
+        self._ff_plan = (start, recv_key, t0, dkey, cls_head,
+                         self.fetch_resume)
 
-    def ff_elide_periodic(self, start: int, wake: int, plan) -> None:
-        """Elide a core whose state repeats with a fixed period.
+    def ff_elide_periodic(self, plan) -> None:
+        """Elide a core whose state repeats with a fixed period, from
+        the plan's ``anchor`` on.
 
         ``plan`` (a :class:`repro.cpu.periodic.PeriodicPlan`) holds one
-        period's per-phase records; ``credit_fast_forward`` hands the
-        window to its ``resume``, which rebuilds the state of the resume
-        cycle's phase instead of crediting stall counters.  Snoops of the
-        data lines the loop reads are deferred (``_bg_watch``) and
-        replayed after that rebuild.
+        period's per-phase records; ``ff_resume`` hands the window to
+        its ``resume``, which rebuilds the state of the resume cycle's
+        phase instead of crediting stall counters.  Snoops of the data
+        lines the loop reads are deferred (``_bg_watch``) and replayed
+        after that rebuild.
         """
         self._ff_plan = plan
         self._bg_watch = plan.watch
-        self.ff_skip_from = start
-        self.ff_wake = wake
 
-    @property
-    def ff_periodic(self) -> bool:
-        """True while elided under a periodic plan."""
-        return self.ff_skip_from >= 0 and self._ff_plan is not None \
-            and self._ff_plan.__class__ is not tuple
-
-    def retire_floor(self, now: int) -> int:
-        """``last_retire_cycle`` as the naive loop would have it at the
-        top of cycle ``now``: a periodically elided core keeps retiring
-        every period, so the watchdog must see that progress."""
-        if self.ff_periodic:
-            return self._ff_plan.last_retire(now)
-        return self.last_retire_cycle
-
-    def credit_fast_forward(self, start: int, end: int) -> None:
-        """Replay the counter effects of ticking every cycle in
-        ``[start, end]`` while quiescent, per the ``ff_elide`` snapshot.
+    def ff_resume(self, end: int) -> None:
+        """End the elision: consume the poke and replay the counter
+        effects of ticking every skipped cycle through ``end`` while
+        quiescent, per the ``ff_elide`` snapshot.
 
         With an empty ROB the accounting class flips from mem (icache
         refill) to compute the cycle ``fetch_resume`` lands; every other
@@ -661,12 +633,13 @@ class OutOfOrderCore:
         periodic plan (``ff_elide_periodic``) instead rebuilds the state
         at the top of ``end + 1`` and replays deferred snoops.
         """
+        self.ff_poke = False
         plan = self._ff_plan
+        self._ff_plan = None
         if plan.__class__ is not tuple:
-            self._ff_plan = None
-            plan.resume(self, start, end)
+            plan.resume(self, end)
             return
-        recv_key, t0, dkey, cls_head, fetch_resume = plan
+        start, recv_key, t0, dkey, cls_head, fetch_resume = plan
         if start < self.stall_until:
             start = self.stall_until  # stalled ticks return before counting
         if start > end:
@@ -1106,9 +1079,6 @@ class OutOfOrderCore:
         entry.consumers = []
 
     # ------------------------------------------------------------------ issue
-
-    def _fu_limit(self, fu: FuClass) -> Tuple[str, int]:
-        return self._fu_pool[fu]
 
     def _issue(self, cycle: int) -> None:
         budget = self._issue_width

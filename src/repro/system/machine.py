@@ -198,25 +198,27 @@ class Machine:
         Two loops advance the machine.  The fast one is the compiled
         multi-core walk (:class:`repro.cpu.blockgen.MultiBlockRunner`),
         which elides quiescent cores and jumps when every running core is
-        elided.  The naive per-cycle loop is the reference; it runs when
-        ``options.fast_forward`` is False (or resolves False through the
-        ``REPRO_NO_FASTFORWARD`` environment variable), while an ``until``
-        predicate is supplied (it may read arbitrary machine state between
-        cycles), or when a controller lacks the ``next_event_cycle``
-        contract.  An attached observability sink keeps the walk and
-        changes none of its scheduling decisions: the walk classifies
-        its compiled cycles for the cycle-accounting spans, and its
-        periodic plans credit the spans of the cycles they elide.  Both
-        loops are cycle-exact: final cycle counts, retired-instruction
-        counts, stats totals and cycle-accounting spans are identical
-        (see DESIGN.md and tests/test_fastforward.py).
+        elided; it resumes every elided core when it returns, so no
+        elision outlives a walk.  The naive per-cycle loop is the
+        reference; it runs when ``options.fast_forward`` is False (or
+        resolves False through the ``REPRO_NO_FASTFORWARD`` environment
+        variable), or while an ``until`` predicate is supplied (it may
+        read arbitrary machine state between cycles).  Each cycle it
+        ticks the running cores, then the controllers.  An attached
+        observability sink keeps the walk and changes none of its
+        scheduling decisions: the walk classifies its compiled cycles
+        for the cycle-accounting spans, and its periodic plans credit
+        the spans of the cycles they elide.  Both loops are cycle-exact:
+        final cycle counts, retired-instruction counts, stats totals and
+        cycle-accounting spans are identical (see DESIGN.md and
+        tests/test_fastforward.py).
 
         ``options.pause_at`` stops the loop at exactly that absolute cycle
-        *without* flushing fast-forward elision windows and without the
-        max-cycles overrun error: the machine is left in the precise state
-        the naive loop would see at the top of that cycle, ready for
-        :meth:`snapshot` (see DESIGN.md §8).  A paused run resumes with
-        another :meth:`run` call.
+        without the max-cycles overrun error: every elided window is
+        credited, so the machine is left in the precise state, counters
+        included, the naive loop would see at the top of that cycle,
+        ready for :meth:`snapshot` (see DESIGN.md §8).  A paused run
+        resumes with another :meth:`run` call.
         """
         if options is None:
             options = RunOptions()
@@ -228,12 +230,7 @@ class Machine:
         limit = self.cycle + options.max_cycles
         stop = limit if pause_at is None else min(limit, pause_at)
         next_watchdog = self.cycle + _WATCHDOG_STRIDE
-        # A controller without the next_event_cycle contract (today only
-        # repro.core.manager.FabricManager) keeps the naive loop: the walk
-        # could neither bound its events nor trust it to poke elided cores.
-        if (options.fast_forward and until is None
-                and all(hasattr(c, "next_event_cycle")
-                        for c in self._controllers)):
+        if options.fast_forward and until is None:
             while self.cycle < stop:
                 end = min(stop, next_watchdog)
                 self.cycle = self._walk(self.cycle, end)
@@ -253,15 +250,6 @@ class Machine:
                     if core.ctx is None or core.halted:
                         continue
                     running = True
-                    if core.ff_skip_from >= 0:
-                        # Elided by a paused fast run or a restored
-                        # snapshot: resume exactly as the walk would.
-                        if cycle < core.ff_wake and not core.ff_poke:
-                            continue
-                        core.ff_poke = False
-                        core.credit_fast_forward(core.ff_skip_from,
-                                                 cycle - 1)
-                        core.ff_skip_from = -1
                     core.tick(cycle)
                 if not running:
                     return self.cycle
@@ -273,19 +261,7 @@ class Machine:
                     self._check_watchdog()
         if pause_at is not None and self.cycle >= pause_at \
                 and self.cycle < limit:
-            # Paused, not finished: leave elision windows un-credited so a
-            # snapshot captures (and a resumed run replays) the exact
-            # mid-run state.  A periodic plan is a performance record the
-            # snapshot does not carry, so those cores resume here, in the
-            # state the naive loop has at the top of this cycle.
-            for core in cores:
-                if core.ff_periodic:
-                    core.ff_poke = False
-                    core.credit_fast_forward(core.ff_skip_from,
-                                             self.cycle - 1)
-                    core.ff_skip_from = -1
-            return self.cycle
-        self._ff_flush()
+            return self.cycle  # paused, not finished
         if until is not None and until():
             return self.cycle
         if any(core.active for core in cores):
@@ -308,9 +284,9 @@ class Machine:
         ``[start, end)``; returns the first cycle it did not run, which
         is before ``end`` only when every thread has halted.
 
-        Every core but a draining one (``stop_fetch``) gets a runner,
-        elided cores included: a barrier release or queue delivery can
-        resume them mid-walk, and they should come back compiled.
+        Every core but a draining one (``stop_fetch``) gets a runner:
+        the walk may elide a core, and a barrier release or queue
+        delivery can resume it mid-walk, compiled.
         """
         cores = [core for core in self.cores
                  if core.ctx is not None and not core.halted]
@@ -318,27 +294,12 @@ class Machine:
                    for core in cores]
         return self._bg_multi.run_window(start, end, cores, runners)
 
-    def _ff_flush(self) -> None:
-        """Credit outstanding elision windows when run() stops iterating.
-
-        The naive loop would have ticked every elided core through
-        ``self.cycle - 1`` (pure stall ticks, by the elision proof); replay
-        them into the counters so limit-exit and watchdog-raise paths
-        leave stats identical to the naive scheduler's.
-        """
-        end = self.cycle - 1
-        for core in self.cores:
-            if core.ctx is not None and core.ff_skip_from >= 0:
-                core.credit_fast_forward(core.ff_skip_from, end)
-                core.ff_skip_from = -1
-                core.ff_wake = 0
-
     def _check_watchdog(self) -> None:
         stuck = []
         for core in self.cores:
             if core.ctx is None or core.halted:
                 continue
-            progress = max(core.retire_floor(self.cycle), self._ff_progress)
+            progress = max(core.last_retire_cycle, self._ff_progress)
             if self.cycle - progress > self.config.deadlock_cycles:
                 stuck.append(core)
         if stuck and self.obs.active:
@@ -346,9 +307,6 @@ class Machine:
                           stuck=[core.index for core in stuck])
         if stuck and len(stuck) == sum(
                 1 for c in self.cores if c.ctx is not None and not c.halted):
-            # Credit pending elision windows first so post-mortem stats
-            # match what the naive loop would have accumulated.
-            self._ff_flush()
             details = ", ".join(
                 f"core{c.index}@pc={c.ctx.pc}" for c in stuck)
             raise DeadlockError(f"no forward progress: {details}",
@@ -375,9 +333,9 @@ class Machine:
         observability wiring are reconstructed by rebuilding a machine
         from the same :class:`SystemConfig` and re-running the workload's
         :meth:`load` before :meth:`restore`.  Snapshotting mid-run is
-        valid at any paused cycle, including inside a fast-forward
-        elision window (``run(options=RunOptions(pause_at=...))`` stops
-        without flushing those windows).
+        valid at any paused cycle (``run(options=RunOptions(
+        pause_at=...))``); no core is elided there, because the walk
+        resumes every elided core when it returns.
         """
         context_index = {id(ctx): i for i, ctx in enumerate(self.contexts)}
         return {

@@ -28,7 +28,10 @@ from repro.system.machine import Machine
 
 #: Bump whenever any component's ``snapshot_state`` layout changes.
 #: Schema 2 dropped the machine's fast-forward probe backoff fields.
-SNAPSHOT_SCHEMA_VERSION = 2
+#: Schema 3 dropped each core's elision fields (its wake cycle, the
+#: first skipped cycle and the plan): the walk resumes every elided
+#: core before it returns, so no snapshot holds an elision.
+SNAPSHOT_SCHEMA_VERSION = 3
 
 
 def take_snapshot(machine: Machine, request=None) -> Dict:

@@ -428,10 +428,10 @@ def wake_phases(monkeypatch):
     seen = []
     resume = periodic.PeriodicPlan.resume
 
-    def spy(plan, core, start, end):
+    def spy(plan, core, end):
         seen.append(((end + 1 - plan.anchor) % plan.period, plan.period,
                      plan.classes))
-        return resume(plan, core, start, end)
+        return resume(plan, core, end)
 
     monkeypatch.setattr(periodic.PeriodicPlan, "resume", spy)
     return seen
@@ -545,9 +545,9 @@ def test_snapshot_inside_periodic_elision(monkeypatch):
     anchors = []
     elide = OutOfOrderCore.ff_elide_periodic
 
-    def spy(core, start, wake, plan):
-        anchors.append((start, plan.period))
-        return elide(core, start, wake, plan)
+    def spy(core, plan):
+        anchors.append((plan.anchor, plan.period))
+        return elide(core, plan)
 
     system = SystemConfig(clusters=[ooo1_cluster(2)])
     with monkeypatch.context() as patch:
@@ -576,9 +576,9 @@ def test_snapshot_inside_periodic_elision(monkeypatch):
 def test_livelocked_spinners_end_like_the_naive_loop():
     """Every thread spins on a flag nobody writes: the naive loop runs
     to ``max_cycles`` and raises SimulationError, never DeadlockError
-    (spinners retire every iteration).  Elided spinners retire every
-    period, so the watchdog counts them as progress, and the end-of-run
-    flush leaves the same stats."""
+    (spinners retire every iteration).  The walk resumes its elided
+    spinners whenever it returns, so the watchdog reads their last
+    retire as the naive loop's, and the stats at the limit match."""
     from repro.common.errors import DeadlockError, SimulationError
     system = SystemConfig(clusters=[ooo1_cluster(2)], deadlock_cycles=3000)
     results = []

@@ -1,5 +1,7 @@
 """Tests for the dynamic fabric manager, machine reports, and ASCII plots."""
 
+import json
+
 from repro.common.config import RunOptions, remap_system
 from repro.core.compile import compile_expression
 from repro.core.manager import FabricManager, attach_fabric_manager
@@ -83,6 +85,52 @@ class TestFabricManager:
             "reconfigurations")
         assert managed_reconfigs < static_reconfigs
         assert cycles_managed < cycles_static
+
+    def _managed(self, interval):
+        workload, dests, expected = _mixed_function_workload()
+        machine = Machine(remap_system())
+        machine.load(workload)
+        attach_fabric_manager(machine, 0, interval=interval)
+        return machine, dests, expected
+
+    def test_managed_run_takes_the_walk(self):
+        """The manager bounds its events (``next_event_cycle``), so a
+        managed run takes the compiled walk and matches the naive loop:
+        same cycles, stats and memory."""
+        for interval in (256, 512):
+            runs = []
+            for fast in (False, True):
+                machine, dests, expected = self._managed(interval)
+                cycles = machine.run(options=RunOptions(
+                    max_cycles=3_000_000, fast_forward=fast))
+                for dst, exp in zip(dests, expected):
+                    assert machine.memory.read_words(dst, 96) == exp
+                runs.append((cycles, machine.stats.as_dict(),
+                             machine.memory.snapshot_state(), machine))
+            naive, fused = runs
+            assert fused[:3] == naive[:3]
+            assert fused[3]._bg_multi.fused_cycles > 0
+
+    def test_managed_machine_snapshot_roundtrip(self):
+        """A managed machine paused, snapshotted through JSON, restored
+        and continued equals the never-paused run, before and after the
+        manager's repartitions."""
+        full, _, _ = self._managed(256)
+        total = full.run(options=RunOptions(max_cycles=3_000_000))
+        assert full.stats.find("mgr0").get("repartitions") >= 1
+        for pause in (300, 1000, 2500, 4000, 6000):
+            assert pause < total
+            paused, _, _ = self._managed(256)
+            paused.run(options=RunOptions(pause_at=pause))
+            assert paused.cycle == pause
+            state = json.loads(json.dumps(paused.snapshot()))
+            restored, dests, expected = self._managed(256)
+            restored.restore(state)
+            assert restored.run(
+                options=RunOptions(max_cycles=3_000_000)) == total
+            assert restored.stats.as_dict() == full.stats.as_dict()
+            for dst, exp in zip(dests, expected):
+                assert restored.memory.read_words(dst, 96) == exp
 
     def test_homogeneous_demand_keeps_shared_fabric(self):
         """All four threads on one function: the manager must not split."""

@@ -242,17 +242,39 @@ def test_snapshot_mid_barrier_wait():
     _continue_and_compare(bench, variant, kwargs, state)
 
 
-def test_snapshot_inside_elided_window():
-    """Pause while the fast-forward scheduler has a core elided: the
-    un-credited window must round-trip and be replayed after restore."""
+def test_pause_inside_elision_credits_it(monkeypatch):
+    """Pause while the walk has a core elided: the walk resumes it on
+    return, so the paused machine's counters equal a naive run paused
+    at the same cycle, and a snapshot taken there holds no elision and
+    continues into the never-paused run."""
+    from repro.cpu.pipeline import OutOfOrderCore
     bench, variant, kwargs = "dijkstra", "hwbar", {"n": 16, "p": 4}
+    ends = []
+    resume = OutOfOrderCore.ff_resume
 
-    def core_elided(state):
-        return any(record["state"]["ff_skip_from"] >= 0
-                   for record in state["cores"])
+    def spy(core, end):
+        ends.append(end)
+        return resume(core, end)
 
-    _, state = _scan_for(bench, variant, kwargs, core_elided, 30, 4000, 13)
-    _continue_and_compare(bench, variant, kwargs, state)
+    monkeypatch.setattr(OutOfOrderCore, "ff_resume", spy)
+    fast = _build(bench, variant, kwargs)
+    naive = _build(bench, variant, kwargs)
+    inside = None
+    for k in range(420, 551, 13):
+        del ends[:]
+        fast.run(options=RunOptions(pause_at=k))
+        naive.run(options=RunOptions(pause_at=k, fast_forward=False))
+        assert fast.cycle == naive.cycle == k
+        assert fast.stats.as_dict() == naive.stats.as_dict(), k
+        state = _roundtrip(fast)
+        assert not any(key.startswith("ff_") and key != "ff_poke"
+                       for record in state["cores"]
+                       for key in record["state"])
+        # Only the walk's exit resumes a core through its last cycle.
+        if inside is None and k - 1 in ends:
+            inside = state
+    assert inside is not None, "no pause landed inside an elided window"
+    _continue_and_compare(bench, variant, kwargs, inside)
 
 
 def test_snapshot_mid_multi_core_window():
@@ -268,8 +290,7 @@ def test_snapshot_mid_multi_core_window():
         if machine.cycle < k:
             break
         busy = sum(1 for core in machine.cores
-                   if core.ctx is not None and not core.halted
-                   and core.ff_skip_from < 0)
+                   if core.ctx is not None and not core.halted)
         if machine._bg_multi.windows and busy >= 2:
             state = _roundtrip(machine)
             break
