@@ -11,8 +11,11 @@ Two usage styles coexist:
   declares every counter it will ever touch up front with
   :meth:`Stats.declare` (or the ``schema`` constructor argument).  A
   typo'd key then raises :class:`~repro.common.errors.StatsError` at the
-  first use instead of silently creating a new counter, and hot call
-  sites can bind a :class:`CounterHandle` once at construction.
+  first use instead of silently creating a new counter.  Declared
+  counters are zero-initialized, so a hot call site may bind the
+  scope's ``counters`` dict once at construction and add to it
+  directly (``cnt[key] += 1`` is ``bump(key)`` without the method
+  call); the core, its predictor and its cache port do.
 * **Open scopes** (tests, ad-hoc instrumentation): without a declaration,
   :meth:`bump`/:meth:`set` create counters on first write, exactly as the
   original API did — existing call sites keep working unchanged.
@@ -29,28 +32,6 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Tuple)
 
 from repro.common.errors import StatsError
-
-
-class CounterHandle:
-    """A pre-validated, bound reference to one counter of one scope.
-
-    Constructing the handle validates the key against the scope's
-    declaration (catching typos at component construction); ``add`` is
-    then a plain dict update with no key checking on the hot path.
-    """
-
-    __slots__ = ("_counters", "key")
-
-    def __init__(self, counters: Dict[str, float], key: str) -> None:
-        self._counters = counters
-        self.key = key
-
-    def add(self, amount: float = 1) -> None:
-        self._counters[self.key] += amount
-
-    @property
-    def value(self) -> float:
-        return self._counters[self.key]
 
 
 class Stats:
@@ -79,14 +60,6 @@ class Stats:
             self.counters.setdefault(key, 0)
         known = self.declared or frozenset()
         self.declared = known | frozenset(keys)
-
-    def counter(self, key: str) -> CounterHandle:
-        """A bound handle for a hot counter; validates ``key`` now."""
-        if self.declared is not None and key not in self.declared:
-            raise StatsError(
-                f"scope {self.name!r} never declared counter {key!r}")
-        self.counters.setdefault(key, 0)
-        return CounterHandle(self.counters, key)
 
     # -- tree construction -------------------------------------------------
 
@@ -227,8 +200,8 @@ class Stats:
                 f"scope {self.name!r}: snapshot has "
                 f"{len(state['children'])} child scopes, rebuilt tree "
                 f"has {len(self.children)}")
-        # Mutate in place: CounterHandle instances bound at construction
-        # hold a reference to this exact dict.
+        # Mutate in place: hot call sites bind this exact dict at
+        # construction (see the module docstring).
         self.counters.clear()
         self.counters.update((key, value) for key, value in state["counters"])
         for child, child_state in zip(self.children, state["children"]):

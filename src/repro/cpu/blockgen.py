@@ -78,6 +78,7 @@ from repro.cpu.pipeline import (FRONTEND_DELAY, _LOAD_OPS, _STORE_OPS,
                                 HOLD_FP_IQ, HOLD_INT_IQ, HOLD_LQ,
                                 HOLD_REN_FP, HOLD_REN_INT, HOLD_SQ,
                                 OutOfOrderCore, RobEntry)
+from repro.isa.instruction import FP_BASE
 from repro.isa.opcodes import FuClass, Op
 
 _BY_SEQ = attrgetter("seq")
@@ -293,15 +294,18 @@ class BlockRunner:
         cycle-accounting span where ``tick`` does it, after fetch, by
         the interpreter's own ``_observe_cycle``.
 
-        While resident, the core's deque/dict structures stay shared in
-        place (flush paths rebind them, and the body re-fetches before
-        the next yield), and ``last_retire_cycle`` is written through
-        (the periodic probe reads it), but the eleven hoisted scalars
-        are stale on the core object — the walk must sync this
-        generator before probing ``next_event_cycle``, eliding, or
-        replaying a deferred invalidation.  Deferred hot counters
-        accumulate into ``pend`` (one slot per ``_CNT_KEYS`` entry),
-        flushed once per walk.
+        While resident, the core's deque/dict structures and the
+        context's register lists stay shared in place (a mispredict
+        flush mutates them in place too), and ``last_retire_cycle`` is
+        written through (the periodic probe reads it), but the eleven
+        hoisted scalars are stale on the core object — the walk must
+        sync this generator before probing ``next_event_cycle``,
+        eliding, or replaying a deferred invalidation.  The hot counters
+        of ``_CNT_KEYS``, dispatch stalls included, accumulate in locals
+        and are deferred into ``pend`` (one slot per key) at a sync or a
+        publish, and flushed into the core's counters once per walk;
+        every other counter is added to the core's counter dict as it
+        moves.
 
         The caller guarantees: ctx is bound, core not halted, not
         elided, and not stalled (``stall_until``) on any cycle it sends.
@@ -318,6 +322,10 @@ class BlockRunner:
         n_loads = 0
         n_stores = 0
         n_br = 0
+        n_rob_stalls = 0
+        n_iq_stalls = 0
+        n_lsq_stalls = 0
+        n_ren_stalls = 0
         retire_width = core._retire_width
         ser_tab = self.ser_tab
         exec_serialize = core._exec_serialize
@@ -353,9 +361,13 @@ class BlockRunner:
         if tap is not None:
             data_access, inst_fetch = _tapped(data_access, inst_fetch, tap)
         index = core.index
-        stats_bump = core.stats.bump
-        ctx_read = ctx.read
-        ctx_write = ctx.write
+        cnt = core._cnt
+        # The register file, read and written in place (``ctx.read`` /
+        # ``ctx.write`` without the calls; a flat index at or above
+        # ``fp_base`` names an FP register, and no dest is r0).
+        int_regs = ctx.int_regs
+        fp_regs = ctx.fp_regs
+        fp_base = FP_BASE
         rp = core._retire_pcs
 
         seq = core.seq
@@ -417,7 +429,7 @@ class BlockRunner:
                     core.rename_int_used = rename_int_used
                     core.rename_fp_used = rename_fp_used
                     if n_spl_stalls:
-                        stats_bump("spl_recv_stalls", n_spl_stalls)
+                        cnt["spl_recv_stalls"] += n_spl_stalls
                         n_spl_stalls = 0
                     if n_cycles:
                         pend[0] += n_cycles
@@ -430,9 +442,14 @@ class BlockRunner:
                         pend[7] += n_loads
                         pend[8] += n_stores
                         pend[9] += n_br
+                        pend[10] += n_rob_stalls
+                        pend[11] += n_iq_stalls
+                        pend[12] += n_lsq_stalls
+                        pend[13] += n_ren_stalls
                         n_cycles = n_fetched = n_dispatched = n_issued = 0
                         n_retired = n_int = n_fp = n_loads = n_stores = 0
-                        n_br = 0
+                        n_br = n_rob_stalls = n_iq_stalls = n_lsq_stalls = 0
+                        n_ren_stalls = 0
                     cycle = yield None
                     continue
                 # -------------------------------------- the send's cycles
@@ -560,13 +577,9 @@ class BlockRunner:
                                         core.sq_used = sq_used
                                         core.rename_int_used = rename_int_used
                                         core.rename_fp_used = rename_fp_used
-                                        stats_bump("mispredicts")
+                                        cnt["mispredicts"] += 1
                                         core._flush_from_seq(entry.seq + 1,
                                                              cycle, actual)
-                                        rob = core.rob
-                                        rat = core.rat
-                                        store_entries = core.store_entries
-                                        blocked_loads = core.blocked_loads
                                         int_iq_used = core.int_iq_used
                                         fp_iq_used = core.fp_iq_used
                                         lq_used = core.lq_used
@@ -632,7 +645,7 @@ class BlockRunner:
                             write_fn = st_tab[pc]
                             if write_fn is not None:
                                 if len(pending_stores) >= store_queue:
-                                    stats_bump("store_buffer_stalls")
+                                    cnt["store_buffer_stalls"] += 1
                                     break
                                 addr = head.addr
                                 write_fn(addr, head.store_value)
@@ -645,7 +658,10 @@ class BlockRunner:
                                 n_stores += 1
                             dest = dest_tab[pc]
                             if dest is not None:
-                                ctx_write(dest, head.value)
+                                if dest < fp_base:
+                                    int_regs[dest] = head.value
+                                else:
+                                    fp_regs[dest - fp_base] = head.value
                                 if rat.get(dest) is head:
                                     del rat[dest]
                             rob.popleft()
@@ -743,7 +759,7 @@ class BlockRunner:
                                     entry.value = raw if conv is None \
                                         else conv(raw)
                                     done = cycle + l1d_hit
-                                    stats_bump("load_forwards")
+                                    cnt["load_forwards"] += 1
                                 else:
                                     entry.value = meta[1](addr)
                                     done = data_access(index, addr, False,
@@ -812,29 +828,29 @@ class BlockRunner:
                             if cycle < fetched_at + frontend_delay:
                                 break
                             if len(rob) >= rob_entries:
-                                stats_bump("rob_full_stalls")
+                                n_rob_stalls += 1
                                 break
                             (needs_fp_iq, needs_int_iq, uses_lq, uses_sq, dest,
                              dest_fp, held, rs1, rs2) = disp_tab[pc]
                             if needs_fp_iq and fp_iq_used >= fp_queue:
-                                stats_bump("iq_full_stalls")
+                                n_iq_stalls += 1
                                 break
                             if needs_int_iq and int_iq_used >= int_queue:
-                                stats_bump("iq_full_stalls")
+                                n_iq_stalls += 1
                                 break
                             if uses_lq and lq_used >= load_queue:
-                                stats_bump("lsq_full_stalls")
+                                n_lsq_stalls += 1
                                 break
                             if uses_sq and sq_used >= store_queue:
-                                stats_bump("lsq_full_stalls")
+                                n_lsq_stalls += 1
                                 break
                             if dest is not None:
                                 if dest_fp:
                                     if rename_fp_used >= rename_limit_fp:
-                                        stats_bump("rename_stalls")
+                                        n_ren_stalls += 1
                                         break
                                 elif rename_int_used >= rename_limit_int:
-                                    stats_bump("rename_stalls")
+                                    n_ren_stalls += 1
                                     break
                             fetch_queue.popleft()
                             entry = RobEntry(seq, inst, pc, pred_next)
@@ -843,7 +859,8 @@ class BlockRunner:
                             if rs1 is not None:
                                 producer = rat.get(rs1)
                                 if producer is None:
-                                    srcs[0] = ctx_read(rs1)
+                                    srcs[0] = int_regs[rs1] if rs1 < fp_base \
+                                        else fp_regs[rs1 - fp_base]
                                 elif producer.state == 2:
                                     srcs[0] = producer.value
                                 else:
@@ -853,7 +870,8 @@ class BlockRunner:
                             if rs2 is not None:
                                 producer = rat.get(rs2)
                                 if producer is None:
-                                    srcs[1] = ctx_read(rs2)
+                                    srcs[1] = int_regs[rs2] if rs2 < fp_base \
+                                        else fp_regs[rs2 - fp_base]
                                 elif producer.state == 2:
                                     srcs[1] = producer.value
                                 else:
@@ -902,8 +920,8 @@ class BlockRunner:
                                 last_fetch_line = line
                                 if done > cycle + l1i_hit:
                                     fetch_resume = done
-                                    stats_bump("icache_stall_cycles",
-                                               done - cycle)
+                                    cnt["icache_stall_cycles"] += \
+                                        done - cycle
                                     break
                             fetch_meta = fetch_tab[pc]
                             kind = fetch_meta[1]
@@ -964,7 +982,7 @@ class BlockRunner:
         finally:
             core._bg_resident = False
             if n_spl_stalls:
-                stats_bump("spl_recv_stalls", n_spl_stalls)
+                cnt["spl_recv_stalls"] += n_spl_stalls
             if n_cycles:
                 pend[0] += n_cycles
                 pend[1] += n_fetched
@@ -976,6 +994,10 @@ class BlockRunner:
                 pend[7] += n_loads
                 pend[8] += n_stores
                 pend[9] += n_br
+                pend[10] += n_rob_stalls
+                pend[11] += n_iq_stalls
+                pend[12] += n_lsq_stalls
+                pend[13] += n_ren_stalls
             core.seq = seq
             core.fetch_pc = fetch_pc
             core.fetch_resume = fetch_resume
@@ -1005,7 +1027,9 @@ def _tapped(data_access, inst_fetch, tap: list):
 #: Deferred counter layout shared by :meth:`BlockRunner.drive` (``pend``
 #: slots) and the per-window flush in :class:`MultiBlockRunner`.
 _CNT_KEYS = ("cycles", "fetched", "dispatched", "issued", "retired",
-             "int_ops", "fp_ops", "loads", "stores", "branches_resolved")
+             "int_ops", "fp_ops", "loads", "stores", "branches_resolved",
+             "rob_full_stalls", "iq_full_stalls", "lsq_full_stalls",
+             "rename_stalls")
 
 #: The wake cycle of an elided core that only an event poke can
 #: resume (and the controllers' bound when none is scheduled).
@@ -1113,7 +1137,7 @@ class MultiBlockRunner:
             from repro.cpu import periodic
             spin_tabs = [periodic.spin_table(runner) if runner is not None
                          else None for runner in runners]
-        pends = [[0] * 10 for _ in range(n)]
+        pends = [[0] * len(_CNT_KEYS) for _ in range(n)]
         fused = 0
         probe_at = [start] * n
         probe_backoff = [1] * n

@@ -20,7 +20,9 @@ class _CounterTable:
     ``version`` counts the updates that changed a counter (a saturated
     counter staying put is not a change), so an unchanged version proves
     the table unchanged without comparing it.  It is a hint for the
-    periodic-elision probe, not simulated state.
+    periodic-elision probe, not simulated state.  ``HybridPredictor``
+    inlines ``predict``/``update`` on its hot path, and
+    tests/test_branch_predictor.py checks it against a reference model.
     """
 
     __slots__ = ("mask", "counters", "version")
@@ -52,6 +54,9 @@ class HybridPredictor:
         self.config = config
         self.stats = stats
         stats.declare("branches", "btb_hits", "btb_misses")
+        # The scope's counter dict, as ``OutOfOrderCore._cnt``: every key
+        # is declared (zero-initialized) above.
+        self._cnt = stats.counters
         self.bimodal = _CounterTable(config.bimodal_bits)
         self.gshare = _CounterTable(config.gshare_bits)
         self.chooser = _CounterTable(config.chooser_bits)
@@ -63,23 +68,67 @@ class HybridPredictor:
     # -- direction -----------------------------------------------------------
 
     def predict_direction(self, pc: int) -> bool:
-        """Predict taken/not-taken for the conditional branch at ``pc``."""
-        gshare_index = (pc ^ self.history) & self.history_mask
-        use_gshare = self.chooser.predict(pc)
-        if use_gshare:
-            return self.gshare.predict(gshare_index)
-        return self.bimodal.predict(pc)
+        """Predict taken/not-taken for the conditional branch at ``pc``.
+
+        The table reads are ``_CounterTable.predict``, inlined: this runs
+        once per fetched conditional branch.  ``history_mask`` is the
+        gshare table's mask.
+        """
+        chooser = self.chooser
+        if chooser.counters[pc & chooser.mask] >= 2:
+            return self.gshare.counters[
+                (pc ^ self.history) & self.history_mask] >= 2
+        bimodal = self.bimodal
+        return bimodal.counters[pc & bimodal.mask] >= 2
 
     def update_direction(self, pc: int, taken: bool) -> None:
-        gshare_index = (pc ^ self.history) & self.history_mask
-        g_pred = self.gshare.predict(gshare_index)
-        b_pred = self.bimodal.predict(pc)
-        if g_pred != b_pred:
-            self.chooser.update(pc, g_pred == taken)
-        self.gshare.update(gshare_index, taken)
-        self.bimodal.update(pc, taken)
-        self.history = ((self.history << 1) | int(taken)) & self.history_mask
-        self.stats.bump("branches")
+        """Train on the resolved direction of the branch at ``pc``.
+
+        The chooser trains only when gshare and bimodal disagree, toward
+        the component that was right; the global history shifts after
+        the update.  Each counter update is ``_CounterTable.update``,
+        inlined (this runs once per resolved conditional branch), and
+        bumps its table's ``version`` exactly when the counter moves.
+        """
+        gshare = self.gshare
+        bimodal = self.bimodal
+        g_counters = gshare.counters
+        b_counters = bimodal.counters
+        history = self.history
+        g_slot = (pc ^ history) & self.history_mask
+        b_slot = pc & bimodal.mask
+        g_value = g_counters[g_slot]
+        b_value = b_counters[b_slot]
+        g_pred = g_value >= 2
+        if g_pred != (b_value >= 2):
+            chooser = self.chooser
+            c_counters = chooser.counters
+            c_slot = pc & chooser.mask
+            value = c_counters[c_slot]
+            if g_pred == taken:
+                if value < 3:
+                    c_counters[c_slot] = value + 1
+                    chooser.version += 1
+            elif value > 0:
+                c_counters[c_slot] = value - 1
+                chooser.version += 1
+        if taken:
+            if g_value < 3:
+                g_counters[g_slot] = g_value + 1
+                gshare.version += 1
+            if b_value < 3:
+                b_counters[b_slot] = b_value + 1
+                bimodal.version += 1
+            self.history = ((history << 1) | 1) & self.history_mask
+        else:
+            if g_value > 0:
+                g_counters[g_slot] = g_value - 1
+                gshare.version += 1
+            if b_value > 0:
+                b_counters[b_slot] = b_value - 1
+                bimodal.version += 1
+            self.history = (history << 1) & self.history_mask
+        self._cnt["branches"] += 1
         # Direction accuracy is recorded by the pipeline, which knows the
         # prediction actually acted upon.
 
@@ -88,9 +137,9 @@ class HybridPredictor:
     def btb_lookup(self, pc: int) -> Optional[int]:
         entry = self.btb[pc % len(self.btb)]
         if entry is not None and entry[0] == pc:
-            self.stats.bump("btb_hits")
+            self._cnt["btb_hits"] += 1
             return entry[1]
-        self.stats.bump("btb_misses")
+        self._cnt["btb_misses"] += 1
         return None
 
     def btb_update(self, pc: int, target: int) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 from repro.common.errors import SimulationError
-from repro.common.utils import to_unsigned
 from repro.isa.opcodes import Op
 
 
@@ -38,29 +37,48 @@ def _rem(a: int, b: int) -> int:
 #: tables are the one copy of the ISA's semantics: the pipeline's execute
 #: stage and the compiled walk (repro.cpu.blockgen) index them directly,
 #: and :func:`alu`, :func:`fp` and :func:`branch_taken` are the checked
-#: wrappers for everything else.
+#: wrappers for everything else.  The wrap into the signed 32-bit range
+#: is written out branch-free, ``((x + 2**31) & 0xFFFFFFFF) - 2**31``
+#: (equal to ``_wrap(x)`` for every int), so an ALU op is one call.
 ALU_TABLE = {
-    Op.ADD: lambda a, b, imm: _wrap(a + b),
-    Op.SUB: lambda a, b, imm: _wrap(a - b),
-    Op.AND: lambda a, b, imm: _wrap(a & b),
-    Op.OR: lambda a, b, imm: _wrap(a | b),
-    Op.XOR: lambda a, b, imm: _wrap(a ^ b),
-    Op.NOR: lambda a, b, imm: _wrap(~(a | b)),
-    Op.SLL: lambda a, b, imm: _wrap(a << (b & 31)),
-    Op.SRL: lambda a, b, imm: _wrap(to_unsigned(a) >> (b & 31)),
-    Op.SRA: lambda a, b, imm: _wrap(a >> (b & 31)),
+    Op.ADD: lambda a, b, imm: ((a + b + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.SUB: lambda a, b, imm: ((a - b + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.AND: lambda a, b, imm: (
+        ((a & b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.OR: lambda a, b, imm: (
+        ((a | b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.XOR: lambda a, b, imm: (
+        ((a ^ b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.NOR: lambda a, b, imm: (
+        (0x7FFFFFFF - (a | b)) & 0xFFFFFFFF) - 0x80000000,
+    Op.SLL: lambda a, b, imm: (
+        ((a << (b & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.SRL: lambda a, b, imm: (
+        (((a & 0xFFFFFFFF) >> (b & 31)) + 0x80000000) & 0xFFFFFFFF)
+    - 0x80000000,
+    Op.SRA: lambda a, b, imm: (
+        ((a >> (b & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
     Op.SLT: lambda a, b, imm: 1 if a < b else 0,
-    Op.SLTU: lambda a, b, imm: 1 if to_unsigned(a) < to_unsigned(b) else 0,
-    Op.ADDI: lambda a, b, imm: _wrap(a + imm),
-    Op.ANDI: lambda a, b, imm: _wrap(a & imm),
-    Op.ORI: lambda a, b, imm: _wrap(a | imm),
-    Op.XORI: lambda a, b, imm: _wrap(a ^ imm),
-    Op.SLLI: lambda a, b, imm: _wrap(a << (imm & 31)),
-    Op.SRLI: lambda a, b, imm: _wrap(to_unsigned(a) >> (imm & 31)),
-    Op.SRAI: lambda a, b, imm: _wrap(a >> (imm & 31)),
+    Op.SLTU: lambda a, b, imm: (
+        1 if (a & 0xFFFFFFFF) < (b & 0xFFFFFFFF) else 0),
+    Op.ADDI: lambda a, b, imm: (
+        (a + imm + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.ANDI: lambda a, b, imm: (
+        ((a & imm) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.ORI: lambda a, b, imm: (
+        ((a | imm) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.XORI: lambda a, b, imm: (
+        ((a ^ imm) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.SLLI: lambda a, b, imm: (
+        ((a << (imm & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.SRLI: lambda a, b, imm: (
+        (((a & 0xFFFFFFFF) >> (imm & 31)) + 0x80000000) & 0xFFFFFFFF)
+    - 0x80000000,
+    Op.SRAI: lambda a, b, imm: (
+        ((a >> (imm & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
     Op.SLTI: lambda a, b, imm: 1 if a < imm else 0,
-    Op.LI: lambda a, b, imm: _wrap(imm),
-    Op.MUL: lambda a, b, imm: _wrap(a * b),
+    Op.LI: lambda a, b, imm: ((imm + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.MUL: lambda a, b, imm: ((a * b + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
     Op.DIV: lambda a, b, imm: _div(a, b),
     Op.REM: lambda a, b, imm: _rem(a, b),
     Op.NOP: lambda a, b, imm: 0,
@@ -91,8 +109,8 @@ BRANCH_TABLE = {
     Op.BNE: lambda a, b: a != b,
     Op.BLT: lambda a, b: a < b,
     Op.BGE: lambda a, b: a >= b,
-    Op.BLTU: lambda a, b: to_unsigned(a) < to_unsigned(b),
-    Op.BGEU: lambda a, b: to_unsigned(a) >= to_unsigned(b),
+    Op.BLTU: lambda a, b: (a & 0xFFFFFFFF) < (b & 0xFFFFFFFF),
+    Op.BGEU: lambda a, b: (a & 0xFFFFFFFF) >= (b & 0xFFFFFFFF),
 }
 
 

@@ -122,7 +122,6 @@ class OutOfOrderCore:
         self.memory = memory
         self.stats = stats
         stats.declare(*self.STAT_KEYS)
-        self._c_cycles = stats.counter("cycles")
         # Bound view of the scope's counter dict for the per-instruction
         # hot counters: every key is declared (zero-initialized) above, so
         # ``self._cnt[key] += 1`` is exactly ``stats.bump(key)`` minus the
@@ -645,7 +644,7 @@ class OutOfOrderCore:
         if start > end:
             return
         n = end - start + 1
-        self._c_cycles.add(n)
+        self._cnt["cycles"] += n
         if recv_key is not None:
             self.stats.bump(recv_key, n)
         if dkey is not None and t0 <= end:
@@ -764,55 +763,65 @@ class OutOfOrderCore:
         self._cnt["branches_resolved"] += 1
         if entry.actual_next != entry.pred_next:
             self.stats.bump("mispredicts")
-            self._flush_after(entry, cycle, entry.actual_next)
+            self._flush_from_seq(entry.seq + 1, cycle, entry.actual_next)
 
     # ----------------------------------------------------------------- flush
 
-    def _flush_after(self, entry: RobEntry, cycle: int, new_pc: int) -> None:
-        """Flush everything younger than ``entry`` and redirect fetch."""
-        self._flush_from_seq(entry.seq + 1, cycle, new_pc)
-
     def _flush_from_seq(self, first_seq: int, cycle: int, new_pc: int) -> None:
-        self.stats.bump("flushes")
-        keep: List[RobEntry] = []
-        for candidate in self.rob:
-            if candidate.seq >= first_seq:
-                candidate.flushed = True
-                self._release(candidate)
-            else:
-                keep.append(candidate)
-        self.rob = deque(keep)
-        self.store_entries = [s for s in self.store_entries if not s.flushed]
-        self.blocked_loads = [b for b in self.blocked_loads if not b.flushed]
+        """Squash every in-flight entry from ``first_seq`` on and redirect
+        fetch to ``new_pc`` from ``cycle + 1``.
+
+        The ROB and the store list are in seq order, so the squashed
+        entries are their tails: pop them, freeing the resources the
+        popped entries still hold.  The structures are mutated in place
+        (the compiled walk holds them across a flush).  Squashed entries
+        left in ``ready``, ``completing`` or a producer's consumers are
+        skipped by their ``flushed`` flag.
+        """
+        self._cnt["flushes"] += 1
+        rob = self.rob
+        int_iq = fp_iq = lq = sq = ren_int = ren_fp = 0
+        while rob and rob[-1].seq >= first_seq:
+            entry = rob.pop()
+            entry.flushed = True
+            held = entry.held
+            if held:
+                if held & HOLD_INT_IQ:
+                    int_iq += 1
+                elif held & HOLD_FP_IQ:
+                    fp_iq += 1
+                if held & HOLD_LQ:
+                    lq += 1
+                if held & HOLD_SQ:
+                    sq += 1
+                if held & HOLD_REN_INT:
+                    ren_int += 1
+                elif held & HOLD_REN_FP:
+                    ren_fp += 1
+                entry.held = 0
+        self.int_iq_used -= int_iq
+        self.fp_iq_used -= fp_iq
+        self.lq_used -= lq
+        self.sq_used -= sq
+        self.rename_int_used -= ren_int
+        self.rename_fp_used -= ren_fp
+        store_entries = self.store_entries
+        while store_entries and store_entries[-1].flushed:
+            store_entries.pop()
         self._unblock_loads()
-        self.rat = {}
-        for candidate in self.rob:
-            dest = candidate.inst.dest()
+        # Each register maps to its youngest surviving writer.
+        rat = self.rat
+        rat.clear()
+        for entry in rob:
+            dest = entry.inst._dest
             if dest is not None:
-                self.rat[dest] = candidate
+                rat[dest] = entry
         self.fetch_queue.clear()
         if not self.stop_fetch:
             self.fetch_pc = new_pc
             self.fetch_resume = cycle + 1
             self.last_fetch_line = -1
         self.predictor.flush_speculative_state()
-
-    def _release(self, entry: RobEntry) -> None:
-        held = entry.held
-        if held:
-            if held & HOLD_INT_IQ:
-                self.int_iq_used -= 1
-            elif held & HOLD_FP_IQ:
-                self.fp_iq_used -= 1
-            if held & HOLD_LQ:
-                self.lq_used -= 1
-            if held & HOLD_SQ:
-                self.sq_used -= 1
-            if held & HOLD_REN_INT:
-                self.rename_int_used -= 1
-            elif held & HOLD_REN_FP:
-                self.rename_fp_used -= 1
-            entry.held = 0
 
     def _on_invalidation(self, target_core: int, line: int) -> None:
         """Snoop-invalidation hook: replay in-flight loads of that line."""
@@ -898,8 +907,7 @@ class OutOfOrderCore:
                 if head in self.store_entries:
                     self.store_entries.remove(head)
                 self._unblock_loads()
-            # _release(head), inlined: this runs once per retired
-            # instruction and the method call dominated its body.
+            # Free the back-end resources the entry still holds.
             held = head.held
             if held:
                 if held & HOLD_INT_IQ:

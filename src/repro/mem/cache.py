@@ -33,24 +33,21 @@ class TagArray:
     def line_addr(self, addr: int) -> int:
         return addr >> self.offset_bits
 
-    def _set_of(self, line: int) -> int:
-        return line & self.set_mask
-
     def lookup(self, line: int) -> bool:
         """True on hit; refreshes LRU."""
-        entries = self.sets.get(self._set_of(line))
+        entries = self.sets.get(line & self.set_mask)
         if entries is not None and line in entries:
             entries.move_to_end(line)
             return True
         return False
 
     def contains(self, line: int) -> bool:
-        entries = self.sets.get(self._set_of(line))
+        entries = self.sets.get(line & self.set_mask)
         return entries is not None and line in entries
 
     def insert(self, line: int) -> Optional[int]:
         """Insert a line; returns the evicted line address, if any."""
-        index = self._set_of(line)
+        index = line & self.set_mask
         entries = self.sets.get(index)
         if entries is None:
             entries = OrderedDict()
@@ -66,7 +63,7 @@ class TagArray:
         return victim
 
     def remove(self, line: int) -> bool:
-        entries = self.sets.get(self._set_of(line))
+        entries = self.sets.get(line & self.set_mask)
         if entries is not None and line in entries:
             del entries[line]
             return True

@@ -36,10 +36,8 @@ INST_SPACE = 1 << 31
 class _CorePort:
     """Per-core tag arrays and counters."""
 
-    __slots__ = ("index", "l1i", "l1d", "l2", "states", "stats",
-                 "l1_latency", "l2_latency", "_c_l1d_hits", "_c_l1d_misses",
-                 "_c_l1d_upgrades", "_c_l2_hits", "_c_l2_misses",
-                 "_c_l1i_hits", "_c_l1i_misses")
+    __slots__ = ("index", "l1i", "l1d", "l2", "states", "stats", "cnt",
+                 "l1_latency", "l2_latency")
 
     STAT_KEYS = (
         "l1d_hits", "l1d_misses", "l1d_upgrades", "l2_hits", "l2_misses",
@@ -51,21 +49,16 @@ class _CorePort:
         self.index = index
         self.stats = stats
         stats.declare(*self.STAT_KEYS)
+        # The scope's counter dict for the per-access hot path
+        # (data_access and inst_fetch run for every load/store/fetch
+        # line): every key is declared (zero-initialized) above.
+        self.cnt = stats.counters
         self.l1i = TagArray(l1i_cfg, stats.child("l1i"))
         self.l1d = TagArray(l1d_cfg, stats.child("l1d"))
         self.l2 = TagArray(l2_cfg, stats.child("l2"))
         self.states: Dict[int, int] = {}
         self.l1_latency = l1d_cfg.hit_latency
         self.l2_latency = l2_cfg.hit_latency
-        # Bound handles for the per-access hot path (data_access and
-        # inst_fetch run for every load/store/fetch line).
-        self._c_l1d_hits = stats.counter("l1d_hits")
-        self._c_l1d_misses = stats.counter("l1d_misses")
-        self._c_l1d_upgrades = stats.counter("l1d_upgrades")
-        self._c_l2_hits = stats.counter("l2_hits")
-        self._c_l2_misses = stats.counter("l2_misses")
-        self._c_l1i_hits = stats.counter("l1i_hits")
-        self._c_l1i_misses = stats.counter("l1i_misses")
 
     def snapshot_state(self) -> dict:
         return {
@@ -123,21 +116,23 @@ class CoherentMemorySystem:
                     cycle: int) -> int:
         """Perform the timing side of a data access; returns completion cycle."""
         port = self.ports[core]
-        line = port.l1d.line_addr(addr)
+        l1d = port.l1d
+        line = addr >> l1d.offset_bits  # l1d.line_addr(addr), inlined
         state = port.states.get(line, 0)
-        if port.l1d.lookup(line):
+        cnt = port.cnt
+        if l1d.lookup(line):
             if not is_write or state >= EXCLUSIVE:
-                port._c_l1d_hits.add()
+                cnt["l1d_hits"] += 1
                 if is_write and state == EXCLUSIVE:
                     port.states[line] = MODIFIED
                 return cycle + port.l1_latency
             # Write hit on a Shared line: bus upgrade.
-            port._c_l1d_upgrades.add()
+            cnt["l1d_upgrades"] += 1
             return self._upgrade(port, line, cycle + port.l1_latency)
-        port._c_l1d_misses.add()
+        cnt["l1d_misses"] += 1
         ready = cycle + port.l1_latency
         if port.l2.lookup(line) and state:
-            port._c_l2_hits.add()
+            cnt["l2_hits"] += 1
             ready += port.l2_latency
             if is_write and state == SHARED:
                 ready = self._upgrade(port, line, ready)
@@ -149,7 +144,7 @@ class CoherentMemorySystem:
                               level="l1d", addr=addr, done=ready,
                               write=is_write)
             return ready
-        port._c_l2_misses.add()
+        cnt["l2_misses"] += 1
         ready += port.l2_latency
         done = self._bus_fill(port, line, is_write, ready, data_cache=True)
         if self.obs.active:
@@ -160,11 +155,12 @@ class CoherentMemorySystem:
     def inst_fetch(self, core: int, pc: int, cycle: int) -> int:
         """Fetch timing for the line containing instruction index ``pc``."""
         port = self.ports[core]
-        line = port.l1i.line_addr(INST_SPACE + pc * 4)
-        if port.l1i.lookup(line):
-            port._c_l1i_hits.add()
+        l1i = port.l1i
+        line = (INST_SPACE + pc * 4) >> l1i.offset_bits
+        if l1i.lookup(line):
+            port.cnt["l1i_hits"] += 1
             return cycle + port.l1_latency
-        port._c_l1i_misses.add()
+        port.cnt["l1i_misses"] += 1
         ready = cycle + port.l1_latency
         if port.l2.lookup(line):
             ready += port.l2_latency
@@ -174,7 +170,7 @@ class CoherentMemorySystem:
             grant = self.bus.transact(ready + port.l2_latency)
             ready = grant + self.memory_latency
             self._fill_l2(port, line, SHARED)
-        victim = port.l1i.insert(line)
+        victim = l1i.insert(line)
         if victim is not None:
             pass  # clean instruction lines are silently dropped
         if self.obs.active:

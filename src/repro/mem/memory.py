@@ -47,7 +47,12 @@ class MainMemory:
         self.words[addr >> 2] = value & 0xFFFFFFFF
 
     def read_word_signed(self, addr: int) -> int:
-        return to_signed(self.read_word(addr))
+        # to_signed(read_word(addr)) in one call: every LW reads through
+        # here.
+        if addr & 3:
+            raise MemoryFault(f"unaligned word read at {addr:#x}")
+        value = self.words.get(addr >> 2, 0) & 0xFFFFFFFF
+        return value - 0x100000000 if value > 0x7FFFFFFF else value
 
     # -- sub-word accessors ----------------------------------------------------
 

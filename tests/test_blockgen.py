@@ -226,6 +226,47 @@ def test_multi_core_windows_engage_and_match():
     assert machine._bg_multi.fused_cycles > 0
 
 
+# ------------------------------------------ deferred dispatch-stall counters
+
+_STALL_KEYS = ("rob_full_stalls", "iq_full_stalls", "lsq_full_stalls",
+               "rename_stalls")
+
+#: Specs that between them stall dispatch on all four causes: hmmer's
+#: software queue (IQ, LSQ, rename) and cjpeg/compcomm (ROB, IQ, rename)
+#: with several live cores, and a lone seq core (IQ, rename) on the
+#: walk's multi-cycle sends.
+_STALL_SPECS = (("hmmer", "swqueue", {"M": 48, "R": 1}),
+                ("cjpeg", "compcomm", {"items": 40}),
+                ("gsmtoast", "seq", {"items": 8}))
+
+
+def test_deferred_dispatch_stall_counters_match_the_naive_loop():
+    """``drive`` defers the four dispatch-stall counters with the other
+    hot counters (``_CNT_KEYS``): whole runs, and runs paused mid-walk,
+    have the naive loop's counters at the same cycle."""
+    totals = dict.fromkeys(_STALL_KEYS, 0)
+    for bench, variant, items in _STALL_SPECS:
+        spec = registry.REGISTRY[bench].variants[variant](**items)
+        naive, fused = _two_legs(spec)
+        assert fused[0] == naive[0], bench
+        assert fused[1] == naive[1], bench
+        assert fused[2]._bg_multi.fused_cycles > 0
+        for key in _STALL_KEYS:
+            totals[key] += fused[2].stats.total(key)
+        for pause in (fused[0] // 3, fused[0] // 2, 2 * fused[0] // 3):
+            paused = []
+            for fast in (False, True):
+                machine = Machine(spec.system)
+                machine.load(spec.workload)
+                machine.run(options=RunOptions(max_cycles=spec.max_cycles,
+                                               pause_at=pause,
+                                               fast_forward=fast))
+                assert machine.cycle == pause
+                paused.append(machine.stats.as_dict())
+            assert paused[1] == paused[0], (bench, pause)
+    assert all(totals.values()), totals
+
+
 def _invalidation_workload():
     """Two cores ping-pong one cache line: core 1 stores a counter into
     the line core 0 spin-reads, with a 12-cycle divide pinning core 0's

@@ -8,6 +8,8 @@ from repro.common.config import (RunOptions, SystemConfig, ooo1_cluster,
 from repro.common.errors import DeadlockError, SimulationError
 from repro.cpu.exec import alu, branch_taken
 from repro.isa import Asm, MemoryImage, Op, ThreadSpec
+from repro.isa.instruction import (HOLD_FP_IQ, HOLD_INT_IQ, HOLD_LQ,
+                                   HOLD_REN_FP, HOLD_REN_INT, HOLD_SQ)
 from repro.system import Machine, Workload
 
 
@@ -368,3 +370,128 @@ class TestExecHelpers:
     def test_unsigned_branches(self):
         assert branch_taken(Op.BLTU, -1, 1) is False  # 0xFFFFFFFF > 1
         assert branch_taken(Op.BGEU, -1, 1) is True
+
+
+class TestMispredictFlush:
+    """``OutOfOrderCore._flush_from_seq`` pops the squashed tail of the
+    ROB in place; after every call, under the naive loop and inside the
+    compiled walk, the pipeline must look as if it had been rebuilt: no
+    squashed entry survives anywhere but in the lazily skipped queues,
+    the RAT names each register's youngest surviving writer, the
+    occupancy counters match the survivors' ``held`` bits, and the
+    fetch queue and RAS are empty."""
+
+    _HELD = (("int_iq_used", HOLD_INT_IQ), ("fp_iq_used", HOLD_FP_IQ),
+             ("lq_used", HOLD_LQ), ("sq_used", HOLD_SQ),
+             ("rename_int_used", HOLD_REN_INT),
+             ("rename_fp_used", HOLD_REN_FP))
+
+    @staticmethod
+    def _coin_loop(rounds):
+        """A loop on a pseudo-random coin: about half its branches
+        mispredict, with FP ops, loads and stores on both paths."""
+        image = MemoryImage()
+        data = image.alloc_words([3, 0, 5, 0])
+        a = Asm("coin")
+        a.li("r1", 12345)
+        a.li("r2", rounds)
+        a.li("r5", 1103515245)
+        a.li("r10", data)
+        a.label("loop")
+        a.mul("r1", "r1", "r5")
+        a.addi("r1", "r1", 12345)
+        a.srli("r3", "r1", 16)
+        a.andi("r3", "r3", 1)
+        a.beq("r3", "r0", "tails")
+        a.fadd("f2", "f2", "f1")
+        a.fmul("f3", "f2", "f1")
+        a.lw("r4", "r10", 0)
+        a.addi("r4", "r4", 1)
+        a.sw("r4", "r10", 4)
+        a.j("next")
+        a.label("tails")
+        a.fsub("f4", "f4", "f1")
+        a.lw("r6", "r10", 8)
+        a.add("r7", "r7", "r6")
+        a.sw("r7", "r10", 12)
+        a.label("next")
+        a.addi("r2", "r2", -1)
+        a.bne("r2", "r0", "loop")
+        a.halt()
+        return Workload("coin", image,
+                        [ThreadSpec(a.assemble(), thread_id=1,
+                                    fp_regs={"f1": 1.5})],
+                        placement=[0])
+
+    def _legs(self, monkeypatch, build, system):
+        """Both schedulers' runs with every flush checked; returns
+        [(cycles, stats, flushes, resident flushes, freed counts)]."""
+        from repro.cpu.pipeline import OutOfOrderCore
+
+        original = OutOfOrderCore._flush_from_seq
+        tally = {}
+
+        def checked(core, first_seq, cycle, new_pc):
+            before = [(e, e.held) for e in core.rob]
+            original(core, first_seq, cycle, new_pc)
+            kept = list(core.rob)
+            assert kept == [e for e, _ in before if e.seq < first_seq]
+            removed = [(e, held) for e, held in before
+                       if e.seq >= first_seq]
+            assert all(e.flushed and not e.held for e, _ in removed)
+            writers = {}
+            for entry in kept:
+                if entry.inst.dest() is not None:
+                    writers[entry.inst.dest()] = entry
+            assert core.rat == writers
+            for name, bit in self._HELD:
+                assert getattr(core, name) == sum(
+                    1 for e in kept if e.held & bit), name
+            assert core.store_entries == [e for e in kept
+                                          if e.inst.uses_sq]
+            assert not core.blocked_loads
+            assert not core.fetch_queue
+            assert not core.predictor.ras
+            tally["calls"] += 1
+            tally["resident"] += core._bg_resident
+            for i, (_name, bit) in enumerate(self._HELD):
+                tally["freed"][i] += sum(1 for _, held in removed
+                                         if held & bit)
+
+        monkeypatch.setattr(OutOfOrderCore, "_flush_from_seq", checked)
+        legs = []
+        for fast in (False, True):
+            tally.update(calls=0, resident=0, freed=[0] * 6)
+            workload = build()
+            machine = Machine(system)
+            machine.load(workload)
+            cycles = machine.run(options=RunOptions(max_cycles=2_000_000,
+                                                    fast_forward=fast))
+            legs.append((cycles, machine.stats.as_dict(), tally["calls"],
+                         tally["resident"], list(tally["freed"])))
+        return legs
+
+    @pytest.mark.parametrize("cluster", [ooo1_cluster, ooo2_cluster],
+                             ids=["ooo1", "ooo2"])
+    def test_coin_loop_flushes_keep_the_invariants(self, monkeypatch,
+                                                   cluster):
+        naive, fast = self._legs(
+            monkeypatch, lambda: self._coin_loop(150),
+            SystemConfig(clusters=[cluster()]))
+        assert fast[:3] == naive[:3]
+        assert naive[2] > 40 and naive[3] == 0
+        assert fast[3] > 0, "no flush ran inside the compiled walk"
+        # Squashed entries held every kind of resource.
+        assert all(naive[4]), naive[4]
+
+    def test_load_replay_flushes_keep_the_invariants(self, monkeypatch):
+        """Four cores with snoop-triggered load replays as well as
+        mispredicts."""
+        from repro.workloads import registry
+
+        spec = registry.REGISTRY["dijkstra"].variants["hwbar"](n=16, p=4)
+        naive, fast = self._legs(monkeypatch, lambda: spec.workload,
+                                 spec.system)
+        assert fast[:3] == naive[:3]
+        assert naive[1]["machine.cpu0.load_replays"] > 0
+        assert fast[3] > 0

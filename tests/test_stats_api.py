@@ -1,4 +1,4 @@
-"""The redesigned Stats API: declared scopes, handles, totals, merge."""
+"""The redesigned Stats API: declared scopes, totals, merge."""
 
 import pytest
 
@@ -19,8 +19,6 @@ class TestDeclaredScopes:
             stats.bump("cycels")
         with pytest.raises(StatsError):
             stats.set("cycels", 3)
-        with pytest.raises(StatsError):
-            stats.counter("cycels")
 
     def test_open_scope_stays_permissive(self):
         stats = Stats("adhoc")
@@ -35,15 +33,6 @@ class TestDeclaredScopes:
         stats.bump("b")
         with pytest.raises(StatsError):
             stats.bump("c")
-
-    def test_counter_handle_hot_path(self):
-        stats = Stats("core", schema=("cycles",))
-        handle = stats.counter("cycles")
-        for _ in range(5):
-            handle.add()
-        handle.add(2)
-        assert handle.value == 7
-        assert stats.get("cycles") == 7
 
 
 class TestTreeOperations:
