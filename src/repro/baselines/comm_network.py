@@ -23,7 +23,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, SplError
 from repro.common.stats import Stats
-from repro.cpu.ports import SplPort
+from repro.cpu.ports import SplPort, core_waker
 from repro.core.queues import OutputQueue, StagingEntry
 
 #: Idealized network latencies (core cycles).
@@ -113,7 +113,6 @@ class DedicatedCommController:
         self.staging = [StagingEntry() for _ in range(n_cores)]
         self.output_queues = [OutputQueue(QUEUE_DEPTH)
                               for _ in range(n_cores)]
-        self.ports = [CommPort(self, slot) for slot in range(n_cores)]
         self.bindings: Dict[Tuple[int, int], CommBinding] = {}
         self.threads: List[Optional[int]] = [None] * n_cores
         self.in_flight = [0] * n_cores
@@ -121,10 +120,16 @@ class DedicatedCommController:
         self.pending: Deque[Tuple[int, int, List[int]]] = deque()
         #: ``wake(slot)`` callback installed by :func:`attach_network`:
         #: fired per delivery so the fast-forward scheduler can wake an
-        #: elided core (see DESIGN.md).
+        #: elided core (see DESIGN.md).  It must not own the cores
+        #: (``repro.cpu.ports.core_waker``).
         self.wake_cb = None
         #: barrier id -> (participant thread ids, arrived thread ids)
         self.barriers: Dict[int, Tuple[Tuple[int, ...], List[int]]] = {}
+
+    def port(self, slot: int) -> CommPort:
+        """A new core-side port onto ``slot``; like the SPL controller,
+        this controller keeps no list of its ports (DESIGN.md §3)."""
+        return CommPort(self, slot)
 
     # -- configuration --------------------------------------------------------
 
@@ -330,15 +335,11 @@ def attach_network(machine, core_indices,
         core = machine.cores[core_index]
         if core.spl_port is not None:
             raise ConfigError(f"core {core_index} already has a port")
-        core.spl_port = controller.ports[slot]
+        core.spl_port = controller.port(slot)
         if core.ctx is not None:
             controller.set_thread(slot, core.ctx.thread_id)
-    cores = [machine.cores[index] for index in core_indices]
-
-    def _wake(slot: int, _cores=cores) -> None:
-        _cores[slot].ff_poke = True
-
-    controller.wake_cb = _wake
+    controller.wake_cb = core_waker(
+        [machine.cores[index] for index in core_indices])
     machine.add_controller(controller)
     return controller
 

@@ -149,16 +149,21 @@ class SplClusterController:
                              for _ in range(config.sharers)]
         self.output_queues = [OutputQueue(config.output_queue_words)
                               for _ in range(config.sharers)]
-        self.ports = [CoreSplPort(self, slot)
-                      for slot in range(config.sharers)]
         #: Optional ``wake(slot)`` callback installed by the machine: fired
         #: on every delivery into a slot's output queue so the fast-forward
         #: scheduler can wake a core it stopped ticking (see DESIGN.md).
+        #: It must not own the cores (``repro.cpu.ports.core_waker``).
         self.wake_cb = None
         self.bindings: Dict[Tuple[int, int], SplBinding] = {}
         self.core_partition = [0] * config.sharers
         self.partitions = [_Partition(0, config.rows,
                                       list(range(config.sharers)))]
+
+    def port(self, slot: int) -> CoreSplPort:
+        """A new core-side port onto ``slot``.  The port owns this
+        controller and the core owns the port; the controller keeps no
+        list of its ports, so no reference points back (DESIGN.md §3)."""
+        return CoreSplPort(self, slot)
 
     # -- runtime configuration ---------------------------------------------------
 

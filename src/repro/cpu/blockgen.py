@@ -1100,16 +1100,18 @@ class MultiBlockRunner:
     keeps the residency when the send stops.
 
     Telemetry, one set for every walk: ``windows`` (walks opened) and
-    ``fused_cycles`` (core-cycles run compiled).
+    ``fused_cycles`` (core-cycles run compiled).  The machine owns this
+    object and passes itself to each walk, so no reference points back.
     """
 
-    def __init__(self, machine) -> None:
-        self.machine = machine
+    def __init__(self) -> None:
         self.windows = 0
         self.fused_cycles = 0
 
-    def run_window(self, start: int, end: int, cores, runners) -> int:
-        """Advance ``cores`` (index order) through ``[start, end)``.
+    def run_window(self, machine, start: int, end: int, cores,
+                   runners) -> int:
+        """Advance ``machine``'s ``cores`` (index order) through
+        ``[start, end)``.
 
         ``runners[i]`` is the installed :class:`BlockRunner` for
         ``cores[i]`` or None (draining: interpret only).  The
@@ -1125,7 +1127,6 @@ class MultiBlockRunner:
         the watchdog/pause ceiling.  Every controller has
         ``next_event_cycle``.
         """
-        machine = self.machine
         controllers = machine._controllers
         n = len(cores)
         periodic = None
@@ -1323,9 +1324,8 @@ class MultiBlockRunner:
                             pass
                     pending = core._bg_pending_inval
                     on_inv = core._on_invalidation
-                    idx = core.index
                     for line in pending:
-                        on_inv(idx, line)
+                        on_inv(line)
                     del pending[:]
                 if cycle < core.stall_until:
                     # tick() would return before counting; the elide
@@ -1497,9 +1497,8 @@ class MultiBlockRunner:
             pending = core._bg_pending_inval
             if pending:
                 on_inv = core._on_invalidation
-                idx = core.index
                 for line in pending:
-                    on_inv(idx, line)
+                    on_inv(line)
                 del pending[:]
 
         for i, core in enum_cores:

@@ -21,8 +21,9 @@ class _CounterTable:
     counter staying put is not a change), so an unchanged version proves
     the table unchanged without comparing it.  It is a hint for the
     periodic-elision probe, not simulated state.  ``HybridPredictor``
-    inlines ``predict``/``update`` on its hot path, and
-    tests/test_branch_predictor.py checks it against a reference model.
+    reads and trains the counters itself (the one copy of their
+    semantics), and tests/test_branch_predictor.py checks it against a
+    reference model.
     """
 
     __slots__ = ("mask", "counters", "version")
@@ -31,20 +32,6 @@ class _CounterTable:
         self.mask = (1 << index_bits) - 1
         self.counters: List[int] = [2] * (1 << index_bits)
         self.version = 0
-
-    def predict(self, index: int) -> bool:
-        return self.counters[index & self.mask] >= 2
-
-    def update(self, index: int, taken: bool) -> None:
-        slot = index & self.mask
-        value = self.counters[slot]
-        if taken:
-            if value < 3:
-                self.counters[slot] = value + 1
-                self.version += 1
-        elif value > 0:
-            self.counters[slot] = value - 1
-            self.version += 1
 
 
 class HybridPredictor:
@@ -70,8 +57,7 @@ class HybridPredictor:
     def predict_direction(self, pc: int) -> bool:
         """Predict taken/not-taken for the conditional branch at ``pc``.
 
-        The table reads are ``_CounterTable.predict``, inlined: this runs
-        once per fetched conditional branch.  ``history_mask`` is the
+        A counter of 2 or 3 predicts taken.  ``history_mask`` is the
         gshare table's mask.
         """
         chooser = self.chooser
@@ -86,9 +72,8 @@ class HybridPredictor:
 
         The chooser trains only when gshare and bimodal disagree, toward
         the component that was right; the global history shifts after
-        the update.  Each counter update is ``_CounterTable.update``,
-        inlined (this runs once per resolved conditional branch), and
-        bumps its table's ``version`` exactly when the counter moves.
+        the update.  Each counter saturates at 0 and 3, and bumps its
+        table's ``version`` exactly when it moves.
         """
         gshare = self.gshare
         bimodal = self.bimodal

@@ -301,9 +301,8 @@ class PeriodicPlan:
         pending = core._bg_pending_inval
         if pending:
             on_inv = core._on_invalidation
-            index = core.index
             for line in pending:
-                on_inv(index, line)
+                on_inv(line)
             del pending[:]
 
 

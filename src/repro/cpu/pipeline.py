@@ -198,7 +198,7 @@ class OutOfOrderCore:
         self._span_start = 0
         self._last_tick = -1
         self._reset_pipeline()
-        mem_system.invalidation_listeners.append(self._on_invalidation)
+        mem_system.set_snoop_hook(index, self._on_invalidation)
 
     # ------------------------------------------------------------------ state
 
@@ -336,7 +336,7 @@ class OutOfOrderCore:
 
     def snapshot_state(self) -> dict:
         """Mutable pipeline state only; the instruction stream and wiring
-        (ports, listeners, config) are reconstructed from the workload."""
+        (ports, snoop hooks, config) are reconstructed from the workload."""
         entries = self._entry_universe()
         return {
             "entries": [{
@@ -823,10 +823,11 @@ class OutOfOrderCore:
             self.last_fetch_line = -1
         self.predictor.flush_speculative_state()
 
-    def _on_invalidation(self, target_core: int, line: int) -> None:
-        """Snoop-invalidation hook: replay in-flight loads of that line."""
-        if target_core != self.index:
-            return
+    def _on_invalidation(self, line: int) -> None:
+        """Snoop-invalidation hook: replay in-flight loads of that line.
+
+        The memory system calls it for this core's hierarchy only
+        (``CoherentMemorySystem.set_snoop_hook``)."""
         watch = self._bg_watch
         if watch is not None:
             # Periodically elided: ``rob`` is a stale record, so defer

@@ -14,12 +14,13 @@ wake-up.  Two hooks keep the fast-forward scheduler exact anyway:
 "must tick next cycle" while delivered words already sit in its output
 queue, and the controller behind the port sets the core's ``ff_poke`` flag
 whenever it delivers new words, waking a core the machine had stopped
-ticking.
+ticking (:func:`core_waker`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import weakref
+from typing import Callable, Optional, Sequence
 
 
 class SplPort:
@@ -78,3 +79,19 @@ class SplPort:
 
     def on_context_change(self, thread_id: Optional[int], app_id: int) -> None:
         """Notify the unit that the core now runs a different thread."""
+
+
+def core_waker(cores: Sequence) -> Callable[[int], None]:
+    """A controller's ``wake(slot)`` callback: pokes ``cores[slot]``.
+
+    The references are non-owning.  A core owns its port and the port
+    owns its controller, so a strong reference from the controller back
+    to the core would make a cycle that keeps a finished machine alive
+    until the cyclic collector runs (DESIGN.md §3).
+    """
+    refs = [weakref.proxy(core) for core in cores]
+
+    def wake(slot: int) -> None:
+        refs[slot].ff_poke = True
+
+    return wake

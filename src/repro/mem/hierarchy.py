@@ -10,7 +10,8 @@ is the cycle at which the access completes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import weakref
+from typing import Callable, Dict, List, Optional
 
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.stats import Stats
@@ -34,10 +35,10 @@ INST_SPACE = 1 << 31
 
 
 class _CorePort:
-    """Per-core tag arrays and counters."""
+    """Per-core tag arrays, counters and snoop hook."""
 
     __slots__ = ("index", "l1i", "l1d", "l2", "states", "stats", "cnt",
-                 "l1_latency", "l2_latency")
+                 "l1_latency", "l2_latency", "snoop_hook")
 
     STAT_KEYS = (
         "l1d_hits", "l1d_misses", "l1d_upgrades", "l2_hits", "l2_misses",
@@ -59,6 +60,10 @@ class _CorePort:
         self.states: Dict[int, int] = {}
         self.l1_latency = l1d_cfg.hit_latency
         self.l2_latency = l2_cfg.hit_latency
+        #: ``weakref.WeakMethod`` of the ``hook(line)`` that a snoop
+        #: invalidation of this hierarchy calls, or None
+        #: (:meth:`CoherentMemorySystem.set_snoop_hook`).
+        self.snoop_hook: Optional[weakref.WeakMethod] = None
 
     def snapshot_state(self) -> dict:
         return {
@@ -89,19 +94,28 @@ class CoherentMemorySystem:
         self.bus = SnoopBus(system.bus_occupancy, stats.child("bus"),
                             obs=self.obs)
         self.memory_latency = system.memory_latency
-        #: Callbacks (core_index, line) fired on snoop invalidations, used by
-        #: cores to replay speculatively-issued loads (see cpu.pipeline).
-        self.invalidation_listeners = []
         self.ports: List[_CorePort] = [
             _CorePort(i, l1i, l1d, l2, stats.child(f"core{i}"))
             for i, (l1i, l1d, l2) in enumerate(core_cache_configs)
         ]
 
+    def set_snoop_hook(self, core: int,
+                       hook: Callable[[int], None]) -> None:
+        """Call the bound method ``hook(line)`` whenever a snoop drops
+        ``line`` from ``core``'s hierarchy (cores replay the loads they
+        issued speculatively, see cpu.pipeline).
+
+        The reference is non-owning: the core owns this memory system,
+        so a strong one back would make a cycle that keeps a finished
+        machine alive until the cyclic collector runs (DESIGN.md §3).
+        """
+        self.ports[core].snoop_hook = weakref.WeakMethod(hook)
+
     # -- snapshot contract (DESIGN.md §8) ----------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Tag arrays, MESI states, and bus arbitration.  Invalidation
-        listeners are construction-time wiring, not state."""
+        """Tag arrays, MESI states, and bus arbitration.  Snoop hooks are
+        construction-time wiring, not state."""
         return {"bus": self.bus.snapshot_state(),
                 "ports": [port.snapshot_state() for port in self.ports]}
 
@@ -242,8 +256,11 @@ class CoherentMemorySystem:
         port.states.pop(line, None)
         port.l1d.remove(line)
         port.l2.remove(line)
-        for listener in self.invalidation_listeners:
-            listener(port.index, line)
+        hook = port.snoop_hook
+        if hook is not None:
+            method = hook()
+            if method is not None:
+                method(line)
 
     def _fill_l1(self, port: _CorePort, line: int) -> None:
         victim = port.l1d.insert(line)

@@ -20,6 +20,7 @@ from repro.core.tables import BarrierBus
 from repro.cpu.blockgen import BlockRunner, MultiBlockRunner
 from repro.cpu.context import ThreadContext
 from repro.cpu.pipeline import OutOfOrderCore
+from repro.cpu.ports import core_waker
 from repro.mem.hierarchy import CoherentMemorySystem
 from repro.mem.memory import MainMemory
 from repro.obs import events as ev
@@ -89,8 +90,9 @@ class Machine:
                     cluster_id, cluster.spl, self.barrier_bus,
                     self.stats.child(f"spl{cluster_id}"), obs=self.obs)
                 for slot, index in enumerate(indices):
-                    self.cores[index].spl_port = controller.ports[slot]
-                controller.wake_cb = self._make_waker(list(indices))
+                    self.cores[index].spl_port = controller.port(slot)
+                controller.wake_cb = core_waker(
+                    [self.cores[index] for index in indices])
                 self._controllers.append(controller)
             self.clusters.append(
                 ClusterInstance(cluster_id, cluster.kind, indices, controller))
@@ -116,17 +118,7 @@ class Machine:
         self._bg_rows: Dict[tuple, tuple] = {}
         #: The walk (DESIGN.md §10), which also keeps the blockgen
         #: telemetry.  Not snapshotted, like every other ``_bg_*`` hint.
-        self._bg_multi = MultiBlockRunner(self)
-
-    def _make_waker(self, indices: List[int]):
-        """Delivery callback for a controller: pokes the slot's core so the
-        fast-forward scheduler resumes ticking it (see DESIGN.md)."""
-        cores = self.cores
-
-        def wake(slot: int) -> None:
-            cores[indices[slot]].ff_poke = True
-
-        return wake
+        self._bg_multi = MultiBlockRunner()
 
     # -- lookup helpers -----------------------------------------------------------
 
@@ -292,7 +284,7 @@ class Machine:
                  if core.ctx is not None and not core.halted]
         runners = [None if core.stop_fetch else self._runner_for(core)
                    for core in cores]
-        return self._bg_multi.run_window(start, end, cores, runners)
+        return self._bg_multi.run_window(self, start, end, cores, runners)
 
     def _check_watchdog(self) -> None:
         stuck = []
@@ -329,7 +321,7 @@ class Machine:
     def snapshot(self) -> dict:
         """Serialize every piece of mutable machine state to JSON-safe data.
 
-        Captures state only — programs, bindings, ports, listeners and
+        Captures state only — programs, bindings, ports, snoop hooks and
         observability wiring are reconstructed by rebuilding a machine
         from the same :class:`SystemConfig` and re-running the workload's
         :meth:`load` before :meth:`restore`.  Snapshotting mid-run is

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.config import BranchPredictorConfig
 from repro.common.stats import Stats
-from repro.cpu.branch import HybridPredictor, _CounterTable
+from repro.cpu.branch import HybridPredictor
 
 
 def _predictor(**kwargs):
@@ -14,23 +14,38 @@ def _predictor(**kwargs):
 
 
 class TestCounterTable:
+    """The two-bit counters, trained through the predictor."""
+
     def test_saturation(self):
-        table = _CounterTable(4)
+        """A counter stops at 3 and at 0, and its table's ``version``
+        moves only on the updates that change it."""
+        predictor = _predictor(bimodal_bits=4)
+        bimodal = predictor.bimodal
         for _ in range(10):
-            table.update(3, True)
-        assert table.counters[3] == 3
+            predictor.update_direction(3, True)
+        assert bimodal.counters[3] == 3
+        assert bimodal.version == 1  # 2 -> 3, then saturated
         for _ in range(10):
-            table.update(3, False)
-        assert table.counters[3] == 0
+            predictor.update_direction(3, False)
+        assert bimodal.counters[3] == 0
+        assert bimodal.version == 4  # 3 -> 2 -> 1 -> 0
+        assert bimodal.counters[:3] == [2, 2, 2]  # untouched: weakly taken
 
     def test_hysteresis(self):
-        table = _CounterTable(4)
-        # From the weakly-taken init (2), one not-taken flips to 1 (predict
-        # not-taken); one taken brings it back.
-        table.update(0, False)
-        assert not table.predict(0)
-        table.update(0, True)
-        assert table.predict(0)
+        """From the weakly-taken init (2) one not-taken update flips
+        the prediction, and one taken update flips it back."""
+        predictor = _predictor()
+        # The chooser starts weakly taken, so gshare predicts; with the
+        # history at 0 (a not-taken update shifts in a 0) its slot for
+        # pc 0 is 0.
+        assert predictor.predict_direction(0)
+        predictor.update_direction(0, False)
+        assert predictor.gshare.counters[0] == 1
+        assert not predictor.predict_direction(0)
+        predictor.update_direction(0, True)
+        assert predictor.gshare.counters[0] == 2
+        predictor.history = 0  # back to slot 0
+        assert predictor.predict_direction(0)
 
 
 class TestDirectionPrediction:

@@ -30,7 +30,7 @@ class TestBackpressure:
         config = SplConfig(input_queue_entries=2)
         controller = _controller(config)
         controller.configure(0, 1, identity_function())
-        port = controller.ports[0]
+        port = controller.port(0)
         accepted = 0
         for _ in range(4):  # no ticks: nothing drains
             port.stage_load(1, 0, 0)
@@ -42,7 +42,7 @@ class TestBackpressure:
     def test_inflight_cap_stalls_init(self):
         controller = _controller()
         controller.configure(0, 1, identity_function(), dest_thread=2)
-        port = controller.ports[0]
+        port = controller.port(0)
         # Saturate the destination's 5-bit in-flight counter directly.
         from repro.core.tables import MAX_IN_FLIGHT
         for _ in range(MAX_IN_FLIGHT):
@@ -57,7 +57,7 @@ class TestBackpressure:
         config = SplConfig(output_queue_entries=1)  # 4 words
         controller = _controller(config)
         controller.configure(0, 1, identity_function())
-        port = controller.ports[0]
+        port = controller.port(0)
         for i in range(8):
             port.stage_load(i, 0, 0)
             assert port.init(1, 0)
@@ -78,7 +78,7 @@ class TestBackpressure:
         """A request whose spl_loadm data has not arrived cannot issue."""
         controller = _controller()
         controller.configure(0, 1, identity_function())
-        port = controller.ports[0]
+        port = controller.port(0)
         port.stage_load(5, 0, 0, ready=1000)  # data lands at cycle 1000
         assert port.init(1, 0)
         _drain(controller, 900)
@@ -89,8 +89,8 @@ class TestBackpressure:
     def test_repartition_with_results_in_flight_rejected(self):
         controller = _controller()
         controller.configure(0, 1, identity_function())
-        controller.ports[0].stage_load(1, 0, 0)
-        controller.ports[0].init(1, 0)
+        controller.port(0).stage_load(1, 0, 0)
+        controller.port(0).init(1, 0)
         _drain(controller, 8)  # issued but results still in the pipeline
         with pytest.raises(SplError):
             controller.set_partitions([12, 12], [0, 0, 1, 1])
@@ -111,7 +111,7 @@ class TestVirtualization:
         assert fn.rows > 24  # must be virtualized on the full fabric
         controller = _controller()
         controller.configure(0, 1, fn)
-        port = controller.ports[0]
+        port = controller.port(0)
         for value in (3, -7, 11):
             port.stage_load(value, 0, 0)
             assert port.init(1, 0)
@@ -126,7 +126,7 @@ class TestVirtualization:
             if partitioned:
                 controller.set_partitions([6, 6, 6, 6], [0, 1, 2, 3])
             controller.configure(0, 1, fn)
-            port = controller.ports[0]
+            port = controller.port(0)
             for value in range(6):
                 port.stage_load(value, 0, 0)
                 assert port.init(1, 0)
@@ -162,6 +162,6 @@ class TestMisuse:
         controller.barrier_bus.register(1, 1, (1, 2, 3, 4))
         controller.configure(0, 2, barrier_token_function(4), barrier_id=1)
         controller.table.set_thread(0, None)
-        controller.ports[0].stage_load(0, 0, 0)
+        controller.port(0).stage_load(0, 0, 0)
         with pytest.raises(SplError):
-            controller.ports[0].init(2, 0)
+            controller.port(0).init(2, 0)

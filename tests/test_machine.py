@@ -1,13 +1,29 @@
-"""System-level tests: machine assembly, migration, SPL integration."""
+"""System-level tests: machine assembly, migration, SPL integration,
+snoop routing and object ownership."""
+
+import gc
+import weakref
 
 import pytest
 
+from repro.analysis import compute_bounds, lint_spec
+from repro.baselines.comm_network import CommPort, DedicatedCommController
 from repro.common.config import (RunOptions, SystemConfig, ooo1_cluster,
                                  ooo2_cluster, remap_cluster, remap_system)
 from repro.common.errors import ConfigError, SimulationError
+from repro.core.controller import CoreSplPort, SplClusterController
 from repro.core.function import identity_function
+from repro.core.manager import FabricManager
+from repro.cpu.blockgen import BlockRunner, MultiBlockRunner
+from repro.cpu.pipeline import OutOfOrderCore
+from repro.experiments.engine import ExperimentEngine, request
+from repro.experiments.runner import execute, finalize
 from repro.isa import Asm, MemoryImage, ThreadSpec
+from repro.mem.hierarchy import CoherentMemorySystem, _CorePort
+from repro.obs.perfetto import PERFETTO_KINDS, PerfettoSink
+from repro.obs.profile import ProfilerSink
 from repro.system import Machine, Workload
+from repro.workloads import registry
 
 
 def _counting_program(n, out, tid=1):
@@ -183,3 +199,169 @@ class TestSplIntegration:
         machine.load(workload)
         machine.run(options=RunOptions(max_cycles=100_000))
         assert machine.memory.read_word_signed(out) == 123
+
+
+# -- snoop routing ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("fast_forward", [False, True],
+                         ids=["naive", "walk"])
+def test_snoop_invalidation_reaches_only_its_core(monkeypatch,
+                                                  fast_forward):
+    """Each line a snoop drops from a hierarchy calls the hook of the
+    core on that hierarchy, once, and no other core's.  The walk may
+    call the hook again later, outside the snoop, to replay a line it
+    deferred; the naive loop never does."""
+    reached = []
+    drops = []
+    drop = CoherentMemorySystem._drop
+    hook = OutOfOrderCore._on_invalidation
+
+    def counting_drop(self, port, line):
+        mark = len(reached)
+        drop(self, port, line)
+        drops.append((port.index, reached[mark:]))
+
+    def counting_hook(self, line):
+        reached.append(self.index)
+        hook(self, line)
+
+    monkeypatch.setattr(CoherentMemorySystem, "_drop", counting_drop)
+    monkeypatch.setattr(OutOfOrderCore, "_on_invalidation", counting_hook)
+    spec = registry.REGISTRY["ll2"].variants["sw"](n=16, passes=2, p=4)
+    execute(spec, options=RunOptions(fast_forward=fast_forward))
+    assert len({index for index, _ in drops}) > 1
+    assert all(cores == [index] for index, cores in drops)
+    if not fast_forward:
+        assert len(reached) == len(drops)
+
+
+# -- object ownership ------------------------------------------------------
+
+#: What a machine owns.  None of it may be left to the cyclic collector:
+#: every back-reference in the machine's object graph is non-owning
+#: (DESIGN.md §3), so a finished machine is freed by reference counting.
+_OWNED = (Machine, OutOfOrderCore, CoherentMemorySystem, _CorePort,
+          SplClusterController, CoreSplPort, DedicatedCommController,
+          CommPort, FabricManager, MultiBlockRunner, BlockRunner)
+
+
+def _assert_freed_by_refcount(monkeypatch, action):
+    """Run ``action`` with the cyclic collector off; every Machine it
+    builds must be dead when it returns, and a collection afterwards
+    must find no object a machine owns."""
+    built = []
+    init = Machine.__init__
+
+    def tracking_init(self, config):
+        init(self, config)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(Machine, "__init__", tracking_init)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        action()
+        alive = sum(1 for ref in built if ref() is not None)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = sorted({type(obj).__name__ for obj in gc.garbage
+                       if isinstance(obj, _OWNED)})
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+        if enabled:
+            gc.enable()
+    assert built, "no machine was built"
+    assert not alive, f"{alive} of {len(built)} machines outlived " \
+        f"their last reference"
+    assert not left, f"left to the cyclic collector: {left}"
+
+
+#: One small spec per wiring: a lone core, the SPL fabric, the dedicated
+#: network, software queues, and the four barrier flavours.
+_WIRINGS = [
+    ("g721dec", "seq", {"items": 10}),
+    ("g721dec", "seq_ooo2", {"items": 10}),
+    ("g721dec", "spl", {"items": 10}),
+    ("wc", "comm", {"items": 64}),
+    ("wc", "compcomm", {"items": 64}),
+    ("wc", "ooo2comm", {"items": 64}),
+    ("wc", "swqueue", {"items": 64}),
+    ("ll2", "sw", {"n": 16, "passes": 2, "p": 4}),
+    ("ll2", "barrier", {"n": 16, "passes": 2, "p": 4}),
+    ("ll3", "barrier_comp", {"n": 64, "passes": 3, "p": 8}),
+    ("ll2", "hwbar", {"n": 16, "passes": 2, "p": 4}),
+]
+
+
+def _spec(bench, variant, kwargs):
+    return registry.REGISTRY[bench].variants[variant](**kwargs)
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("bench,variant,kwargs", _WIRINGS,
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_run_machine_freed(self, monkeypatch, bench, variant, kwargs):
+        _assert_freed_by_refcount(
+            monkeypatch, lambda: execute(_spec(bench, variant, kwargs)))
+
+    def test_managed_fabric_machine_freed(self, monkeypatch):
+        from repro.experiments.ablations import manager_spec
+        _assert_freed_by_refcount(
+            monkeypatch, lambda: execute(manager_spec(n=32, managed=True)))
+
+    @pytest.mark.parametrize("sink_type,kinds",
+                             [(ProfilerSink, ProfilerSink.KINDS),
+                              (PerfettoSink, PERFETTO_KINDS)],
+                             ids=["profiler", "perfetto"])
+    def test_observed_machine_freed(self, monkeypatch, sink_type, kinds):
+        sink = sink_type()
+
+        def observed():
+            spec = _spec("ll2", "barrier", {"n": 16, "passes": 2, "p": 4})
+            machine = Machine(spec.system)
+            machine.obs.attach(sink, kinds=kinds)
+            machine.load(spec.workload)
+            cycles = machine.run(
+                options=RunOptions(max_cycles=spec.max_cycles))
+            finalize(machine, spec, cycles)
+
+        _assert_freed_by_refcount(monkeypatch, observed)
+
+    def test_restored_machine_freed(self, monkeypatch):
+        def paused_and_restored():
+            kwargs = {"n": 16, "passes": 2, "p": 4}
+            spec = _spec("ll2", "barrier", kwargs)
+            paused = Machine(spec.system)
+            paused.load(spec.workload)
+            paused.run(options=RunOptions(pause_at=500))
+            state = paused.snapshot()
+            spec = _spec("ll2", "barrier", kwargs)
+            restored = Machine(spec.system)
+            restored.load(spec.workload)
+            restored.restore(state)
+            cycles = restored.run(
+                options=RunOptions(max_cycles=spec.max_cycles))
+            finalize(restored, spec, cycles)
+
+        _assert_freed_by_refcount(monkeypatch, paused_and_restored)
+
+    def test_analysis_machines_freed(self, monkeypatch):
+        def analysed():
+            spec = _spec("ll3", "barrier_comp",
+                         {"n": 64, "passes": 3, "p": 8})
+            lint_spec(spec)
+            compute_bounds(spec)
+
+        _assert_freed_by_refcount(monkeypatch, analysed)
+
+    def test_engine_machines_freed(self, monkeypatch, tmp_path):
+        def cold_batch():
+            engine = ExperimentEngine(jobs=1, use_cache=True,
+                                      cache_dir=tmp_path, lint=True)
+            engine.run_batch([request("wc", "spl", items=64),
+                              request("ll2", "sw", n=16, passes=2, p=4)])
+
+        _assert_freed_by_refcount(monkeypatch, cold_batch)

@@ -147,13 +147,27 @@ class TestCoherence:
         assert mem.line_state(1, 0x5000) == SHARED
 
     def test_invalidation_listener_fires(self):
+        """A snoop invalidation calls the hook of the invalidated
+        hierarchy only, and the hook does not keep its owner alive."""
         mem = _make_system()
         seen = []
-        mem.invalidation_listeners.append(
-            lambda core, line: seen.append((core, line)))
+
+        class Listener:
+            def __init__(self, index):
+                self.index = index
+
+            def hook(self, line):
+                seen.append((self.index, line))
+
+        listeners = [Listener(0), Listener(1)]
+        mem.set_snoop_hook(0, listeners[0].hook)
+        mem.set_snoop_hook(1, listeners[1].hook)
         mem.data_access(0, 0x6000, False, 0)
         mem.data_access(1, 0x6000, True, 500)
-        assert seen and seen[0][0] == 0
+        assert seen == [(0, 0x6000 >> 5)]
+        del listeners[:]
+        mem.data_access(0, 0x6000, True, 1000)  # hooks gone: no call
+        assert seen == [(0, 0x6000 >> 5)]
 
     def test_inst_fetch_hits_after_miss(self):
         mem = _make_system()

@@ -105,7 +105,7 @@ class TestControllerFunctionalProperty:
             controller.configure(slot, 1, fn)
         cycle = 0
         for slot, value in stream:
-            port = controller.ports[slot]
+            port = controller.port(slot)
             port.stage_load(value, 0, cycle)
             if port.init(1, cycle):
                 expected[slot].append(value)
@@ -117,7 +117,7 @@ class TestControllerFunctionalProperty:
         for slot in range(4):
             got = []
             while True:
-                value = controller.ports[slot].recv(cycle)
+                value = controller.port(slot).recv(cycle)
                 if value is None:
                     break
                 got.append(value)

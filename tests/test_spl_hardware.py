@@ -162,7 +162,7 @@ class TestController:
         controller = _controller()
         fn = identity_function()
         controller.configure(0, 1, fn)
-        port = controller.ports[0]
+        port = controller.port(0)
         assert port.stage_load(77, 0, 0)
         assert port.init(1, 0)
         _drain(controller, 100)
@@ -171,23 +171,23 @@ class TestController:
     def test_unbound_config_raises(self):
         controller = _controller()
         with pytest.raises(SplError):
-            controller.ports[0].init(3, 0)
+            controller.port(0).init(3, 0)
 
     def test_dest_absent_blocks_init(self):
         controller = _controller()
         controller.configure(0, 1, identity_function(), dest_thread=99)
-        controller.ports[0].stage_load(1, 0, 0)
-        assert not controller.ports[0].init(1, 0)
+        controller.port(0).stage_load(1, 0, 0)
+        assert not controller.port(0).init(1, 0)
         assert controller.stats.get("dest_absent_stalls") == 1
 
     def test_routing_to_consumer(self):
         controller = _controller()
         controller.configure(0, 1, identity_function(), dest_thread=3)
-        controller.ports[0].stage_load(5, 0, 0)
-        assert controller.ports[0].init(1, 0)
+        controller.port(0).stage_load(5, 0, 0)
+        assert controller.port(0).init(1, 0)
         assert not controller.can_switch_out(2)  # in-flight to slot 2
         _drain(controller, 100)
-        assert controller.ports[2].recv(100) == 5
+        assert controller.port(2).recv(100) == 5
         assert controller.can_switch_out(2)
 
     def test_round_robin_fairness(self):
@@ -196,12 +196,12 @@ class TestController:
         for slot in range(4):
             controller.configure(slot, 1, fn)
             for _ in range(3):
-                controller.ports[slot].stage_load(slot, 0, 0)
-                controller.ports[slot].init(1, 0)
+                controller.port(slot).stage_load(slot, 0, 0)
+                controller.port(slot).init(1, 0)
         _drain(controller, 400)
         for slot in range(4):
             for _ in range(3):
-                assert controller.ports[slot].recv(400) == slot
+                assert controller.port(slot).recv(400) == slot
 
     def test_reconfiguration_cost_counted(self):
         controller = _controller()
@@ -209,7 +209,7 @@ class TestController:
         fn_b = identity_function("b")
         controller.configure(0, 1, fn_a)
         controller.configure(0, 2, fn_b)
-        port = controller.ports[0]
+        port = controller.port(0)
         port.stage_load(1, 0, 0)
         port.init(1, 0)
         port.stage_load(2, 0, 0)
@@ -235,15 +235,15 @@ class TestController:
         fn_b = identity_function("b")
         controller.configure(0, 1, fn_a)
         controller.configure(2, 1, fn_b)
-        controller.ports[0].stage_load(10, 0, 0)
-        controller.ports[0].init(1, 0)
-        controller.ports[2].stage_load(20, 0, 0)
-        controller.ports[2].init(1, 0)
+        controller.port(0).stage_load(10, 0, 0)
+        controller.port(0).init(1, 0)
+        controller.port(2).stage_load(20, 0, 0)
+        controller.port(2).init(1, 0)
         _drain(controller, 200)
         # Different partitions never reconfigure against each other.
         assert controller.stats.get("reconfigurations") == 2  # one each
-        assert controller.ports[0].recv(200) == 10
-        assert controller.ports[2].recv(200) == 20
+        assert controller.port(0).recv(200) == 10
+        assert controller.port(2).recv(200) == 20
 
     def test_barrier_reduce_all_slots(self):
         controller = _controller()
@@ -254,16 +254,16 @@ class TestController:
             controller.configure(slot, 2, fn, barrier_id=7)
         values = [40, 10, 30, 20]
         for slot in range(3):
-            controller.ports[slot].stage_load(values[slot], 0, 0)
-            controller.ports[slot].init(2, 0)
+            controller.port(slot).stage_load(values[slot], 0, 0)
+            controller.port(slot).init(2, 0)
         _drain(controller, 100)
         # Not released until the last participant arrives.
-        assert all(controller.ports[s].recv(100) is None for s in range(4))
-        controller.ports[3].stage_load(values[3], 0, 100)
-        controller.ports[3].init(2, 100)
+        assert all(controller.port(s).recv(100) is None for s in range(4))
+        controller.port(3).stage_load(values[3], 0, 100)
+        controller.port(3).init(2, 100)
         _drain(controller, 200, start=100)
         for slot in range(4):
-            assert controller.ports[slot].recv(300) == 10
+            assert controller.port(slot).recv(300) == 10
 
     def test_barrier_executes_across_partitions(self):
         controller = _controller()
@@ -273,11 +273,11 @@ class TestController:
         fn = barrier_reduce_function(4, DfgOp.ADD)
         for slot in range(4):
             controller.configure(slot, 2, fn, barrier_id=3)
-            controller.ports[slot].stage_load(slot + 1, 0, 0)
-            controller.ports[slot].init(2, 0)
+            controller.port(slot).stage_load(slot + 1, 0, 0)
+            controller.port(slot).init(2, 0)
         _drain(controller, 300)
         for slot in range(4):
-            assert controller.ports[slot].recv(300) == 10
+            assert controller.port(slot).recv(300) == 10
 
     def test_stateful_sequences_through_queue(self):
         from repro.core.dfg import Dfg
@@ -291,7 +291,7 @@ class TestController:
         fn = SplFunction(g)
         controller = _controller()
         controller.configure(0, 1, fn)
-        port = controller.ports[0]
+        port = controller.port(0)
         for cycle, value in ((0, 1), (4, 2), (8, 3)):
             port.stage_load(value, 0, cycle)
             port.init(1, cycle)
@@ -315,6 +315,6 @@ class TestAppIdIsolation:
         fn = barrier_token_function(4)
         controller.configure(0, 2, fn, barrier_id=6)
         # The cores were registered with app_id=1; the barrier wants 99.
-        controller.ports[0].stage_load(0, 0, 0)
+        controller.port(0).stage_load(0, 0, 0)
         with pytest.raises(SplError):
-            controller.ports[0].init(2, 0)
+            controller.port(0).init(2, 0)

@@ -27,7 +27,7 @@ def _throughput(fn, use_second_beat: bool, count: int = 12) -> int:
     """Cycles for ``count`` back-to-back issues of ``fn``."""
     controller = _controller()
     controller.configure(0, 1, fn)
-    port = controller.ports[0]
+    port = controller.port(0)
     for i in range(count):
         port.stage_load(i, 0, 0)
         if use_second_beat:
@@ -99,9 +99,9 @@ class TestMisconfiguration:
         from repro.core.function import barrier_token_function
         controller = _controller()
         controller.configure(0, 2, barrier_token_function(4), barrier_id=9)
-        controller.ports[0].stage_load(0, 0, 0)
+        controller.port(0).stage_load(0, 0, 0)
         with pytest.raises(SplError):
-            controller.ports[0].init(2, 0)  # barrier 9 never registered
+            controller.port(0).init(2, 0)  # barrier 9 never registered
 
     def test_workload_level_unbound_config(self):
         """A program issuing an unbound config id dies loudly, not
