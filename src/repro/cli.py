@@ -30,6 +30,10 @@ raising :class:`UsageError`, which :func:`main` prints as one stderr
 line and turns into exit 2; so does a request whose spec cannot be
 built (a ``ConfigError`` or ``WorkloadError`` naming the spec), and a
 snapshot that ``resume`` cannot read or restore.
+
+The parser is built from names only, and each handler imports the
+harness it runs, so a command that does not simulate starts without
+loading the simulator (DESIGN.md section 3, "Import policy").
 """
 
 from __future__ import annotations
@@ -37,22 +41,12 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.common.errors import ConfigError, ReproError, WorkloadError
-from repro.experiments import ablations
-from repro.experiments.barriers import (PAPER_SIZES, QUICK_SIZES,
-                                        figure12_series, figure13_series,
-                                        figure14_series, run_barrier_sweep)
-from repro.experiments.engine import (ExperimentBatchError,
-                                      ExperimentEngine, SpecRequest, request)
-from repro.experiments.regions import (figure10_rows, figure11_rows,
-                                       run_region_study, swqueue_rows)
-from repro.experiments.tables import table1, table2, table3
-from repro.experiments.whole_program import (figure8_rows, figure9_rows,
-                                             whole_program_study)
-from repro.obs.render import format_series, format_table
-from repro.workloads import registry
+
+if TYPE_CHECKING:
+    from repro.experiments.engine import ExperimentEngine, SpecRequest
 
 #: The CLI-wide exit-code convention (every ``cmd_*`` returns one).
 EXIT_OK = 0        # the command did what was asked
@@ -83,14 +77,15 @@ _REQUEST_ERRORS = (ConfigError, WorkloadError)
 #: that does not fit the spec it names.
 _SNAPSHOT_ERRORS = (OSError, ValueError, KeyError, TypeError, ReproError)
 
+#: ``repro ablation NAME`` -> its study in repro.experiments.ablations.
 _ABLATIONS = {
-    "sharing": ablations.sharing_degree,
-    "fabric-size": ablations.fabric_size,
-    "partitioning": ablations.spatial_partitioning,
-    "queue-depth": ablations.queue_depth,
-    "barrier-bus": ablations.barrier_bus_latency,
-    "reconfig": ablations.reconfiguration_cost,
-    "manager": ablations.dynamic_management,
+    "sharing": "sharing_degree",
+    "fabric-size": "fabric_size",
+    "partitioning": "spatial_partitioning",
+    "queue-depth": "queue_depth",
+    "barrier-bus": "barrier_bus_latency",
+    "reconfig": "reconfiguration_cost",
+    "manager": "dynamic_management",
 }
 
 
@@ -119,6 +114,7 @@ def _parse_kwargs(pairs: List[str]) -> dict:
 
 
 def _engine_from_args(args) -> ExperimentEngine:
+    from repro.experiments.engine import ExperimentEngine
     return ExperimentEngine(
         jobs=args.jobs,
         use_cache=False if args.no_cache else None,
@@ -134,6 +130,7 @@ def _building(req: SpecRequest) -> Iterator[None]:
     Covers both shapes: raised directly, or collected by the engine into
     an :class:`ExperimentBatchError` from its worker.
     """
+    from repro.experiments.engine import ExperimentBatchError
     try:
         yield
     except _REQUEST_ERRORS as exc:
@@ -149,6 +146,8 @@ def _building(req: SpecRequest) -> Iterator[None]:
 def _user_request(bench: str, variant: str, params: List[str]
                   ) -> SpecRequest:
     """The request a ``BENCH VARIANT --items ...`` command line names."""
+    from repro.experiments.engine import request
+    from repro.workloads import registry
     info = registry.REGISTRY.get(bench)
     if info is None:
         raise UsageError(f"unknown benchmark {bench!r}")
@@ -159,6 +158,7 @@ def _user_request(bench: str, variant: str, params: List[str]
 
 
 def cmd_list(_args) -> int:
+    from repro.workloads import registry
     print("Benchmarks (Table III):")
     for info in registry.REGISTRY.values():
         variants = ", ".join(sorted(info.variants))
@@ -169,6 +169,8 @@ def cmd_list(_args) -> int:
 
 
 def cmd_table(args) -> int:
+    from repro.experiments.tables import table1, table2, table3
+    from repro.obs.render import format_table
     if args.number == 1:
         rows = [dict(component=k, **v) for k, v in table1().items()]
         print(format_table(rows))
@@ -187,10 +189,13 @@ def cmd_figure(args) -> int:
     number = args.number
     if not 8 <= number <= 14:
         raise UsageError("figures are 8-14")
+    from repro.obs.render import format_series, format_table
     if number <= 11:
+        from repro.workloads import registry
         known = [info.name for info in registry.computation_only()
                  + registry.communicating()]
     else:
+        from repro.experiments.barriers import QUICK_SIZES
         known = list(QUICK_SIZES)
     unknown = [bench for bench in args.benchmarks or []
                if bench not in known]
@@ -199,10 +204,17 @@ def cmd_figure(args) -> int:
                          f"{', '.join(unknown)} (have {', '.join(known)})")
     engine = _engine_from_args(args)
     if number in (8, 9):
+        from repro.experiments.whole_program import (figure8_rows,
+                                                     figure9_rows,
+                                                     whole_program_study)
         points = whole_program_study(args.benchmarks or None, engine=engine)
         rows = figure8_rows(points) if number == 8 else figure9_rows(points)
         print(format_table(rows))
     elif number in (10, 11):
+        from repro.experiments.regions import (figure10_rows,
+                                               figure11_rows,
+                                               run_region_study,
+                                               swqueue_rows)
         study = run_region_study(args.benchmarks or None,
                                  include_swqueue=True, engine=engine)
         rows = figure10_rows(study) if number == 10 \
@@ -212,6 +224,11 @@ def cmd_figure(args) -> int:
             print("\nSoftware queues (Section V-B):")
             print(format_table(swqueue_rows(study)))
     else:
+        from repro.experiments.barriers import (PAPER_SIZES,
+                                                figure12_series,
+                                                figure13_series,
+                                                figure14_series,
+                                                run_barrier_sweep)
         benches = args.benchmarks or (["ll3", "dijkstra"] if number == 13
                                       else ["ll2", "ll6", "ll3", "dijkstra"])
         for bench in benches:
@@ -230,8 +247,10 @@ def cmd_figure(args) -> int:
 def cmd_ablation(args) -> int:
     if args.name not in _ABLATIONS:
         raise UsageError(f"ablations: {', '.join(_ABLATIONS)}")
-    print(format_table(_ABLATIONS[args.name](
-        engine=_engine_from_args(args))))
+    from repro.experiments import ablations
+    from repro.obs.render import format_table
+    study = getattr(ablations, _ABLATIONS[args.name])
+    print(format_table(study(engine=_engine_from_args(args))))
     return EXIT_OK
 
 
@@ -262,6 +281,7 @@ _VARIANT_PREFERENCE = ("spl", "compcomm", "barrier", "comm", "sw")
 def _resolve_observed_spec(args):
     """RunSpec for the trace/profile commands (default variant if blank)."""
     from repro.experiments.engine import build_spec
+    from repro.workloads import registry
     bench = args.benchmark_opt or args.benchmark
     if not bench:
         raise UsageError("name a benchmark (positional or --bench)")
@@ -493,6 +513,7 @@ def cmd_bench(args) -> int:
 def cmd_lint(args) -> int:
     from repro import api
     from repro.analysis import has_errors, render_json, render_text
+    from repro.workloads import registry
     benchmarks = args.benchmarks or None
     if benchmarks:
         unknown = [b for b in benchmarks if b not in registry.REGISTRY]

@@ -37,10 +37,16 @@ The interpreter remains the fallback: ``REPRO_NO_CODEGEN=1`` keeps
 :class:`~repro.core.function.SplFunction` on ``Dfg.evaluate``, and a
 graph the generator cannot handle (a future ``DfgOp`` without an
 emitter) degrades to interpretation instead of failing the run.
+
+A process compiles each generated source once (a pass builds many
+instances of the same few graphs), and the closures hold no reference
+back to themselves, so a compiled graph is freed by reference counting.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import CodeType
 from typing import Dict, List, Optional
 
 from repro.common.errors import CodegenError, MappingError, SplError
@@ -227,6 +233,12 @@ def _make_missing(dfg: Dfg):
     return _missing
 
 
+@lru_cache(maxsize=256)
+def _code(name: str, source: str) -> CodeType:
+    """One code object per (graph name, generated source) and process."""
+    return compile(source, f"<dfg:{name}>", "exec")
+
+
 def compile_dfg(dfg: Dfg) -> CompiledDfg:
     """Compile ``dfg`` into straight-line Python closures.
 
@@ -244,10 +256,11 @@ def compile_dfg(dfg: Dfg) -> CompiledDfg:
         "_from_bytes": int.from_bytes,
     }
     try:
-        code = compile(source, f"<dfg:{dfg.name}>", "exec")
-        exec(code, namespace)  # noqa: S102 - trusted, self-generated source
+        exec(_code(dfg.name, source), namespace)  # noqa: S102 - trusted
     except SyntaxError as exc:  # pragma: no cover - generator bug guard
         raise CodegenError(f"{dfg.name}: generated source does not "
                            f"compile: {exc}") from exc
-    return CompiledDfg(dfg.name, source, namespace["evaluate"],
-                       namespace.get("evaluate_entry"))
+    # The namespace is the closures' globals: taking them out of it
+    # leaves no function <-> namespace cycle.
+    return CompiledDfg(dfg.name, source, namespace.pop("evaluate"),
+                       namespace.pop("evaluate_entry", None))

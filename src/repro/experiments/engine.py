@@ -12,8 +12,8 @@ path:
   cross a process boundary; requests are plain, hashable, picklable data,
   so workers rebuild the spec locally.
 * **Fan-out.** :meth:`ExperimentEngine.gather` runs pending requests on a
-  ``ProcessPoolExecutor`` (``--jobs`` / ``REPRO_JOBS``); ``jobs=1``
-  preserves the historical in-process serial path.
+  ``ProcessPoolExecutor`` (``--jobs`` / ``REPRO_JOBS``), imported only
+  then; ``jobs=1`` preserves the historical in-process serial path.
 * **Memoization.** Results are stored on disk (``REPRO_CACHE_DIR`` or
   ``~/.cache/repro``) keyed by a stable hash of the request, the result
   schema version, and a fingerprint of the ``repro`` source tree — any
@@ -39,7 +39,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
@@ -456,6 +455,8 @@ class ExperimentEngine:
             for cache_key, keyed in todo.items():
                 finish(cache_key, _run_request(keyed[0][1]))
         else:
+            from concurrent.futures import (FIRST_COMPLETED,
+                                            ProcessPoolExecutor, wait)
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 futures = {pool.submit(_run_request, keyed[0][1]): cache_key
                            for cache_key, keyed in todo.items()}

@@ -62,6 +62,12 @@ class TestCommands:
         assert main(["ablation", "sharing"]) == 0
         assert "sharers" in capsys.readouterr().out
 
+    def test_every_ablation_names_a_study(self):
+        from repro.cli import _ABLATIONS
+        from repro.experiments import ablations
+        for name, study in _ABLATIONS.items():
+            assert callable(getattr(ablations, study, None)), name
+
 
 def test_run_json_output(capsys):
     import json

@@ -10,7 +10,9 @@ barrier functions, and checks the fused byte-entry path against an
 interpreter-only twin constructed under ``REPRO_NO_CODEGEN=1``.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -211,3 +213,66 @@ def test_delay_state_matches_across_restart():
         if step == 0:
             # The flip-flop captured the first input.
             assert state_got
+
+
+# -- ownership ----------------------------------------------------------------
+
+
+class TestOwnership:
+    """A compiled graph is freed by reference counting (DESIGN.md §3):
+    its closures are not left in their ``exec`` namespace, which is
+    their globals, so no function <-> namespace cycle waits for the
+    cyclic collector."""
+
+    def test_one_code_object_per_source(self):
+        first = compile_dfg(g721.fmult_function().dfg)
+        second = compile_dfg(g721.fmult_function().dfg)
+        assert first.evaluate is not second.evaluate
+        assert first.evaluate.__code__ is second.evaluate.__code__
+        assert first.evaluate_entry.__code__ is \
+            second.evaluate_entry.__code__
+        assert "evaluate" not in first.evaluate.__globals__
+        assert "evaluate_entry" not in first.evaluate.__globals__
+
+    def test_compiled_graph_freed_at_del(self):
+        compiled = compile_dfg(g721.fmult_function().dfg)
+        refs = [weakref.ref(compiled.evaluate),
+                weakref.ref(compiled.evaluate_entry)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del compiled
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert not alive, "a compiled closure outlived its last reference"
+
+    def test_spl_run_leaves_nothing_to_the_collector(self):
+        from repro.experiments.runner import execute
+        from repro.workloads import registry
+
+        def run():
+            execute(registry.REGISTRY["g721dec"].variants["spl"](items=4))
+
+        run()  # first-use imports and caches are not garbage
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = sorted({type(obj).__name__ for obj in gc.garbage})
+            dfg_functions = [
+                obj for obj in gc.garbage
+                if type(obj).__name__ == "function"
+                and obj.__code__.co_filename.startswith("<dfg:")]
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+            if enabled:
+                gc.enable()
+        assert not dfg_functions, \
+            f"{len(dfg_functions)} compiled DFG closures left in cycles"
+        assert not left, f"left to the cyclic collector: {left}"
