@@ -16,13 +16,15 @@ simulated.  Three agreement properties are enforced per scenario
    simulated (deadlock with a non-empty wait-state report, or an SPL
    fault).  A flagged scenario that runs clean is recorded as a
    *downgrade counterexample* for the rule.
-3. **Modes agree.**  Clean scenarios are executed under every
-   combination of DFG codegen on/off and the scheduler switch
-   (``fast_forward``: the compiled walk, or the naive per-cycle loop);
-   cycle counts, every stats counter, and result memory words must be
-   identical across the four modes.  The multithreaded scenarios (rings,
+3. **Modes agree.**  Clean scenarios are executed on both sides of the
+   scheduler switch (``fast_forward``: the compiled walk, or the naive
+   per-cycle loop); cycle counts, every stats counter, and result
+   memory words must be identical across the two modes, and the result
+   words must match a host-model golden (for random compute graphs,
+   ``Dfg.evaluate``, the reference the compiled SPL closures are
+   checked against).  The multithreaded scenarios (rings,
    producer/consumer pairs, barriers, atomics) keep several cores live
-   at once, so the fast legs exercise the *multi-core* walk (DESIGN.md
+   at once, so the fast leg exercises the *multi-core* walk (DESIGN.md
    section 10) — compiled SPL ops, FENCEs and atomics, elision and
    jumps, and cross-core pokes are all covered by the same agreement
    contract.
@@ -35,7 +37,6 @@ deterministic in the seed, so a failing seed is a reproducer.
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -45,8 +46,8 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.lint import lint_spec
 from repro.baselines.comm_network import attach_comm_network
 from repro.baselines.sw_sync import SwBarrier
-from repro.common.config import (ENV_NO_CODEGEN, RunOptions, SystemConfig,
-                                 ooo2_cluster, remap_cluster)
+from repro.common.config import (RunOptions, SystemConfig, ooo2_cluster,
+                                 remap_cluster)
 from repro.common.errors import DeadlockError, ReproError, SplError
 from repro.core.dfg import Dfg, DfgOp
 from repro.core.function import (SplFunction, barrier_token_function,
@@ -82,8 +83,7 @@ class Scenario:
     defect: Optional[str]
     #: Rule ids of which at least one must fire when ``defect`` is set.
     expect_rules: Tuple[str, ...]
-    #: Rebuildable so each execution mode gets fresh SplFunction state
-    #: (and the construction-time codegen gate is re-sampled).
+    #: Rebuildable so each execution mode gets fresh SplFunction state.
     build: Callable[[], RunSpec]
     #: Result words compared across modes (and against ``golden``).
     result_addrs: Tuple[int, ...] = ()
@@ -496,22 +496,6 @@ def scenario_for_seed(seed: int) -> Scenario:
 # -- execution ----------------------------------------------------------------
 
 
-def _build_in_mode(scenario: Scenario, codegen: bool) -> RunSpec:
-    """Rebuild the spec with the construction-time codegen gate pinned."""
-    saved = os.environ.get(ENV_NO_CODEGEN)
-    try:
-        if codegen:
-            os.environ.pop(ENV_NO_CODEGEN, None)
-        else:
-            os.environ[ENV_NO_CODEGEN] = "1"
-        return scenario.build()
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_NO_CODEGEN, None)
-        else:
-            os.environ[ENV_NO_CODEGEN] = saved
-
-
 def _run_spec(spec: RunSpec, scenario: Scenario,
               fast_forward: bool) -> Dict[str, Any]:
     machine = Machine(spec.system)
@@ -540,7 +524,7 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     }
     disagreements: List[str] = record["disagreements"]
 
-    spec = _build_in_mode(scenario, codegen=True)
+    spec = scenario.build()
     unit = spec.name
     diagnostics = lint_spec(spec, unit=unit)
     rules = _error_rules(diagnostics)
@@ -575,26 +559,21 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
         return record
 
     outcomes: Dict[str, Dict[str, Any]] = {}
-    first = True
-    for codegen in (True, False):
-        for fast_forward in (True, False):
-            mode = (f"codegen={'on' if codegen else 'off'},"
-                    f"ff={'on' if fast_forward else 'off'}")
-            # The first mode is the default configuration; it reuses the
-            # spec already built for linting (workload images are
-            # consumed by execution, so every other mode rebuilds).
-            mode_spec = spec if first else _build_in_mode(
-                scenario, codegen=codegen)
-            first = False
-            try:
-                outcomes[mode] = _run_spec(mode_spec, scenario,
-                                           fast_forward=fast_forward)
-            except ReproError as exc:
-                disagreements.append(
-                    f"clean scenario failed in mode {mode}: "
-                    f"{type(exc).__name__}: {exc}")
+    for fast_forward in (True, False):
+        mode = f"ff={'on' if fast_forward else 'off'}"
+        # The first mode is the default configuration; it reuses the
+        # spec already built for linting (workload images are consumed
+        # by execution, so the other mode rebuilds).
+        mode_spec = spec if fast_forward else scenario.build()
+        try:
+            outcomes[mode] = _run_spec(mode_spec, scenario,
+                                       fast_forward=fast_forward)
+        except ReproError as exc:
+            disagreements.append(
+                f"clean scenario failed in mode {mode}: "
+                f"{type(exc).__name__}: {exc}")
     record["dynamic"] = "completed" if outcomes else "failed"
-    if len(outcomes) == 4:
+    if len(outcomes) == 2:
         reference_mode = next(iter(outcomes))
         reference = outcomes[reference_mode]
         for mode, outcome in outcomes.items():

@@ -12,8 +12,9 @@
   via :func:`check_shared_state`).
 * **GEN001** (error) — the DFG does not compile to the closure form
   (:func:`repro.core.codegen.compile_dfg`) or the compiled evaluator
-  disagrees with the interpreter on a deterministic probe input; the
-  simulator would silently fall back to interpretation.
+  disagrees with the interpreter on a deterministic probe input; a run
+  that binds it would fail with :class:`CodegenError`, or compute
+  values the interpreter does not.
 """
 
 from __future__ import annotations

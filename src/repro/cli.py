@@ -145,8 +145,10 @@ def _building(req: SpecRequest) -> Iterator[None]:
 
 def _user_request(bench: str, variant: str, params: List[str]
                   ) -> SpecRequest:
-    """The request a ``BENCH VARIANT --items ...`` command line names."""
-    from repro.experiments.engine import request
+    """The request a ``BENCH VARIANT --items ...`` command line names.
+
+    The names are checked before the engine (and with it the simulator)
+    is imported, so a typo costs no simulator start-up."""
     from repro.workloads import registry
     info = registry.REGISTRY.get(bench)
     if info is None:
@@ -154,6 +156,7 @@ def _user_request(bench: str, variant: str, params: List[str]
     if variant not in info.variants:
         raise UsageError(f"{bench} variants: "
                          f"{', '.join(sorted(info.variants))}")
+    from repro.experiments.engine import request
     return request(bench, variant, **_parse_kwargs(params))
 
 

@@ -234,11 +234,9 @@ class SystemConfig:
 
 #: The escape-hatch environment variables.  Setting a variable to any
 #: non-empty value disables the corresponding feature.
-#: :meth:`RunOptions.resolve` reads the scheduler and lint switches;
-#: ``REPRO_NO_CODEGEN`` is sampled by each SPL function at construction
-#: (repro.core.function).
+#: :meth:`RunOptions.resolve` reads the scheduler switch and the
+#: experiment engine the lint switch (repro.experiments.engine).
 ENV_NO_FASTFORWARD = "REPRO_NO_FASTFORWARD"
-ENV_NO_CODEGEN = "REPRO_NO_CODEGEN"
 ENV_NO_LINT = "REPRO_NO_LINT"
 
 
@@ -253,17 +251,13 @@ class RunOptions:
 
     ``Machine.run(options=)`` takes nothing else, and ``execute``
     passes its ``options=`` through: construct a ``RunOptions``, resolve
-    it once, and pass it around.  The tri-state fields (``fast_forward``,
-    ``lint``) default to ``None`` = "consult the environment";
-    :meth:`resolve` pins them to booleans using the
-    ``REPRO_NO_FASTFORWARD`` / ``REPRO_NO_LINT`` escape hatches.  The
-    one other env read for run behaviour is ``REPRO_NO_CODEGEN``, which
-    each SPL function samples when it is built; :meth:`fingerprint`
-    reports it too, so cache keys still tell the two modes apart.
+    it once, and pass it around.
 
     ``fast_forward`` is the one scheduler switch: the compiled walk,
     with its elision and jumps, or the naive per-cycle reference loop
-    (see :meth:`Machine.run`).
+    (see :meth:`Machine.run`).  It defaults to ``None`` = "consult the
+    environment"; :meth:`resolve` pins it to a boolean using the
+    ``REPRO_NO_FASTFORWARD`` escape hatch.
 
     ``pause_at`` stops :meth:`Machine.run` at exactly that cycle, with
     every elided window credited — the machine is left in the precise
@@ -283,31 +277,24 @@ class RunOptions:
     #: The fast scheduler, the compiled walk with its elision and jumps
     #: (None: env-resolved); False runs the naive per-cycle loop.
     fast_forward: Optional[bool] = None
-    #: Static-verifier pre-flight in the experiment engine (None: env).
-    lint: Optional[bool] = None
 
     def resolve(self) -> "RunOptions":
-        """Pin every tri-state field against the environment, once."""
+        """Pin ``fast_forward`` against the environment, once."""
         return replace(
             self,
             fast_forward=(env_enabled(ENV_NO_FASTFORWARD)
                           if self.fast_forward is None else self.fast_forward),
-            lint=(env_enabled(ENV_NO_LINT)
-                  if self.lint is None else self.lint),
         )
 
     def fingerprint(self) -> Dict[str, bool]:
         """The execution-affecting knobs, resolved, as a stable mapping.
 
         Used by the experiment engine's cache key so a result produced
-        under one scheduler/codegen mode is never served to a request for
-        another.  ``lint`` is excluded (it never changes the simulation),
-        as are ``max_cycles``/``until``/``pause_at`` (run-shape inputs the
-        request already encodes, or host-only closures).
+        under one scheduler is never served to a request for the other.
+        ``max_cycles``/``until``/``pause_at`` are excluded (run-shape
+        inputs the request already encodes, or host-only closures).
         """
-        resolved = self.resolve()
-        return {"fast_forward": bool(resolved.fast_forward),
-                "codegen": env_enabled(ENV_NO_CODEGEN)}
+        return {"fast_forward": bool(self.resolve().fast_forward)}
 
     def validate(self) -> None:
         if self.max_cycles < 0:

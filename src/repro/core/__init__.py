@@ -1,31 +1,1 @@
 """ReMAP's contribution: the shared SPL fabric, queues, tables, controller."""
-
-from repro.core.compile import ExpressionError, compile_expression
-from repro.core.controller import CoreSplPort, SplBinding, SplClusterController
-from repro.core.dfg import Dfg, DfgNode, DfgOp, ROW_DEPTH
-from repro.core.function import (
-    SplFunction, barrier_reduce_function, barrier_token_function,
-    identity_function,
-)
-from repro.core.mapper import (
-    RowMapping, initiation_interval, map_dfg, virtual_latency,
-)
-from repro.core.queues import (
-    ENTRY_BYTES, InputQueue, OutputQueue, SplRequest, StagingEntry,
-)
-from repro.core.manager import FabricManager, attach_fabric_manager
-from repro.core.tables import (
-    MAX_IN_FLIGHT, BarrierBus, BarrierTable, ThreadToCoreTable,
-)
-
-__all__ = [
-    "ExpressionError", "compile_expression",
-    "FabricManager", "attach_fabric_manager",
-    "CoreSplPort", "SplBinding", "SplClusterController",
-    "Dfg", "DfgNode", "DfgOp", "ROW_DEPTH",
-    "SplFunction", "barrier_reduce_function", "barrier_token_function",
-    "identity_function",
-    "RowMapping", "initiation_interval", "map_dfg", "virtual_latency",
-    "ENTRY_BYTES", "InputQueue", "OutputQueue", "SplRequest", "StagingEntry",
-    "MAX_IN_FLIGHT", "BarrierBus", "BarrierTable", "ThreadToCoreTable",
-]

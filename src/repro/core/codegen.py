@@ -33,10 +33,11 @@ Two closures are produced per graph:
   checks) with the graph body and returns outputs in declared order
   (regular, non-barrier graphs only).
 
-The interpreter remains the fallback: ``REPRO_NO_CODEGEN=1`` keeps
-:class:`~repro.core.function.SplFunction` on ``Dfg.evaluate``, and a
-graph the generator cannot handle (a future ``DfgOp`` without an
-emitter) degrades to interpretation instead of failing the run.
+Every :class:`~repro.core.function.SplFunction` evaluates through these
+closures; ``Dfg.evaluate`` is the reference they are checked against,
+never a fallback.  A graph the generator cannot handle (a future
+``DfgOp`` without an emitter) raises :class:`CodegenError`, which the
+``GEN001`` lint rule reports before a run.
 
 A process compiles each generated source once (a pass builds many
 instances of the same few graphs), and the closures hold no reference
@@ -243,8 +244,8 @@ def compile_dfg(dfg: Dfg) -> CompiledDfg:
     """Compile ``dfg`` into straight-line Python closures.
 
     Raises :class:`CodegenError` when the graph contains an op the
-    generator cannot emit; callers treat that as "keep interpreting",
-    while the ``GEN001`` lint rule reports it statically.
+    generator cannot emit; the ``GEN001`` lint rule reports it
+    statically.
     """
     generic = _generic_source(dfg)
     entry = _entry_source(dfg)

@@ -11,6 +11,12 @@ Two kinds exist (Section II-B):
   outputs to every participant.  Their DFG inputs are named ``s<slot>_*``
   where ``slot`` is the participant's position among the cluster's
   participating cores.
+
+Both kinds evaluate through the graph's compiled closures
+(:mod:`repro.core.codegen`), the model of a configured fabric;
+``Dfg.evaluate`` and :meth:`SplFunction.decode_entry` stay as the
+reference that ``tests/test_codegen.py`` and the ``GEN001`` lint rule
+compare them with.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Sequence
 
-from repro.common.config import ENV_NO_CODEGEN, env_enabled
-from repro.common.errors import CodegenError, SplError
+from repro.common.errors import SplError
 from repro.core.codegen import CompiledDfg, compile_dfg
 from repro.core.dfg import Dfg, DfgOp
 from repro.core.mapper import RowMapping, map_dfg
@@ -49,10 +54,8 @@ class SplFunction:
         self.state: dict = {}
         # Compiled hot path (DESIGN.md "Compiled hot paths"): the DFG is
         # assembled once into straight-line Python on first evaluation.
-        # The env gate is sampled at construction so a run is all-compiled
-        # or all-interpreted; graphs the generator cannot emit fall back
-        # to the interpreter (the GEN001 lint rule reports them).
-        self._codegen_enabled = env_enabled(ENV_NO_CODEGEN)
+        # A graph the generator cannot emit raises CodegenError, which
+        # the GEN001 lint rule reports before a run.
         self._compiled: Optional[CompiledDfg] = None
         self._compiled_version = -1
 
@@ -70,17 +73,11 @@ class SplFunction:
         self.state.clear()
 
     @property
-    def compiled(self) -> Optional[CompiledDfg]:
-        """The compiled evaluators, or None when codegen is off/failed."""
-        if not self._codegen_enabled:
-            return None
+    def compiled(self) -> CompiledDfg:
+        """The compiled evaluators, rebuilt when the graph has changed."""
         if self._compiled is None or \
                 self._compiled_version != self.dfg._version:
-            try:
-                self._compiled = compile_dfg(self.dfg)
-            except CodegenError:
-                self._codegen_enabled = False
-                return None
+            self._compiled = compile_dfg(self.dfg)
             self._compiled_version = self.dfg._version
         return self._compiled
 
@@ -120,11 +117,11 @@ class SplFunction:
         if self.is_barrier:
             raise SplError(f"{self.name}: barrier function needs all slots")
         compiled = self.compiled
-        if compiled is not None and compiled.evaluate_entry is not None:
+        if compiled.evaluate_entry is not None:
             # Fused decode+evaluate closure; bit-exact with the path below.
             return compiled.evaluate_entry(data, valid, self.state)
-        outputs = self.dfg.evaluate(self.decode_entry(data, valid),
-                                    state=self.state)
+        outputs = compiled.evaluate(self.decode_entry(data, valid),
+                                    self.state)
         return [outputs[name] for name in self.dfg.output_order]
 
     def evaluate_barrier(self, entries: Dict[int, tuple]) -> List[int]:
@@ -141,9 +138,7 @@ class SplFunction:
         if missing:
             raise SplError(f"{self.name}: no participant provided "
                            f"{sorted(missing)}")
-        compiled = self.compiled
-        outputs = (compiled.evaluate(values) if compiled is not None
-                   else self.dfg.evaluate(values))
+        outputs = self.compiled.evaluate(values)
         return [outputs[name] for name in self.dfg.output_order]
 
 

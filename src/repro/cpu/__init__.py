@@ -1,8 +1,1 @@
 """Out-of-order core models (Table II) and thread contexts."""
-
-from repro.cpu.branch import HybridPredictor
-from repro.cpu.context import ThreadContext
-from repro.cpu.pipeline import OutOfOrderCore
-from repro.cpu.ports import SplPort
-
-__all__ = ["HybridPredictor", "ThreadContext", "OutOfOrderCore", "SplPort"]

@@ -95,9 +95,9 @@ class SpecRequest:
                        if self.system_json else None),
             "name": self.name,
             "transform": self.transform,
-            # Effective run options (scheduler/codegen mode after env
-            # resolution): runs under REPRO_NO_FASTFORWARD / _NO_CODEGEN
-            # must not share cache entries with default-mode runs.
+            # Effective run options (the scheduler after env
+            # resolution): runs under REPRO_NO_FASTFORWARD must not
+            # share cache entries with default-mode runs.
             "options": RunOptions().resolve().fingerprint(),
         }
         text = json.dumps(record, sort_keys=True, separators=(",", ":"))

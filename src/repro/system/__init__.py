@@ -1,11 +1,1 @@
 """System assembly: clusters, the heterogeneous CMP, and workloads."""
-
-from repro.system.machine import ClusterInstance, Machine
-from repro.system.snapshot import (SNAPSHOT_SCHEMA_VERSION, read_snapshot,
-                                   restore_machine, resume_from_file,
-                                   take_snapshot, write_snapshot)
-from repro.system.workload import Workload
-
-__all__ = ["ClusterInstance", "Machine", "Workload",
-           "SNAPSHOT_SCHEMA_VERSION", "take_snapshot", "write_snapshot",
-           "read_snapshot", "restore_machine", "resume_from_file"]

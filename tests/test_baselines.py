@@ -11,7 +11,8 @@ from repro.common.config import (RunOptions, SystemConfig, ooo1_cluster,
 from repro.common.errors import ConfigError, SplError
 from repro.common.stats import Stats
 from repro.isa import Asm, MemoryImage, ThreadSpec
-from repro.system import Machine, Workload
+from repro.system.machine import Machine
+from repro.system.workload import Workload
 
 
 class TestDedicatedCommUnit:

@@ -9,9 +9,9 @@ Two properties are enforced:
    operands, and one program runs every such op on both schedulers with
    equal cycles, stats, registers and memory.  The golden interpreter
    shares the tables, so only the pinned literals catch a table bug.
-2. **Gating and integration.**  The ``REPRO_NO_FASTFORWARD`` /
-   ``REPRO_NO_CODEGEN`` escape hatches and mid-run snapshots preserve the
-   simulation exactly; a mutated DFG recompiles its closures.
+2. **Gating and integration.**  The ``REPRO_NO_FASTFORWARD`` escape
+   hatch and mid-run snapshots preserve the simulation exactly; a
+   mutated DFG recompiles its closures.
 """
 
 import pytest
@@ -20,7 +20,7 @@ from repro.common.config import RunOptions, SystemConfig, ooo1_cluster, \
     ooo2_cluster
 from repro.cpu import exec as exec_mod
 from repro.isa.opcodes import Fmt, FuClass, Op, info
-from repro.system import Machine
+from repro.system.machine import Machine
 from repro.workloads import registry
 
 INT_MIN, INT_MAX = -2**31, 2**31 - 1
@@ -123,8 +123,6 @@ def test_dfg_mutation_invalidates_compiled_closures():
     dfg.output("y", dfg.op(DfgOp.ADD, x, x))
     fn = SplFunction(dfg)
     first = fn.compiled
-    if first is None:
-        pytest.skip("codegen disabled in this environment")
     assert fn.compiled is first  # unchanged graph: cached
     dfg.output("z", dfg.op(DfgOp.ADD, x, x))
     second = fn.compiled
@@ -154,9 +152,9 @@ def test_blockgen_run_matches_interpreter_exactly():
     assert fused.stats.as_dict() == base.stats.as_dict()
 
 
-@pytest.mark.parametrize("env", ["REPRO_NO_FASTFORWARD", "REPRO_NO_CODEGEN"])
+@pytest.mark.parametrize("env", ["REPRO_NO_FASTFORWARD"])
 def test_env_gates_preserve_simulation(env, monkeypatch):
-    """Each escape hatch alone must not change the simulated results."""
+    """The escape hatch must not change the simulated results."""
     reference = _run_small()[:2]
     monkeypatch.setenv(env, "1")
     assert _run_small()[:2] == reference

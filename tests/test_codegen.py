@@ -3,11 +3,13 @@
 The codegen contract (DESIGN.md "Compiled hot paths") is that for every
 graph the generator accepts, the compiled closure is bit-exact with
 ``Dfg.evaluate`` — same outputs, same delay-register state evolution, and
-same error behaviour.  This suite sweeps the entire SPL function library
-(the lint library set plus every workload-module builder) on randomized
-inputs, including stateful/DELAY functions over multi-step sequences and
-barrier functions, and checks the fused byte-entry path against an
-interpreter-only twin constructed under ``REPRO_NO_CODEGEN=1``.
+same error behaviour.  ``SplFunction`` evaluates only through the
+closures, so ``Dfg.evaluate`` (with ``SplFunction.decode_entry``) is the
+reference here.  This suite sweeps the entire SPL function library (the
+lint library set plus every workload-module builder, which together use
+every ``DfgOp``) on randomized inputs, including stateful/DELAY
+functions over multi-step sequences and barrier functions, and checks
+the generic, fused byte-entry and barrier paths against that reference.
 """
 
 import gc
@@ -26,8 +28,7 @@ from repro.workloads import (adpcm, astar, cjpeg, g721, gsm, libquantum,
                              mpeg2, spl_lib, twolf, unepic, wc)
 
 #: Every SPL function builder in the tree, by name.  Builders (not
-#: instances) so each test can construct fresh state and fresh instances
-#: under a patched environment.
+#: instances) so each test can construct fresh state and fresh instances.
 BUILDERS = {
     "hmmer_mc": spl_lib.hmmer_mc_function,
     "mac2": spl_lib.mac2_function,
@@ -73,10 +74,11 @@ def _random_entry(rng: random.Random, size: int) -> bytes:
     return bytes(rng.randrange(256) for _ in range(size))
 
 
-@pytest.fixture
-def no_codegen(monkeypatch):
-    """Functions constructed under this fixture interpret every entry."""
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
+def _barrier_entries(function: SplFunction, rng: random.Random) -> dict:
+    """{slot: (data, valid)}: one random staged entry per participant."""
+    size, valid = _entry_shape(function.dfg)
+    slots = sorted({int(n.split("_")[0][1:]) for n in function.dfg.inputs})
+    return {slot: (_random_entry(rng, size), valid) for slot in slots}
 
 
 def test_library_covers_lint_sweep():
@@ -85,6 +87,15 @@ def test_library_covers_lint_sweep():
                   library_functions()}
     swept = {builder().dfg.name for builder in BUILDERS.values()}
     assert lint_names <= swept
+
+
+def test_library_uses_every_op():
+    """A run evaluates only through compiled closures, so an op without
+    an emitter would fail every run that uses it: the sweep must cover
+    every ``DfgOp``."""
+    used = {node.op for builder in BUILDERS.values()
+            for node in builder().dfg.nodes}
+    assert set(DfgOp) - used == set()
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -109,42 +120,66 @@ def test_compiled_matches_interpreter(name):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_entry_path_matches_interpreted_twin(name, monkeypatch):
-    """Byte-entry evaluation: codegen-on vs codegen-off instances agree."""
-    fast = BUILDERS[name]()
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    slow = BUILDERS[name]()
-    assert fast.compiled is not None
-    assert slow.compiled is None
+def test_entry_path_matches_interpreted_twin(name):
+    """Byte-entry and barrier evaluation agree with ``Dfg.evaluate`` on
+    the values ``decode_entry`` reads from the same entries."""
+    function = BUILDERS[name]()
+    dfg = function.dfg
     rng = random.Random(0xBEEF ^ hash(name) & 0xFFFF)
-    size, valid = _entry_shape(fast.dfg)
+    size, valid = _entry_shape(dfg)
+    state_ref: dict = {}
     for _step in range(STEPS):
-        if fast.is_barrier:
-            slots = sorted({int(n.split("_")[0][1:])
-                            for n in fast.dfg.inputs})
-            entries = {slot: (_random_entry(rng, size), valid)
-                       for slot in slots}
-            assert (fast.evaluate_barrier(entries)
-                    == slow.evaluate_barrier(entries))
+        if function.is_barrier:
+            entries = _barrier_entries(function, rng)
+            values: dict = {}
+            for slot, (data, mask) in entries.items():
+                values.update(function.decode_entry(
+                    data, mask, function.slot_input_names(slot)))
+            reference = dfg.evaluate(values)
+            got = function.evaluate_barrier(entries)
         else:
             data = _random_entry(rng, size)
-            assert (fast.evaluate_entry(data, valid)
-                    == slow.evaluate_entry(data, valid))
-            assert fast.state == slow.state
+            reference = dfg.evaluate(function.decode_entry(data, valid),
+                                     state=state_ref)
+            got = function.evaluate_entry(data, valid)
+            assert function.state == state_ref
+        assert got == [reference[out] for out in dfg.output_order]
+
+
+def test_functions_never_interpret(monkeypatch):
+    """``SplFunction`` evaluates only through its compiled closures, a
+    regular graph with grouped inputs (no fused entry closure) too."""
+    grouped = Dfg("grouped")
+    x = grouped.input("x", offset=0, group="a")
+    y = grouped.input("y", offset=4, group="b")
+    grouped.output("s", grouped.op(DfgOp.ADD, x, y))
+    functions = [builder() for builder in BUILDERS.values()]
+    functions.append(SplFunction(grouped))
+
+    def interpret(*_args, **_kwargs):
+        raise AssertionError("SplFunction called Dfg.evaluate")
+
+    monkeypatch.setattr(Dfg, "evaluate", interpret)
+    rng = random.Random(5)
+    for function in functions:
+        if function.is_barrier:
+            function.evaluate_barrier(_barrier_entries(function, rng))
+        else:
+            size, valid = _entry_shape(function.dfg)
+            function.evaluate_entry(_random_entry(rng, size), valid)
+    assert functions[-1].compiled.evaluate_entry is None
 
 
 @pytest.mark.parametrize("name", ["adpcm_step", "gsm_lattice", "route"])
-def test_entry_error_parity(name, monkeypatch):
-    """Invalid entries raise the same SplError either way."""
-    fast = BUILDERS[name]()
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    slow = BUILDERS[name]()
+def test_entry_error_parity(name):
+    """An invalid entry raises ``decode_entry``'s SplError verbatim."""
+    function = BUILDERS[name]()
     data = bytes(16)
-    with pytest.raises(SplError) as fast_exc:
-        fast.evaluate_entry(data, 0)  # no byte is valid
-    with pytest.raises(SplError) as slow_exc:
-        slow.evaluate_entry(data, 0)
-    assert str(fast_exc.value) == str(slow_exc.value)
+    with pytest.raises(SplError) as got_exc:
+        function.evaluate_entry(data, 0)  # no byte is valid
+    with pytest.raises(SplError) as ref_exc:
+        function.decode_entry(data, 0)
+    assert str(got_exc.value) == str(ref_exc.value)
 
 
 def test_missing_input_error_parity():
@@ -159,15 +194,6 @@ def test_missing_input_error_parity():
     with pytest.raises(MappingError) as got_exc:
         compiled.evaluate(dict(inputs))
     assert str(got_exc.value) == str(ref_exc.value)
-
-
-def test_no_codegen_disables_compilation(no_codegen):
-    function = spl_lib.mac2_function()
-    assert function.compiled is None
-    # ...and the entry path still works, interpreted.
-    dfg = function.dfg
-    values = {name: 1 for name in dfg.inputs}
-    assert function.dfg.evaluate(values) is not None
 
 
 def test_compiled_source_is_inspectable():

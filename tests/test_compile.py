@@ -114,7 +114,8 @@ class TestCompiledEndToEnd:
         """A compiled function executes in the simulated SPL."""
         from repro.common.config import RunOptions, remap_system
         from repro.isa import Asm, MemoryImage, ThreadSpec
-        from repro.system import Machine, Workload
+        from repro.system.machine import Machine
+        from repro.system.workload import Workload
         fn = compile_expression("o = abs(a - b);", inputs={"a": 0, "b": 4})
         image = MemoryImage()
         out = image.alloc_zeroed(1)

@@ -15,7 +15,8 @@ from repro.core.function import SplFunction
 from repro.isa import Asm, MemoryImage, Op, ThreadSpec
 from repro.isa.interpreter import FunctionalSpl, Interpreter
 from repro.mem.memory import MainMemory
-from repro.system import Machine, Workload
+from repro.system.machine import Machine
+from repro.system.workload import Workload
 
 _ALU_OPS = [Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.NOR, Op.SLT,
             Op.SLTU, Op.MUL, Op.DIV, Op.REM, Op.SLL, Op.SRL, Op.SRA]

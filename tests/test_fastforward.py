@@ -18,7 +18,8 @@ from repro.common.config import (RunOptions, SystemConfig, ooo1_cluster,
 from repro.common.errors import DeadlockError
 from repro.experiments.runner import execute
 from repro.isa import Asm, MemoryImage, ThreadSpec
-from repro.system import Machine, Workload
+from repro.system.machine import Machine
+from repro.system.workload import Workload
 from repro.workloads import registry
 
 #: Small spec kwargs per benchmark (mirrors tests/test_workload_variants).
@@ -101,41 +102,6 @@ def test_differential_sweep(bench, variant, kwargs):
     fast = _run(bench, variant, kwargs, fast_forward=True)
     assert fast.cycles == naive.cycles
     assert _flat(fast.stats.as_dict()) == _flat(naive.stats.as_dict())
-
-
-#: SPL-heavy cases for the codegen on/off leg of the sweep (compute-only,
-#: communication+computation, and barrier flavours; every SPL evaluation
-#: path gets covered without doubling the full-registry sweep).
-_CODEGEN_CASES = [
-    ("g721dec", "spl", {"items": 10}),
-    ("adpcm", "compcomm", {"items": 96}),
-    ("gsmtoast", "spl", {"items": 32}),
-    ("hmmer", "compcomm", {"M": 48, "R": 2}),
-    ("ll3", "barrier_comp", {"n": 64, "passes": 3, "p": 8}),
-    ("dijkstra", "barrier", {"n": 20, "p": 16}),
-]
-
-
-@pytest.mark.parametrize(
-    "bench,variant,kwargs", _CODEGEN_CASES,
-    ids=lambda v: v if isinstance(v, str) else "")
-def test_codegen_off_same_simulation(bench, variant, kwargs, monkeypatch):
-    """REPRO_NO_CODEGEN=1 (interpreter fallback) is the same simulation.
-
-    The env gate is sampled when SplFunctions are constructed, so it is
-    set before the spec is built.  Compiled fast-forward (the default
-    production mode) is compared against the interpreted runs under both
-    schedulers: identical final cycle and identical stats tree.
-    """
-    compiled = _run(bench, variant, kwargs, fast_forward=True)
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    interp_naive = _run(bench, variant, kwargs, fast_forward=False)
-    interp_ff = _run(bench, variant, kwargs, fast_forward=True)
-    assert interp_naive.cycles == compiled.cycles
-    assert interp_ff.cycles == compiled.cycles
-    flat = _flat(compiled.stats.as_dict())
-    assert _flat(interp_naive.stats.as_dict()) == flat
-    assert _flat(interp_ff.stats.as_dict()) == flat
 
 
 # ---------------------------------------------------------------- profiler

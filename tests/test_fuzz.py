@@ -2,6 +2,7 @@
 
 import json
 
+from repro.analysis import fuzz
 from repro.analysis.fuzz import (_MENU, run_fuzz, scenario_for_seed,
                                  write_fuzz_json)
 from repro.cli import main
@@ -32,6 +33,24 @@ def test_ci_seed_range_covers_the_whole_menu():
     entry of the menu, the atomics shape included, is among them."""
     seen = {(s.kind, s.defect) for s in map(scenario_for_seed, range(25))}
     assert seen == set(_MENU)
+
+
+def test_clean_scenario_runs_both_schedulers(monkeypatch):
+    """A clean scenario runs in two modes: the fast scheduler on the
+    spec lint saw, then the naive loop on a fresh build."""
+    runs = []
+    real = fuzz._run_spec
+
+    def spy(spec, scenario, fast_forward):
+        runs.append((spec, fast_forward))
+        return real(spec, scenario, fast_forward)
+
+    monkeypatch.setattr(fuzz, "_run_spec", spy)
+    scenario = next(s for s in map(scenario_for_seed, range(len(_MENU)))
+                    if s.kind == "compute")
+    assert fuzz.run_scenario(scenario)["disagreements"] == []
+    assert [fast for _spec, fast in runs] == [True, False]
+    assert runs[0][0] is not runs[1][0]
 
 
 def test_defect_records_name_the_rules():

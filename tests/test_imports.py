@@ -18,6 +18,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: What only a simulating command may load.
 SIMULATOR = ("repro.cpu", "repro.mem", "repro.system", "repro.core")
 
+#: The machine itself: what a command that builds only workloads (whose
+#: SPL functions and programs import ``repro.core`` and
+#: ``repro.system.workload``) must not load.
+MACHINE = ("repro.system.machine", "repro.cpu.pipeline",
+           "repro.cpu.blockgen", "repro.mem")
+
 #: The benchmark modules the registry imports on demand.
 BENCHMARK_MODULES = frozenset(
     f"repro.workloads.{info.variants_path.partition(':')[0]}"
@@ -55,6 +61,30 @@ for number in ("1", "2", "3"):
     assert not _under(modules, SIMULATOR)
     assert not sorted(BENCHMARK_MODULES & modules)
     assert not _under(modules, FAN_OUT)
+
+
+def test_list_loads_no_machine():
+    modules = _modules_after("""
+from repro.cli import main
+assert main(["list"]) == 0
+""")
+    assert "repro.workloads.g721" in modules
+    assert not _under(modules, MACHINE)
+
+
+def test_run_checks_names_before_the_engine():
+    modules = _modules_after("""
+from repro.cli import main
+assert main(["run", "nosuchbench", "seq"]) == 2
+""")
+    assert not _under(modules, SIMULATOR + ("repro.experiments",))
+    assert not sorted(BENCHMARK_MODULES & modules)
+    modules = _modules_after("""
+from repro.cli import main
+assert main(["run", "g721dec", "nosuch"]) == 2
+""")
+    assert sorted(BENCHMARK_MODULES & modules) == ["repro.workloads.g721"]
+    assert not _under(modules, MACHINE + ("repro.experiments",))
 
 
 def test_setup_path_compiles_no_benchmark(tmp_path):

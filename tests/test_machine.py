@@ -22,7 +22,8 @@ from repro.isa import Asm, MemoryImage, ThreadSpec
 from repro.mem.hierarchy import CoherentMemorySystem, _CorePort
 from repro.obs.perfetto import PERFETTO_KINDS, PerfettoSink
 from repro.obs.profile import ProfilerSink
-from repro.system import Machine, Workload
+from repro.system.machine import Machine
+from repro.system.workload import Workload
 from repro.workloads import registry
 
 

@@ -7,7 +7,8 @@ from repro.core.compile import compile_expression
 from repro.core.manager import FabricManager, attach_fabric_manager
 from repro.experiments.plots import ascii_plot
 from repro.isa import Asm, MemoryImage, ThreadSpec
-from repro.system import Machine, Workload
+from repro.system.machine import Machine
+from repro.system.workload import Workload
 from repro.system.report import core_summary, fabric_summary, machine_report
 
 

@@ -10,7 +10,8 @@ from repro.cpu.exec import alu, branch_taken
 from repro.isa import Asm, MemoryImage, Op, ThreadSpec
 from repro.isa.instruction import (HOLD_FP_IQ, HOLD_INT_IQ, HOLD_LQ,
                                    HOLD_REN_FP, HOLD_REN_INT, HOLD_SQ)
-from repro.system import Machine, Workload
+from repro.system.machine import Machine
+from repro.system.workload import Workload
 
 
 def run_program(asm, image=None, regs=None, system=None, max_cycles=500_000):

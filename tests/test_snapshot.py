@@ -12,12 +12,10 @@ mid-barrier-wait, and inside a fast-forward elision window.
 
 import inspect
 import json
-import os
 
 import pytest
 
-from repro.common.config import (ENV_NO_CODEGEN, ENV_NO_FASTFORWARD,
-                                 RunOptions, env_enabled)
+from repro.common.config import ENV_NO_FASTFORWARD, RunOptions, env_enabled
 from repro.common.errors import ConfigError
 from repro.common.serialize import (decode_record, encode_record,
                                     registered_codecs)
@@ -367,7 +365,6 @@ class TestRunOptions:
 
     def test_env_resolution(self, monkeypatch):
         monkeypatch.delenv(ENV_NO_FASTFORWARD, raising=False)
-        monkeypatch.delenv(ENV_NO_CODEGEN, raising=False)
         resolved = RunOptions().resolve()
         assert resolved.fast_forward is True
         monkeypatch.setenv(ENV_NO_FASTFORWARD, "1")
@@ -379,7 +376,7 @@ class TestRunOptions:
     def test_fingerprint_tracks_env(self, monkeypatch):
         monkeypatch.delenv(ENV_NO_FASTFORWARD, raising=False)
         base = RunOptions().resolve().fingerprint()
-        assert base == {"fast_forward": True, "codegen": True}
+        assert base == {"fast_forward": True}
         monkeypatch.setenv(ENV_NO_FASTFORWARD, "1")
         assert RunOptions().resolve().fingerprint()["fast_forward"] is False
 

@@ -9,7 +9,8 @@ from repro.common.errors import DeadlockError
 from repro.common.stats import Stats
 from repro.isa import Asm, MemoryImage, ThreadSpec
 from repro.mem.hierarchy import CoherentMemorySystem
-from repro.system import Machine, Workload
+from repro.system.machine import Machine
+from repro.system.workload import Workload
 
 import dataclasses
 

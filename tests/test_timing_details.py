@@ -11,7 +11,8 @@ from repro.core.dfg import Dfg, DfgOp
 from repro.core.function import SplFunction, identity_function
 from repro.core.tables import BarrierBus
 from repro.isa import Asm, MemoryImage, ThreadSpec
-from repro.system import Machine, Workload
+from repro.system.machine import Machine
+from repro.system.workload import Workload
 
 
 def _controller():
