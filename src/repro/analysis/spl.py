@@ -31,8 +31,8 @@ Rules emitted here (per program); the cross-thread balance rules
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.analysis.cfg import Cfg
 from repro.analysis.dataflow import ForwardAnalysis, exit_states, forward
@@ -96,8 +96,9 @@ def iexact(values: IntSet) -> Optional[int]:
 Issues = Tuple[Tuple[int, IntSet], ...]
 
 
-@dataclass(frozen=True)
-class SplState:
+class SplState(NamedTuple):
+    """An immutable value: states compare and hash by their fields."""
+
     staged_must: FrozenSet[int] = frozenset()
     staged_may: FrozenSet[int] = frozenset()
     pops: IntSet = ZERO
@@ -112,21 +113,24 @@ class SplState:
     def with_issue(self, config: int) -> "SplState":
         counts = dict(self.issues)
         counts[config] = iadd(self.issue_count(config), 1)
-        return SplState(staged_must=frozenset(), staged_may=frozenset(),
-                        pops=self.pops,
-                        issues=tuple(sorted(counts.items(),
-                                            key=lambda kv: kv[0])))
+        return SplState(frozenset(), frozenset(), self.pops,
+                        tuple(sorted(counts.items(), key=lambda kv: kv[0])))
 
 
 def _join(a: SplState, b: SplState) -> SplState:
-    configs = {key for key, _ in a.issues} | {key for key, _ in b.issues}
-    issues = tuple(sorted(
-        (config, ijoin(a.issue_count(config), b.issue_count(config)))
-        for config in configs))
-    return SplState(staged_must=a.staged_must & b.staged_must,
-                    staged_may=a.staged_may | b.staged_may,
-                    pops=ijoin(a.pops, b.pops),
-                    issues=issues)
+    # Every counter set is already capped, so joining a state with an
+    # equal one gives it back unchanged.
+    if a == b:
+        return a
+    issues = a.issues
+    if issues != b.issues:
+        configs = {key for key, _ in issues} | {key for key, _ in b.issues}
+        issues = tuple(sorted(
+            (config, ijoin(a.issue_count(config), b.issue_count(config)))
+            for config in configs))
+    return SplState(a.staged_must & b.staged_must,
+                    a.staged_may | b.staged_may, ijoin(a.pops, b.pops),
+                    issues)
 
 
 def _staged_bytes(inst: Instruction) -> Optional[FrozenSet[int]]:
@@ -142,22 +146,30 @@ def _staged_bytes(inst: Instruction) -> Optional[FrozenSet[int]]:
     return frozenset(range(start, min(start + width, ENTRY_BYTES)))
 
 
+def _step(inst: Instruction) -> Optional[Callable[[SplState], SplState]]:
+    """What ``inst`` does to the state; ``None`` when it leaves it."""
+    staged = _staged_bytes(inst)
+    if staged is not None:
+        return lambda state: SplState(state.staged_must | staged,
+                                      state.staged_may | staged,
+                                      state.pops, state.issues)
+    if inst.op is Op.SPL_INIT:
+        config = inst.imm
+        return lambda state: state.with_issue(config)
+    if inst.op in (Op.SPL_RECV, Op.SPL_STORE):
+        return lambda state: SplState(state.staged_must, state.staged_may,
+                                      iadd(state.pops, 1), state.issues)
+    return None
+
+
 def _transfer(insts: Sequence[Instruction]
               ) -> Callable[[SplState, int], SplState]:
+    # Each PC's action is decided once per program, not once per visit.
+    steps = [_step(inst) for inst in insts]
+
     def transfer(state: SplState, pc: int) -> SplState:
-        inst = insts[pc]
-        staged = _staged_bytes(inst)
-        if staged is not None:
-            return SplState(staged_must=state.staged_must | staged,
-                            staged_may=state.staged_may | staged,
-                            pops=state.pops, issues=state.issues)
-        if inst.op is Op.SPL_INIT:
-            return state.with_issue(inst.imm)
-        if inst.op in (Op.SPL_RECV, Op.SPL_STORE):
-            return SplState(staged_must=state.staged_must,
-                            staged_may=state.staged_may,
-                            pops=iadd(state.pops, 1), issues=state.issues)
-        return state
+        step = steps[pc]
+        return state if step is None else step(state)
     return transfer
 
 

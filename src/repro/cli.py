@@ -282,8 +282,9 @@ _VARIANT_PREFERENCE = ("spl", "compcomm", "barrier", "comm", "sw")
 
 
 def _resolve_observed_spec(args):
-    """RunSpec for the trace/profile commands (default variant if blank)."""
-    from repro.experiments.engine import build_spec
+    """RunSpec for the trace/profile commands (default variant if blank).
+
+    The names are checked before the engine is imported."""
     from repro.workloads import registry
     bench = args.benchmark_opt or args.benchmark
     if not bench:
@@ -298,6 +299,7 @@ def _resolve_observed_spec(args):
                         if candidate in info.variants),
                        min(info.variants))
     req = _user_request(bench, variant, args.params)
+    from repro.experiments.engine import build_spec
     with _building(req):
         return build_spec(req)
 
@@ -317,8 +319,8 @@ def _run_observed(spec, *sinks):
 
 def cmd_trace(args) -> int:
     import os
-    from repro.obs.perfetto import PERFETTO_KINDS, PerfettoSink
     spec = _resolve_observed_spec(args)
+    from repro.obs.perfetto import PERFETTO_KINDS, PerfettoSink
     sink = PerfettoSink()
     machine = _run_observed(spec, (sink, PERFETTO_KINDS))
     # Default under the gitignored out/ directory so traces (easily
@@ -346,9 +348,9 @@ def _cmd_profile_hot(args) -> int:
     windows, periodic elision and all.
     """
     import json
+    spec = _resolve_observed_spec(args)
     from repro.common.config import RunOptions
     from repro.system.machine import Machine
-    spec = _resolve_observed_spec(args)
     machine = Machine(spec.system)
     machine.load(spec.workload)
     programs = {}
@@ -402,12 +404,12 @@ def _cmd_profile_hot(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from repro.analysis.bounds import check_measured, compute_bounds
-    from repro.obs.profile import ProfilerSink
-    from repro.obs.render import render_profile
     if args.hot:
         return _cmd_profile_hot(args)
     spec = _resolve_observed_spec(args)
+    from repro.analysis.bounds import check_measured, compute_bounds
+    from repro.obs.profile import ProfilerSink
+    from repro.obs.render import render_profile
     sink = ProfilerSink()
     _run_observed(spec, (sink, ProfilerSink.KINDS))
     accounting = sink.accounting()
@@ -435,10 +437,9 @@ def cmd_profile(args) -> int:
 def cmd_sample(args) -> int:
     import json
     import os
-
+    req = _user_request(args.benchmark, args.variant, args.params)
     from repro import api
     from repro.experiments.sample import format_report
-    req = _user_request(args.benchmark, args.variant, args.params)
     snapshot_path = args.snapshot
     if snapshot_path is None:
         snapshot_path = os.path.join(

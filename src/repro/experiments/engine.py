@@ -22,12 +22,12 @@ path:
   reported as a :class:`SpecError` (request, exception type, message,
   traceback), and strict callers get them all at once in an
   :class:`ExperimentBatchError`.
-* **Pre-flight lint.** Before fanning out, every cache-missing spec is
-  statically verified (``repro.analysis.lint_spec``) in the parent
-  process; error-severity diagnostics turn into ``LintError``-typed
-  :class:`SpecError` records instead of burning a worker on a spec that
-  would fault mid-simulation.  Disable with ``--no-lint`` /
-  ``REPRO_NO_LINT`` or ``ExperimentEngine(lint=False)``.
+* **Pre-flight lint.** A worker builds each cache-missing spec once,
+  statically verifies it (``repro.analysis.lint_spec``) right after the
+  build and simulates that same spec only if it passed, so a faulty spec
+  costs a lint, not a simulation: error-severity diagnostics turn into
+  ``LintError``-typed :class:`SpecError` records.  Disable with
+  ``--no-lint`` / ``REPRO_NO_LINT`` or ``ExperimentEngine(lint=False)``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import sys
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.common.config import ENV_NO_LINT, SystemConfig, env_enabled
 from repro.common.errors import ConfigError
@@ -261,8 +261,8 @@ class LintCache:
     version directory, so any source change (including to the analysis
     rules themselves) invalidates cached verdicts implicitly.  A record
     is ``{"ok": true}`` or ``{"ok": false, "outcome": [...]}`` where
-    ``outcome`` is the error tuple :meth:`ExperimentEngine._preflight`
-    would have produced.
+    ``outcome`` is the error tuple a failing lint produces (see
+    :func:`_lint_verdict`).
     """
 
     def __init__(self, root: Optional[Path] = None) -> None:
@@ -281,10 +281,11 @@ class LintCache:
             return None
 
     def store(self, key: str, outcome: Optional[Tuple]) -> None:
+        """Store a verdict: a failing lint's outcome, empty if it passed."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        record: Dict = {"ok": outcome is None}
-        if outcome is not None:
+        record: Dict = {"ok": not outcome}
+        if outcome:
             record["outcome"] = list(outcome)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         with open(tmp, "w") as handle:
@@ -295,14 +296,45 @@ class LintCache:
 # -- the engine ----------------------------------------------------------------
 
 
-def _run_request(req: SpecRequest) -> Tuple:
-    """Worker entry point: build, simulate, serialize (all picklable)."""
+def _lint_verdict(spec) -> Optional[Tuple]:
+    """Lint one built spec: ``()`` when it may run, the engine's error
+    outcome when it must not, ``None`` when the linter itself raised (the
+    spec then runs, and no verdict is kept)."""
+    from repro.analysis import lint_spec, render_text
     try:
-        result = execute(build_spec(req))
-        return ("ok", result.to_dict())
+        diagnostics = lint_spec(spec)
+    except Exception:
+        return None
+    errors = [diag for diag in diagnostics if diag.is_error]
+    if not errors:
+        return ()
+    return ("error", "LintError",
+            f"static pre-flight found {len(errors)} error-severity "
+            f"diagnostics (--no-lint to bypass)",
+            render_text(errors))
+
+
+def _run_request(req: SpecRequest,
+                 lint: bool) -> Tuple[Tuple, Optional[Tuple]]:
+    """Worker entry point: build the spec once, lint it if ``lint``, and
+    simulate that same spec unless the lint failed.
+
+    Returns ``(outcome, verdict)``, both picklable: ``outcome`` is
+    ``("ok", record)`` or ``("error", type, message, traceback)``, and
+    ``verdict`` is :func:`_lint_verdict`'s, or ``None`` when nothing was
+    linted (``lint`` off, or the factory raised).
+    """
+    verdict: Optional[Tuple] = None
+    try:
+        spec = build_spec(req)
+        if lint:
+            verdict = _lint_verdict(spec)
+            if verdict:
+                return verdict, verdict
+        return ("ok", execute(spec).to_dict()), verdict
     except Exception as exc:
-        return ("error", type(exc).__name__, str(exc),
-                traceback.format_exc())
+        return (("error", type(exc).__name__, str(exc),
+                 traceback.format_exc()), verdict)
 
 
 class ExperimentEngine:
@@ -319,12 +351,14 @@ class ExperimentEngine:
 
     ``jobs`` defaults to ``REPRO_JOBS`` (else 1).  ``use_cache`` defaults
     to on unless ``REPRO_NO_CACHE`` is set.  ``lint`` defaults to on
-    unless ``REPRO_NO_LINT`` is set; when on, cache-missing specs are
-    statically verified before dispatch and error-severity findings
-    become ``LintError``-typed :class:`SpecError` records.  Verdicts are
-    cached persistently (:class:`LintCache`) under the same
-    content-addressed keys as results, so repeated batches skip the
-    analysis entirely until the code or the request changes.
+    unless ``REPRO_NO_LINT`` is set; when on, the worker (this process
+    at ``jobs=1``) lints each cache-missing spec right after its one
+    build and before it simulates, so error-severity findings become
+    ``LintError``-typed :class:`SpecError` records at the cost of a
+    lint, not a simulation.  The parent stores the verdict each worker
+    returns (:class:`LintCache`, under the same content-addressed keys
+    as results), so repeated batches skip the analysis entirely until
+    the code or the request changes.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -421,8 +455,14 @@ class ExperimentEngine:
             else:
                 todo.setdefault(cache_key, []).append((key, req))
 
-        def finish(cache_key: str, outcome: Tuple) -> None:
+        def finish(cache_key: str, outcome: Tuple,
+                   verdict: Optional[Tuple] = None) -> None:
             nonlocal done, simulated
+            if verdict is not None:
+                if not verdict:
+                    self._lint_passed.add(cache_key)
+                if self.lint_cache:
+                    self.lint_cache.store(cache_key, verdict)
             keyed = todo[cache_key]
             req = keyed[0][1]
             done += len(keyed)
@@ -443,29 +483,34 @@ class ExperimentEngine:
                 self._note(done, total, hits, simulated, len(errors),
                            f"FAILED {req.label}: {exc_type}: {message}")
 
-        if self.lint:
-            for cache_key in list(todo):
-                outcome = self._preflight_outcome(cache_key,
-                                                  todo[cache_key][0][1])
-                if outcome is not None:
-                    finish(cache_key, outcome)
-                    del todo[cache_key]
+        # A stored verdict spares the worker its lint, and a stored
+        # failure is replayed without dispatching the spec at all.
+        to_lint: Dict[str, bool] = {}
+        for cache_key in list(todo):
+            verdict = self._stored_verdict(cache_key) if self.lint else ()
+            if verdict:
+                finish(cache_key, verdict)
+                del todo[cache_key]
+            else:
+                to_lint[cache_key] = verdict is None
 
         if self.jobs == 1 or len(todo) <= 1:
             for cache_key, keyed in todo.items():
-                finish(cache_key, _run_request(keyed[0][1]))
+                finish(cache_key, *_run_request(keyed[0][1],
+                                                to_lint[cache_key]))
         else:
             from concurrent.futures import (FIRST_COMPLETED,
                                             ProcessPoolExecutor, wait)
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures = {pool.submit(_run_request, keyed[0][1]): cache_key
+                futures = {pool.submit(_run_request, keyed[0][1],
+                                       to_lint[cache_key]): cache_key
                            for cache_key, keyed in todo.items()}
                 pending = set(futures)
                 while pending:
                     finished, pending = wait(pending,
                                              return_when=FIRST_COMPLETED)
                     for future in finished:
-                        finish(futures[future], future.result())
+                        finish(futures[future], *future.result())
         self.cache_hits += hits
         self.simulated += simulated
         self.failed += len(errors)
@@ -474,47 +519,19 @@ class ExperimentEngine:
                        "batch complete")
         return results, errors
 
-    def _preflight_outcome(self, cache_key: str,
-                           req: SpecRequest) -> Optional[Tuple]:
-        """Memoized pre-flight verdict for one request.
-
-        ``None`` means the spec may run; otherwise the engine's error
-        outcome tuple (``("error", type, message, traceback)``).
-        Verdicts are remembered in-process and in :class:`LintCache`.
-        """
+    def _stored_verdict(self, cache_key: str) -> Optional[Tuple]:
+        """A request's known lint verdict, in :func:`_lint_verdict`'s
+        form; ``None`` when it has none yet and must be linted."""
         if cache_key in self._lint_passed:
-            return None
+            return ()
         record = self.lint_cache.load(cache_key) \
             if self.lint_cache else None
-        if record is not None:
-            outcome = None if record.get("ok") \
-                else tuple(record["outcome"])
-        else:
-            outcome = self._preflight(req)
-            if self.lint_cache:
-                self.lint_cache.store(cache_key, outcome)
-        if outcome is None:
+        if record is None:
+            return None
+        if record.get("ok"):
             self._lint_passed.add(cache_key)
-        return outcome
-
-    def _preflight(self, req: SpecRequest) -> Optional[Tuple]:
-        """Lint one spec; an error-outcome tuple when it must not run.
-
-        Spec-construction failures return ``None`` so the normal
-        execution path reports them with their own type and traceback.
-        """
-        from repro.analysis import lint_spec, render_text
-        try:
-            diagnostics = lint_spec(build_spec(req))
-        except Exception:
-            return None
-        errors = [diag for diag in diagnostics if diag.is_error]
-        if not errors:
-            return None
-        return ("error", "LintError",
-                f"static pre-flight found {len(errors)} error-severity "
-                f"diagnostics (--no-lint to bypass)",
-                render_text(errors))
+            return ()
+        return tuple(record["outcome"])
 
     def _note(self, done: int, total: int, hits: int, simulated: int,
               failed: int, event: str) -> None:

@@ -9,6 +9,7 @@ context-switch cost), and convenience wrappers for SPL configuration.
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import RunOptions, SystemConfig
@@ -211,11 +212,26 @@ class Machine:
         included, the naive loop would see at the top of that cycle,
         ready for :meth:`snapshot` (see DESIGN.md §8).  A paused run
         resumes with another :meth:`run` call.
+
+        The cyclic garbage collector is off for the run and restored to
+        the caller's setting when it returns or raises: no run makes a
+        reference cycle, so the collector would only scan the run's own
+        young objects (DESIGN.md §3, "Collector policy").
         """
         if options is None:
             options = RunOptions()
         options.validate()
         options = options.resolve()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._advance(options)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _advance(self, options: RunOptions) -> int:
+        """:meth:`run`'s two loops, under resolved ``options``."""
         until = options.until
         pause_at = options.pause_at
         cores = self.cores

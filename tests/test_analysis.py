@@ -406,6 +406,20 @@ class TestEnginePreflight:
         assert "CFG002" in out[0].traceback_text
         assert engine.simulated == 0
 
+    def test_lint_error_blocks_dispatch_in_a_pool(self):
+        from repro.experiments.engine import (ExperimentEngine, SpecError,
+                                              request)
+        from repro.experiments.runner import RunResult
+        engine = ExperimentEngine(jobs=2, use_cache=False, lint=True)
+        out = engine.run_batch(
+            [request("tests.test_analysis:broken_spec"),
+             request("wc", "seq", items=16)], strict=False)
+        assert isinstance(out[0], SpecError)
+        assert out[0].exception_type == "LintError"
+        assert "CFG002" in out[0].traceback_text
+        assert isinstance(out[1], RunResult)
+        assert engine.simulated == 1 and engine.failed == 1
+
     def test_no_lint_escape_hatch_reaches_simulation(self):
         from repro.experiments.engine import (ExperimentEngine, SpecError,
                                               request)

@@ -274,6 +274,92 @@ class TestLintCache:
     def test_no_cache_engine_has_no_lint_cache(self):
         assert _engine().lint_cache is None
 
+    def test_pool_verdicts_stored_by_parent_and_reused(self, tmp_path,
+                                                        monkeypatch):
+        from repro.analysis import Diagnostic, Severity
+        from repro.experiments.engine import LintCache
+        import repro.analysis as analysis
+        reqs = [request("wc", "seq", items=16),
+                request("wc", "compcomm", items=16)]
+        cold = _engine(tmp_path, jobs=2)
+        cold.run_batch(reqs)
+        assert cold.simulated == 2
+        # The workers lint; only the parent writes the lint cache.
+        lint_cache = LintCache(tmp_path / "cache")
+        for req in reqs:
+            assert lint_cache.load(req.cache_key()) == {"ok": True}
+            ResultCache(tmp_path / "cache")._path(req.cache_key()).unlink()
+
+        # A relint now fails the spec, in the parent or a forked worker.
+        def poisoned(spec, unit=""):
+            return [Diagnostic(rule="XXX999", severity=Severity.ERROR,
+                               message="relinted", unit=spec.name)]
+
+        monkeypatch.setattr(analysis, "lint_spec", poisoned)
+        warm = _engine(tmp_path, jobs=2)
+        results = warm.run_batch(reqs)
+        assert warm.simulated == 2 and warm.failed == 0
+        assert all(result.cycles > 0 for result in results)
+
+
+class TestOnePath:
+    """Each cache-missing request is built once, linted beside its run."""
+
+    def _count_builds(self, monkeypatch):
+        from repro.experiments import engine as engine_module
+        calls = []
+        original = engine_module.build_spec
+
+        def counting(req):
+            calls.append(req)
+            return original(req)
+
+        monkeypatch.setattr(engine_module, "build_spec", counting)
+        return calls
+
+    def test_one_build_per_distinct_request(self, tmp_path, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        reqs = [request("wc", "seq", items=16),
+                request("wc", "seq", items=16),
+                request("wc", "compcomm", items=16),
+                request("dijkstra", "barrier", n=12, p=2)]
+        engine = _engine(tmp_path, jobs=1, lint=True)
+        engine.run_batch(reqs)
+        assert engine.simulated == 3
+        assert sorted(req.label for req in calls) == \
+            ["dijkstra/barrier", "wc/compcomm", "wc/seq"]
+        del calls[:]
+        warm = _engine(tmp_path, jobs=1, lint=True)
+        warm.run_batch(reqs)
+        assert warm.cache_hits == 4 and calls == []
+
+    def test_lint_that_raises_lets_the_spec_run(self, tmp_path,
+                                                monkeypatch):
+        from repro.experiments.engine import LintCache
+        import repro.analysis as analysis
+
+        def broken_linter(spec, unit=""):
+            raise RuntimeError("linter bug")
+
+        monkeypatch.setattr(analysis, "lint_spec", broken_linter)
+        req = request("wc", "seq", items=16)
+        engine = _engine(tmp_path, jobs=1, lint=True)
+        result = engine.run(req)
+        assert engine.simulated == 1 and result.cycles > 0
+        # A linter that raised reached no verdict, so none is kept.
+        assert LintCache(tmp_path / "cache").load(req.cache_key()) is None
+
+    def test_factory_error_keeps_its_type_and_no_verdict(self, tmp_path):
+        from repro.experiments.engine import LintCache
+        bad = request("wc", "seq", items=-1)
+        engine = _engine(tmp_path, jobs=1, lint=True)
+        (error,) = engine.run_batch([bad], strict=False)
+        assert isinstance(error, SpecError)
+        assert error.exception_type == "WorkloadError"
+        assert "build_spec" in error.traceback_text
+        assert LintCache(tmp_path / "cache").load(bad.cache_key()) is None
+        assert not engine._lint_passed
+
 
 class TestBatchErrorPayloads:
     def test_batch_error_carries_structured_payloads(self, tmp_path):

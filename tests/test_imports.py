@@ -87,6 +87,18 @@ assert main(["run", "g721dec", "nosuch"]) == 2
     assert not _under(modules, MACHINE + ("repro.experiments",))
 
 
+def test_observed_commands_check_names_before_the_simulator():
+    for argv in (["trace", "nosuchbench"], ["profile", "nosuchbench"],
+                 ["profile", "--hot", "nosuchbench"],
+                 ["sample", "nosuchbench", "seq"]):
+        modules = _modules_after(f"""
+from repro.cli import main
+assert main({argv!r}) == 2
+""")
+        assert not _under(modules, SIMULATOR + ("repro.experiments",)), argv
+        assert not sorted(BENCHMARK_MODULES & modules), argv
+
+
 def test_setup_path_compiles_no_benchmark(tmp_path):
     modules = _modules_after(f"""
 import repro.cli

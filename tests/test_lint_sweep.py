@@ -3,16 +3,51 @@
 This is the static half of the acceptance gate — it builds (but never
 simulates) every spec the registry can produce and asserts the verifier
 finds nothing at error or warning severity.
+
+The sweep finds nothing, so it cannot tell whether the SPL dataflow still
+computes the per-thread summaries that the balance rules (SPL004-006),
+the concurrency checks and the static bounds consume.  A golden file
+pins them; regenerate it deliberately with::
+
+    PYTHONPATH=src python -m tests.regen_spl_golden
 """
 
 import json
+import os
 
 import pytest
 
 from repro.analysis import (Severity, lint_library, lint_registry,
-                            render_text)
+                            render_text, spec_summaries)
 from repro.cli import main
 from repro.workloads import registry
+
+SPL_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                          "spl_summaries.json")
+
+
+def _int_set(values):
+    return None if values is None else sorted(values)
+
+
+def spl_summaries_record():
+    """``{bench/variant: {thread id: SplSummary}}`` at factory defaults."""
+    record = {}
+    for bench in sorted(registry.REGISTRY):
+        variants = registry.REGISTRY[bench].variants
+        for variant in sorted(variants):
+            _, _, _, summaries, _ = spec_summaries(variants[variant]())
+            record[f"{bench}/{variant}"] = {
+                str(thread): {
+                    "has_spl": summary.has_spl,
+                    "pops": _int_set(summary.pops),
+                    "issues": {str(config): _int_set(values)
+                               for config, values in summary.issues.items()},
+                    "init_words": {str(config): _int_set(values)
+                                   for config, values
+                                   in summary.init_words.items()},
+                } for thread, summary in summaries.items()}
+    return record
 
 
 @pytest.mark.parametrize("bench", sorted(registry.REGISTRY))
@@ -43,3 +78,9 @@ def test_cli_lint_json(capsys):
 def test_cli_lint_rejects_unknown_benchmark(capsys):
     assert main(["lint", "--bench", "nope"]) == 2
     assert "unknown benchmarks: nope" in capsys.readouterr().err
+
+
+def test_spl_summaries_match_golden():
+    with open(SPL_GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert spl_summaries_record() == golden

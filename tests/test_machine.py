@@ -366,3 +366,72 @@ class TestOwnership:
                               request("ll2", "sw", n=16, passes=2, p=4)])
 
         _assert_freed_by_refcount(monkeypatch, cold_batch)
+
+
+class TestCollectorPolicy:
+    """``Machine.run`` keeps the cyclic collector off for the whole run
+    and gives the caller back its own setting (DESIGN.md §3)."""
+
+    @staticmethod
+    def _machine(p=4, sink=None):
+        spec = _spec("ll2", "sw", {"n": 16, "passes": 1, "p": p})
+        machine = Machine(spec.system)
+        if sink is not None:
+            machine.obs.attach(sink)
+        machine.load(spec.workload)
+        return machine, spec
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("fast_forward", [True, False],
+                             ids=["walk", "naive"])
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_caller_setting_restored(self, collector, enabled,
+                                     fast_forward):
+        (gc.enable if enabled else gc.disable)()
+        machine, spec = self._machine()
+        machine.run(options=RunOptions(max_cycles=spec.max_cycles,
+                                       fast_forward=fast_forward))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("fast_forward", [True, False],
+                             ids=["walk", "naive"])
+    def test_restored_when_the_run_raises(self, collector, fast_forward):
+        gc.enable()
+        machine, _ = self._machine()
+        with pytest.raises(SimulationError):
+            machine.run(options=RunOptions(max_cycles=100,
+                                           fast_forward=fast_forward))
+        assert gc.isenabled()
+
+    def test_sink_sees_the_collector_off(self, collector):
+        from repro.obs.bus import Sink
+
+        class CollectorProbe(Sink):
+            def __init__(self):
+                self.seen = set()
+
+            def accept(self, event):
+                self.seen.add(gc.isenabled())
+
+        gc.enable()
+        probe = CollectorProbe()
+        machine, spec = self._machine(sink=probe)
+        machine.run(options=RunOptions(max_cycles=spec.max_cycles))
+        assert probe.seen == {False}
+        assert gc.isenabled()
+
+    def test_run_leaves_nothing_for_the_collector(self, collector):
+        gc.enable()
+        machine, spec = self._machine(p=8)
+        gc.collect()
+        machine.run(options=RunOptions(max_cycles=spec.max_cycles))
+        assert gc.collect() == 0
